@@ -54,7 +54,6 @@ from .structure import (
     AlgebraFlags,
     LieFile,
     StructureEquations,
-    check_flags,
     parse_form_expr,
     parse_lie,
     parse_scalar,
@@ -93,7 +92,6 @@ __all__ = [
     "aeppli_cohomology",
     "basis",
     "bc_cohomology",
-    "check_flags",
     "classify_metric",
     "closed_p0_forms",
     "closed_p0_space",

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -25,14 +26,7 @@ from .errors import (
     PreconditionError,
 )
 from .hodge import HermitianMetric
-from .structure import (
-    LieFile,
-    _TokenStream,
-    _parse_scalar_atom,
-    _tokenize_line,
-    parse_lie,
-    render_structure,
-)
+from .structure import LieFile, parse_lie, parse_metric, render_structure
 from .verification import DEFAULT_SEED, run_all
 
 
@@ -50,27 +44,6 @@ def _load_input(source: str) -> LieFile:
     return parse_lie(path.read_text(encoding="utf-8"), name=path.stem)
 
 
-def _parse_metric_file(text: str, n: int) -> HermitianMetric:
-    rows = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if not content:
-            continue
-        if content.startswith("metric"):
-            if "identity" in content:
-                return HermitianMetric.identity(n)
-            continue  # 'metric hermitian' header before the rows
-        ts = _TokenStream(_tokenize_line(content, line_no), line_no)
-        row = [_parse_scalar_atom(ts, allow_sign=True) for _ in range(n)]
-        if not ts.done():
-            tok = ts.peek()
-            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-        rows.append(row)
-    if len(rows) != n:
-        raise ParseError(f"metric file must contain {n} rows, found {len(rows)}")
-    return HermitianMetric(rows)
-
-
 def _resolve_metric(choice: Optional[str], lie: LieFile) -> HermitianMetric:
     n = lie.structure.n
     if choice is None:
@@ -80,7 +53,7 @@ def _resolve_metric(choice: Optional[str], lie: LieFile) -> HermitianMetric:
     path = Path(choice)
     if not path.exists():
         raise ParseError(f"no such metric file: {choice}")
-    return _parse_metric_file(path.read_text(encoding="utf-8"), n)
+    return parse_metric(path.read_text(encoding="utf-8"), n)
 
 
 def _emit(data: dict, as_json: bool, text_renderer) -> None:
@@ -157,15 +130,7 @@ def cmd_classify(args) -> int:
     lie = _load_input(args.input)
     metric = _resolve_metric(args.metric, lie)
     mc = classify_metric(lie.structure, metric)
-    data = {
-        "algebra": lie.structure.name,
-        "metric_class": {
-            "kaehler": mc.kaehler,
-            "balanced": mc.balanced,
-            "gauduchon": mc.gauduchon,
-            "skt": mc.skt,
-        },
-    }
+    data = {"algebra": lie.structure.name, "metric_class": asdict(mc)}
 
     def text(d):
         print(f"algebra: {d['algebra']}")

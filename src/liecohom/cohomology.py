@@ -1,4 +1,4 @@
-"""Exact cohomology of the invariant complex.
+r"""Exact cohomology of the invariant complex.
 
 Dimensions and representatives are computed from the quotient definitions
 
@@ -16,7 +16,7 @@ Everything refers to the invariant (Lie-algebra level) complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from .errors import IntegrabilityError, PreconditionError
@@ -29,6 +29,7 @@ from .linalg import (
     hstack,
     kernel_basis,
     quotient_representatives,
+    solve,
     vstack,
 )
 from .scalars import ZERO, Scalar
@@ -63,6 +64,11 @@ _OP_SHIFT = {
     "del_adj": (-1, 0),
     "delbar_adj": (0, -1),
 }
+
+
+def _chain_shift(ops: list[str]) -> tuple[int, int]:
+    """Bidegree shift of a composite of first-order operators."""
+    return (sum(_OP_SHIFT[o][0] for o in ops), sum(_OP_SHIFT[o][1] for o in ops))
 
 
 def _clip(n: int, p: int, q: int):
@@ -132,43 +138,71 @@ class OperatorMatrix:
     matrix: Matrix
 
 
-_BC_LAPLACIAN_TERMS = [
-    ["del", "delbar", "delbar_adj", "del_adj"],
-    ["delbar_adj", "del_adj", "del", "delbar"],
-    ["delbar_adj", "del", "del_adj", "delbar"],
-    ["del_adj", "delbar", "delbar_adj", "del"],
-    ["delbar_adj", "delbar"],
-    ["del_adj", "del"],
-]
+# The Bott-Chern and Aeppli harmonic theories, one table each:
+#   kernel     -- operator chains whose common kernel is the harmonic space;
+#   laplacian  -- the terms of the fourth-order Laplacian;
+#   blocks     -- (witness name, chain) of the Hodge-type decomposition, in
+#                 the order second-order piece, first_a, first_b.
+_THEORIES = {
+    "bc": {
+        "kernel": [["del"], ["delbar"], ["del_adj", "delbar_adj"]],
+        "laplacian": [
+            ["del", "delbar", "delbar_adj", "del_adj"],
+            ["delbar_adj", "del_adj", "del", "delbar"],
+            ["delbar_adj", "del", "del_adj", "delbar"],
+            ["del_adj", "delbar", "delbar_adj", "del"],
+            ["delbar_adj", "delbar"],
+            ["del_adj", "del"],
+        ],
+        "blocks": [
+            ("gamma", ["del", "delbar"]),
+            ("alpha", ["del_adj"]),
+            ("beta", ["delbar_adj"]),
+        ],
+    },
+    "a": {
+        "kernel": [["del_adj"], ["delbar_adj"], ["del", "delbar"]],
+        "laplacian": [
+            ["del", "del_adj"],
+            ["delbar", "delbar_adj"],
+            ["delbar_adj", "del_adj", "del", "delbar"],
+            ["del", "delbar", "delbar_adj", "del_adj"],
+            ["del", "delbar_adj", "delbar", "del_adj"],
+            ["delbar", "del_adj", "del", "delbar_adj"],
+        ],
+        "blocks": [
+            ("eta", ["del_adj", "delbar_adj"]),
+            ("mu", ["del"]),
+            ("lam", ["delbar"]),
+        ],
+    },
+}
 
-_AEPPLI_LAPLACIAN_TERMS = [
-    ["del", "del_adj"],
-    ["delbar", "delbar_adj"],
-    ["delbar_adj", "del_adj", "del", "delbar"],
-    ["del", "delbar", "delbar_adj", "del_adj"],
-    ["del", "delbar_adj", "delbar", "del_adj"],
-    ["delbar", "del_adj", "del", "delbar_adj"],
-]
+
+def _theory(kind: str) -> dict:
+    if kind not in _THEORIES:
+        raise ValueError("kind must be 'bc' or 'a'")
+    return _THEORIES[kind]
+
+
+def _chain_sum(chains, s: StructureEquations, h, p: int, q: int) -> Matrix:
+    terms = [chain_matrix(t, s, p, q, h) for t in chains]
+    out = terms[0]
+    for t in terms[1:]:
+        out = out + t
+    return out
 
 
 def bc_laplacian_matrix(
     s: StructureEquations, h: HermitianMetric, p: int, q: int
 ) -> Matrix:
-    terms = [chain_matrix(t, s, p, q, h) for t in _BC_LAPLACIAN_TERMS]
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+    return _chain_sum(_THEORIES["bc"]["laplacian"], s, h, p, q)
 
 
 def aeppli_laplacian_matrix(
     s: StructureEquations, h: HermitianMetric, p: int, q: int
 ) -> Matrix:
-    terms = [chain_matrix(t, s, p, q, h) for t in _AEPPLI_LAPLACIAN_TERMS]
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+    return _chain_sum(_THEORIES["a"]["laplacian"], s, h, p, q)
 
 
 def operator_matrix(
@@ -229,99 +263,54 @@ class CohomologyGroup:
     denominator: Subspace
 
 
-def _rep_forms(n: int, vectors, mons) -> list[Form]:
-    return [vector_to_form(n, v, mons) for v in vectors]
+def _quotient(
+    kind: str, n: int, p: int, q: int, mons,
+    kernel_of: list[Matrix], image_of: list[Matrix],
+) -> CohomologyGroup:
+    """(common kernel of `kernel_of`) / (span of the columns of `image_of`)."""
+    numerator = Subspace(len(mons), kernel_basis(vstack(kernel_of)))
+    denominator = Subspace(
+        len(mons), [m.column(j) for m in image_of for j in range(m.ncols)]
+    )
+    try:
+        reps = quotient_representatives(numerator, denominator)
+    except PreconditionError as exc:
+        where = f"({p},{q})" if q >= 0 else f"degree {p}"
+        raise PreconditionError(f"{kind} cohomology at {where}: {exc}") from None
+    return CohomologyGroup(
+        kind, p, q, numerator.dim - denominator.dim,
+        [vector_to_form(n, v, mons) for v in reps], numerator, denominator,
+    )
 
 
 def bc_cohomology(s: StructureEquations, p: int, q: int) -> CohomologyGroup:
     """(ker del /\\ ker delbar) / im(del delbar) on (p, q)-forms."""
-    n = s.n
-    mons = basis(n, p, q)
-    dim_pq = len(mons)
-    stacked = vstack(
-        [
-            _single_matrix("del", s, p, q, None),
-            _single_matrix("delbar", s, p, q, None),
-        ]
-    )
-    numerator = Subspace(dim_pq, kernel_basis(stacked))
-    if p >= 1 and q >= 1:
-        dd = chain_matrix(["del", "delbar"], s, p - 1, q - 1)
-        denominator = Subspace(dim_pq, [dd.column(j) for j in range(dd.ncols)])
-    else:
-        denominator = Subspace(dim_pq)
-    ok, witness = numerator.contains_subspace(denominator)
-    if not ok:
-        raise PreconditionError(
-            f"im(del delbar) not closed at ({p},{q}); witness {witness}"
-        )
-    reps = quotient_representatives(numerator, denominator)
-    return CohomologyGroup(
-        "bc", p, q, numerator.dim - denominator.dim, _rep_forms(n, reps, mons),
-        numerator, denominator,
-    )
+    kernel_of = [_single_matrix(op, s, p, q, None) for op in ("del", "delbar")]
+    image_of = [chain_matrix(["del", "delbar"], s, p - 1, q - 1)] if p and q else []
+    return _quotient("bc", s.n, p, q, basis(s.n, p, q), kernel_of, image_of)
 
 
 def aeppli_cohomology(s: StructureEquations, p: int, q: int) -> CohomologyGroup:
     """ker(del delbar) / (im del + im delbar) on (p, q)-forms."""
-    n = s.n
-    mons = basis(n, p, q)
-    dim_pq = len(mons)
-    dd = chain_matrix(["del", "delbar"], s, p, q)
-    numerator = Subspace(dim_pq, kernel_basis(dd))
-    image_vectors = []
-    if p >= 1:
-        m = _single_matrix("del", s, p - 1, q, None)
-        image_vectors.extend(m.column(j) for j in range(m.ncols))
-    if q >= 1:
-        m = _single_matrix("delbar", s, p, q - 1, None)
-        image_vectors.extend(m.column(j) for j in range(m.ncols))
-    denominator = Subspace(dim_pq, image_vectors)
-    ok, witness = numerator.contains_subspace(denominator)
-    if not ok:
-        raise PreconditionError(
-            f"im del + im delbar not (del delbar)-closed at ({p},{q}); witness {witness}"
-        )
-    reps = quotient_representatives(numerator, denominator)
-    return CohomologyGroup(
-        "a", p, q, numerator.dim - denominator.dim, _rep_forms(n, reps, mons),
-        numerator, denominator,
-    )
+    image_of = [_single_matrix("del", s, p - 1, q, None)] if p else []
+    if q:
+        image_of.append(_single_matrix("delbar", s, p, q - 1, None))
+    kernel_of = [chain_matrix(["del", "delbar"], s, p, q)]
+    return _quotient("a", s.n, p, q, basis(s.n, p, q), kernel_of, image_of)
 
 
 def dolbeault_cohomology(s: StructureEquations, p: int, q: int) -> CohomologyGroup:
     """ker delbar / im delbar on (p, q)-forms."""
-    n = s.n
-    mons = basis(n, p, q)
-    numerator = Subspace(
-        len(mons), kernel_basis(_single_matrix("delbar", s, p, q, None))
-    )
-    if q >= 1:
-        m = _single_matrix("delbar", s, p, q - 1, None)
-        denominator = Subspace(len(mons), [m.column(j) for j in range(m.ncols)])
-    else:
-        denominator = Subspace(len(mons))
-    reps = quotient_representatives(numerator, denominator)
-    return CohomologyGroup(
-        "dolbeault", p, q, numerator.dim - denominator.dim,
-        _rep_forms(n, reps, mons), numerator, denominator,
-    )
+    image_of = [_single_matrix("delbar", s, p, q - 1, None)] if q else []
+    kernel_of = [_single_matrix("delbar", s, p, q, None)]
+    return _quotient("dolbeault", s.n, p, q, basis(s.n, p, q), kernel_of, image_of)
 
 
 def de_rham_cohomology(s: StructureEquations, k: int) -> CohomologyGroup:
     """ker d / im d on complex invariant k-forms (works without integrability)."""
-    n = s.n
-    mons = total_basis(n, k)
-    numerator = Subspace(len(mons), kernel_basis(d_matrix_total(s, k)))
-    if k >= 1:
-        m = d_matrix_total(s, k - 1)
-        denominator = Subspace(len(mons), [m.column(j) for j in range(m.ncols)])
-    else:
-        denominator = Subspace(len(mons))
-    reps = quotient_representatives(numerator, denominator)
-    return CohomologyGroup(
-        "derham", k, -1, numerator.dim - denominator.dim,
-        _rep_forms(n, reps, mons), numerator, denominator,
+    image_of = [d_matrix_total(s, k - 1)] if k else []
+    return _quotient(
+        "derham", s.n, k, -1, total_basis(s.n, k), [d_matrix_total(s, k)], image_of
     )
 
 
@@ -352,28 +341,10 @@ def harmonic_space(
     The two must agree exactly; a mismatch is an engine defect.
     """
     _require_harmonic_preconditions(s, h)
-    n = s.n
-    dim_pq = len(basis(n, p, q))
-    if kind == "bc":
-        stack = vstack(
-            [
-                _single_matrix("del", s, p, q, None),
-                _single_matrix("delbar", s, p, q, None),
-                chain_matrix(["del_adj", "delbar_adj"], s, p, q, h),
-            ]
-        )
-        lap = bc_laplacian_matrix(s, h, p, q)
-    elif kind == "a":
-        stack = vstack(
-            [
-                _single_matrix("del_adj", s, p, q, h),
-                _single_matrix("delbar_adj", s, p, q, h),
-                chain_matrix(["del", "delbar"], s, p, q),
-            ]
-        )
-        lap = aeppli_laplacian_matrix(s, h, p, q)
-    else:
-        raise ValueError("kind must be 'bc' or 'a'")
+    theory = _theory(kind)
+    dim_pq = len(basis(s.n, p, q))
+    stack = vstack([chain_matrix(ops, s, p, q, h) for ops in theory["kernel"]])
+    lap = operator_matrix(f"lap_{kind}", s, p, q, h).matrix
     primary = Subspace(dim_pq, kernel_basis(stack))
     check = Subspace(dim_pq, kernel_basis(lap))
     if primary != check:
@@ -408,8 +379,6 @@ def harmonic_projection(
         [[h.pairing(reps[i], reps[j]) for i in range(k)] for j in range(k)], ncols=k
     )
     rhs = tuple(h.pairing(a, reps[j]) for j in range(k))
-    from .linalg import solve
-
     coeffs = solve(gram, rhs)
     if coeffs is None:
         raise RuntimeError("harmonic Gram system unsolvable; engine defect")
@@ -454,29 +423,14 @@ def _decompose(
     mons = basis(n, p, q)
     harm = harmonic_projection(kind, s, h, a)
     rest = a - harm
-    if kind == "bc":
-        blocks = [
-            ("gamma", ["del", "delbar"], (p - 1, q - 1), None),
-            ("alpha", ["del_adj"], (p + 1, q), h),
-            ("beta", ["delbar_adj"], (p, q + 1), h),
-        ]
-    else:
-        blocks = [
-            ("eta", ["del_adj", "delbar_adj"], (p + 1, q + 1), h),
-            ("mu", ["del"], (p - 1, q), None),
-            ("lam", ["delbar"], (p, q - 1), None),
-        ]
+    blocks = _theory(kind)["blocks"]
     mats = []
     srcs = []
-    for _, ops, (sp, sq), _h in blocks:
-        if 0 <= sp <= n and 0 <= sq <= n:
-            mats.append(chain_matrix(ops, s, sp, sq, h))
-            srcs.append(basis(n, sp, sq))
-        else:
-            mats.append(Matrix.zeros(len(mons), 0))
-            srcs.append([])
-    from .linalg import solve
-
+    for _, ops in blocks:
+        dp, dq = _chain_shift(ops)
+        sp, sq = p - dp, q - dq
+        srcs.append(_clip(n, sp, sq))
+        mats.append(chain_matrix(ops, s, sp, sq, h) if srcs[-1] else Matrix.zeros(len(mons), 0))
     system = hstack(mats)
     sol = solve(system, form_to_vector(rest, mons))
     if sol is None:
@@ -484,7 +438,7 @@ def _decompose(
     offset = 0
     witnesses: dict[str, Form] = {}
     parts: list[Form] = []
-    for (name, ops, _, _h), mat, src in zip(blocks, mats, srcs):
+    for (name, _), mat, src in zip(blocks, mats, srcs):
         piece_coords = sol[offset : offset + mat.ncols]
         offset += mat.ncols
         witness = vector_to_form(n, piece_coords, src) if src else Form.zero(n)
@@ -601,25 +555,15 @@ def full_report(
         from .analysis import aeppli_class_vanishes, classify_metric
 
         mc = classify_metric(s, h)
-        metric_class = {
-            "kaehler": mc.kaehler,
-            "balanced": mc.balanced,
-            "gauduchon": mc.gauduchon,
-            "skt": mc.skt,
-        }
+        metric_class = asdict(mc)
         for p in range(1, n):
             try:
                 decision = aeppli_class_vanishes(s, h, p)
             except PreconditionError:
                 continue  # the class of omega^(n-p) is undefined for this metric
             decisions.append(decision.to_dict())
-    flags = {
-        "integrable": s.flags.integrable,
-        "unimodular": s.flags.unimodular,
-        "nilpotent": s.flags.nilpotent,
-    }
     return CohomologyReport(
-        algebra=s.name, n=n, flags=flags, groups=tables,
+        algebra=s.name, n=n, flags=asdict(s.flags), groups=tables,
         metric_class=metric_class, aeppli_decisions=decisions,
     )
 

@@ -251,14 +251,6 @@ class Form:
                 bucket.terms[m] = c
         return out
 
-    def wedge_power(self, k: int) -> "Form":
-        if k < 0:
-            raise ValueError("wedge power must be non-negative")
-        out = Form.one(self.n)
-        for _ in range(k):
-            out = out.wedge(self)
-        return out
-
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other):

@@ -264,12 +264,6 @@ class HermitianMetric:
         this equals the pointwise product on invariant forms."""
         return self.inner(a, b)
 
-    def norm_sq(self, a: Form) -> Fraction:
-        value = self.inner(a, a)
-        if not value.is_real():
-            raise MetricError("norm^2 came out non-real; engine defect")
-        return value.re
-
     # -- Hodge star -------------------------------------------------------------
 
     def _star_matrix(self, p: int, q: int) -> Matrix:

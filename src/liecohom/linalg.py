@@ -2,13 +2,14 @@
 
 Everything here is deterministic: row reduction picks the first nonzero
 pivot, so echelon bases come out in a canonical form (RREF is unique),
-and Subspace equality is literal row equality.  Sizes in this engine are
-tiny (at most C(4,2)^2 = 36 columns), so no pivoting heuristics are needed.
+and Subspace equality is literal row equality.  Arithmetic is exact, so no
+pivoting heuristics are needed; sizes grow as binomials in the coframe size
+(n = 5 reaches C(10, 5) = 252 columns in de Rham degree 5).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -25,11 +26,6 @@ def zero_vector(k: int) -> Vector:
 
 def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def vec_scale(c, a: Vector) -> Vector:
-    c = Scalar.coerce(c)
-    return tuple(c * x for x in a)
 
 
 def vec_is_zero(a: Vector) -> bool:
@@ -325,28 +321,3 @@ def quotient_representatives(
             current = Subspace(numerator.ambient, list(current.rows) + [v])
     return reps
 
-
-def kernel(matrix: Matrix) -> Subspace:
-    """Null space as a Subspace of the source coordinates."""
-    return Subspace(matrix.ncols, kernel_basis(matrix))
-
-
-def image(matrix: Matrix) -> Subspace:
-    """Column space as a Subspace of the target coordinates."""
-    return Subspace(matrix.nrows, [matrix.column(j) for j in range(matrix.ncols)])
-
-
-def quotient_dim(
-    numerator: Subspace, denominator: Subspace
-) -> tuple[int, list[Vector]]:
-    """Dimension of numerator/denominator plus completing representatives."""
-    reps = quotient_representatives(numerator, denominator)
-    return numerator.dim - denominator.dim, reps
-
-
-def matrix_of_map(
-    func: Callable[[int], Vector], ncols: int, nrows: int
-) -> Matrix:
-    """Matrix whose j-th column is func(j) (image of the j-th basis vector)."""
-    cols = [func(j) for j in range(ncols)]
-    return Matrix.from_columns(cols, nrows=nrows) if ncols else Matrix.zeros(nrows, 0)

@@ -64,9 +64,6 @@ class Scalar:
     def is_real(self) -> bool:
         return not self.im
 
-    def is_positive_real(self) -> bool:
-        return not self.im and self.re > 0
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):

@@ -23,6 +23,7 @@ Grammar (UTF-8, line oriented, `#` starts a comment):
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -30,6 +31,7 @@ from typing import Optional, Sequence
 from .errors import (
     IntegrabilityError,
     JacobiViolation,
+    MetricError,
     ParseError,
 )
 from .exterior import BasisMonomial, Form
@@ -219,10 +221,6 @@ class StructureEquations:
         return f"StructureEquations({self.name!r}, n={self.n})"
 
 
-def check_flags(s: StructureEquations) -> AlgebraFlags:
-    return s.flags
-
-
 def _eval_factor(factor, a: int, n: int) -> Scalar:
     idx, is_conj = factor
     target = n + idx - 1 if is_conj else idx - 1
@@ -297,8 +295,10 @@ class _TokenStream:
             raise ParseError(f"expected {kind!r}, found {tok.text!r}", tok.line, tok.col)
         return tok
 
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
+    def expect_end(self) -> None:
+        tok = self.peek()
+        if tok is not None:
+            raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
 
     def _end_col(self) -> int:
         return self.tokens[-1].col + len(self.tokens[-1].text) if self.tokens else 1
@@ -423,9 +423,7 @@ def parse_form_expr(text: str, n: int, line_no: int = 1) -> Form:
     """Parse a standalone form expression (the DSL's EXPR production)."""
     ts = _TokenStream(_tokenize_line(text, line_no), line_no)
     form = _parse_expr(ts, n)
-    if not ts.done():
-        tok = ts.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    ts.expect_end()
     return form
 
 
@@ -433,9 +431,7 @@ def parse_scalar(text: str) -> Scalar:
     """Parse a scalar literal like ``-1/2``, ``3i`` or ``(1/2-3i)``."""
     ts = _TokenStream(_tokenize_line(text, 1), 1)
     value = _parse_scalar_atom(ts, allow_sign=True)
-    if not ts.done():
-        tok = ts.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+    ts.expect_end()
     return value
 
 
@@ -445,41 +441,98 @@ class LieFile:
     metric: object  # Optional[HermitianMetric]; untyped to avoid a cycle
 
 
-def _strip_comment(raw: str) -> str:
-    return raw.split("#", 1)[0]
+def _content_lines(text: str):
+    """Yield (line number, comment-free text, token stream) for every line
+    that holds more than a comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        content = raw.split("#", 1)[0]
+        if content.strip():
+            yield line_no, content, _TokenStream(_tokenize_line(content, line_no), line_no)
+
+
+def _read_metric(ts: _TokenStream, lines, n: int, last_line: int):
+    """The metric block whose 'metric' keyword `ts` has just consumed: either
+    'metric identity', or 'metric hermitian' and then n rows taken from
+    `lines`."""
+    kind = ts.expect("word")
+    if kind.text not in ("identity", "hermitian"):
+        raise ParseError(
+            f"metric kind must be 'identity' or 'hermitian', found {kind.text!r}",
+            kind.line,
+            kind.col,
+        )
+    ts.expect_end()
+    if kind.text == "identity":
+        return _hermitian_metric(None, n, kind.line)
+    return _read_metric_rows(lines, n, last_line, kind.line)
+
+
+def _read_metric_rows(lines, n: int, last_line: int, block_line: int):
+    rows = []
+    for _, _, ts in lines:
+        row = [_parse_scalar_atom(ts, allow_sign=True) for _ in range(n)]
+        ts.expect_end()
+        rows.append(row)
+        if len(rows) == n:
+            return _hermitian_metric(rows, n, block_line)
+    raise ParseError(
+        f"metric matrix ended early: {n - len(rows)} row(s) missing", last_line, 1
+    )
+
+
+def _hermitian_metric(rows, n: int, line: int):
+    """The metric with these rows (the identity for None); a matrix that is
+    not Hermitian is a parse error at `line`."""
+    from .hodge import HermitianMetric  # deferred to avoid an import cycle
+
+    if rows is None:
+        return HermitianMetric.identity(n)
+    try:
+        return HermitianMetric(rows)
+    except MetricError as exc:
+        raise ParseError(f"invalid metric: {exc}", line, 1) from exc
+
+
+def parse_metric(text: str, n: int):
+    """Parse a metric for an n-dimensional coframe: 'metric identity', or n
+    rows of n scalars with an optional 'metric hermitian' header line.
+
+    Malformed input, a wrong number of rows and a matrix that is not
+    Hermitian raise ParseError; positivity is checked where it is needed.
+    """
+    last_line = len(text.splitlines()) or 1
+    lines = _content_lines(text)
+    first = next(lines, None)
+    if first is None:
+        raise ParseError("empty metric", last_line, 1)
+    line_no, _, ts = first
+    head = ts.peek()
+    if head.kind == "word" and head.text == "metric":
+        ts.next()
+        metric = _read_metric(ts, lines, n, last_line)
+    else:
+        metric = _read_metric_rows(itertools.chain([first], lines), n, last_line, line_no)
+    extra = next(lines, None)
+    if extra is not None:
+        raise ParseError("unexpected input after the metric", extra[0], 1)
+    return metric
 
 
 def parse_lie(text: str, name: Optional[str] = None) -> LieFile:
     """Parse a `.lie` file into structure equations plus an optional metric."""
-    lines = text.splitlines()
+    last_line = len(text.splitlines()) or 1
     algebra_name = name
     n: Optional[int] = None
     equations: dict[int, Form] = {}
-    metric_rows = None
-    metric_identity = False
-    pending_metric_rows = 0
-    collected_rows: list[list[Scalar]] = []
+    metric = None
 
-    for line_no, raw in enumerate(lines, start=1):
-        content = _strip_comment(raw).strip()
-        if not content:
-            continue
-        tokens = _tokenize_line(_strip_comment(raw), line_no)
-        if pending_metric_rows:
-            ts = _TokenStream(tokens, line_no)
-            row = [_parse_scalar_atom(ts, allow_sign=True) for _ in range(n or 0)]
-            if not ts.done():
-                tok = ts.peek()
-                raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
-            collected_rows.append(row)
-            pending_metric_rows -= 1
-            continue
-        ts = _TokenStream(tokens, line_no)
+    lines = _content_lines(text)
+    for line_no, content, ts in lines:
         head = ts.next()
         if head.kind != "word":
             raise ParseError(f"unexpected {head.text!r}", head.line, head.col)
         if head.text == "algebra":
-            rest = _strip_comment(raw).strip()[len("algebra") :].strip()
+            rest = content.strip()[len("algebra") :].strip()
             if not rest:
                 raise ParseError("missing algebra name", head.line, head.col)
             algebra_name = rest
@@ -492,9 +545,7 @@ def parse_lie(text: str, name: Optional[str] = None) -> LieFile:
             n = int(tok.text)
             if n < 1:
                 raise ParseError("dim must be at least 1", tok.line, tok.col)
-            if not ts.done():
-                tok = ts.peek()
-                raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+            ts.expect_end()
         elif head.text == "d":
             if n is None:
                 raise ParseError("dim must be declared before equations", head.line, head.col)
@@ -513,9 +564,7 @@ def parse_lie(text: str, name: Optional[str] = None) -> LieFile:
                 raise ParseError(f"duplicate definition of d f{k}", gen_tok.line, gen_tok.col)
             ts.expect("=")
             value = _parse_expr(ts, n)
-            if not ts.done():
-                tok = ts.peek()
-                raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+            ts.expect_end()
             bad = [bd for bd in value.bidegrees() if sum(bd) != 2]
             if bad:
                 raise ParseError(
@@ -527,51 +576,16 @@ def parse_lie(text: str, name: Optional[str] = None) -> LieFile:
         elif head.text == "metric":
             if n is None:
                 raise ParseError("dim must be declared before the metric", head.line, head.col)
-            kind = ts.expect("word")
-            if kind.text == "identity":
-                metric_identity = True
-            elif kind.text == "hermitian":
-                pending_metric_rows = n
-                collected_rows = []
-            else:
-                raise ParseError(
-                    f"metric kind must be 'identity' or 'hermitian', found {kind.text!r}",
-                    kind.line,
-                    kind.col,
-                )
-            if not ts.done():
-                tok = ts.peek()
-                raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+            metric = _read_metric(ts, lines, n, last_line)
         else:
             raise ParseError(f"unknown statement {head.text!r}", head.line, head.col)
 
-    if pending_metric_rows:
-        raise ParseError(
-            f"metric matrix ended early: {pending_metric_rows} row(s) missing",
-            len(lines),
-            1,
-        )
     if n is None:
-        raise ParseError("missing 'dim N' declaration", len(lines) or 1, 1)
+        raise ParseError("missing 'dim N' declaration", last_line, 1)
     if algebra_name is None:
-        raise ParseError("missing 'algebra NAME' declaration", len(lines) or 1, 1)
-    if collected_rows:
-        metric_rows = collected_rows
-
+        raise ParseError("missing 'algebra NAME' declaration", last_line, 1)
     dgen = [equations.get(k, Form.zero(n)) for k in range(1, n + 1)]
     structure = StructureEquations(n, dgen, name=algebra_name)
-
-    metric = None
-    if metric_identity or metric_rows is not None:
-        from .hodge import HermitianMetric  # deferred to avoid an import cycle
-
-        try:
-            if metric_identity:
-                metric = HermitianMetric.identity(n)
-            else:
-                metric = HermitianMetric(metric_rows)
-        except Exception as exc:  # surface metric defects as parse errors
-            raise ParseError(f"invalid metric: {exc}", len(lines), 1) from exc
     return LieFile(structure=structure, metric=metric)
 
 

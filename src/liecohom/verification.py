@@ -16,7 +16,7 @@ every n, p and randomized metric).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .analysis import (
@@ -564,6 +564,74 @@ def check_lefschetz_rank(seed: int = DEFAULT_SEED) -> CheckResult:
 # -- corpus expectation checks (used by the command-line verifier) ---------------------
 
 
+def _dims(group, s: StructureEquations, cells) -> dict:
+    return {(p, q): group(s, p, q).dim for p, q in cells}
+
+
+def _reps(group, s: StructureEquations, cells) -> dict:
+    return {
+        (p, q): [render_form(f) for f in group(s, p, q).representatives]
+        for p, q in cells
+    }
+
+
+def _f1f2_closed(s: StructureEquations) -> bool:
+    v = form_to_vector(Form.monomial(s.n, [1, 2], []), basis(s.n, 2, 0))
+    return closed_p0_space(s, 2).contains(v)
+
+
+# Expectation key -> (check label, computes from (s, h, expected value) the
+# value that must equal it, whether that value is the check's detail).
+# Checks are emitted in this order.  A key mapped to None is a modifier:
+# `X_complete` makes the table of `X` cover every bidegree, unlisted ones 0.
+_EXPECTATION_CHECKS = {
+    "flags": ("flags", lambda s, h, want: asdict(s.flags), True),
+    "bc_dims": ("bott-chern dims", lambda s, h, want: _dims(bc_cohomology, s, want), False),
+    "bc_dims_complete": None,
+    "bc_reps": (
+        "bott-chern representatives", lambda s, h, want: _reps(bc_cohomology, s, want), False
+    ),
+    "aeppli_dims": (
+        "aeppli dims", lambda s, h, want: _dims(aeppli_cohomology, s, want), False
+    ),
+    "aeppli_reps": (
+        "aeppli representatives", lambda s, h, want: _reps(aeppli_cohomology, s, want), False
+    ),
+    "dolbeault_dims": (
+        "dolbeault dims", lambda s, h, want: _dims(dolbeault_cohomology, s, want), False
+    ),
+    "derham_dims": (
+        "de rham dims", lambda s, h, want: {k: de_rham_cohomology(s, k).dim for k in want}, False
+    ),
+    "metric_class": ("metric class", lambda s, h, want: asdict(classify_metric(s, h)), True),
+    "skt_identity": (
+        "pluriclosed identity metric", lambda s, h, want: classify_metric(s, h).skt, False
+    ),
+    "closed_10_dim": (
+        "closed (1,0) dimension", lambda s, h, want: closed_p0_space(s, 1).dim, False
+    ),
+    "bc20_contains_f1f2": ("f1^f2 closed", lambda s, h, want: _f1f2_closed(s), False),
+    "star_f1F1": (
+        "star of f1^F1",
+        lambda s, h, want: render_form(h.star(Form.monomial(s.n, [1], [1]))),
+        True,
+    ),
+    "aeppli_vanishes": (
+        "aeppli class decisions",
+        lambda s, h, want: {p: aeppli_class_vanishes(s, h, p).vanishes for p in want},
+        False,
+    ),
+}
+
+
+def _expected(exp: dict, key: str, n: int):
+    want = exp[key].value
+    complete = exp.get(f"{key}_complete")
+    if complete is not None and complete.value:
+        want = {(p, q): want.get((p, q), 0) for p in range(n + 1) for q in range(n + 1)}
+    return want
+
+
 def _check_entry_expectations(entry: CorpusEntry) -> list[CheckResult]:
     lf = entry.load()
     s = lf.structure
@@ -574,89 +642,15 @@ def _check_entry_expectations(entry: CorpusEntry) -> list[CheckResult]:
         results.append(CheckResult(f"{entry.name}: {label}", ok, detail))
 
     exp = entry.expected
-    if "flags" in exp:
-        want = exp["flags"].value
-        got = {
-            "integrable": s.flags.integrable,
-            "unimodular": s.flags.unimodular,
-            "nilpotent": s.flags.nilpotent,
-        }
-        record("flags", got == want, f"{got}")
-    if "bc_dims" in exp:
-        ok = True
-        for (p, q), dim in exp["bc_dims"].value.items():
-            if bc_cohomology(s, p, q).dim != dim:
-                ok = False
-        if exp.get("bc_dims_complete") and exp["bc_dims_complete"].value:
-            table = exp["bc_dims"].value
-            for p in range(s.n + 1):
-                for q in range(s.n + 1):
-                    if bc_cohomology(s, p, q).dim != table.get((p, q), 0):
-                        ok = False
-        record("bott-chern dims", ok)
-    if "bc_reps" in exp:
-        ok = True
-        for (p, q), reps in exp["bc_reps"].value.items():
-            got = [render_form(f) for f in bc_cohomology(s, p, q).representatives]
-            if got != reps:
-                ok = False
-        record("bott-chern representatives", ok)
-    if "aeppli_dims" in exp:
-        ok = all(
-            aeppli_cohomology(s, p, q).dim == dim
-            for (p, q), dim in exp["aeppli_dims"].value.items()
-        )
-        record("aeppli dims", ok)
-    if "aeppli_reps" in exp:
-        ok = True
-        for (p, q), reps in exp["aeppli_reps"].value.items():
-            got = [render_form(f) for f in aeppli_cohomology(s, p, q).representatives]
-            if got != reps:
-                ok = False
-        record("aeppli representatives", ok)
-    if "dolbeault_dims" in exp:
-        ok = all(
-            dolbeault_cohomology(s, p, q).dim == dim
-            for (p, q), dim in exp["dolbeault_dims"].value.items()
-        )
-        record("dolbeault dims", ok)
-    if "derham_dims" in exp:
-        ok = all(
-            de_rham_cohomology(s, k).dim == dim
-            for k, dim in exp["derham_dims"].value.items()
-        )
-        record("de rham dims", ok)
-    if "metric_class" in exp:
-        mc = classify_metric(s, h)
-        got = {
-            "kaehler": mc.kaehler,
-            "balanced": mc.balanced,
-            "gauduchon": mc.gauduchon,
-            "skt": mc.skt,
-        }
-        record("metric class", got == exp["metric_class"].value, f"{got}")
-    if "skt_identity" in exp:
-        record(
-            "pluriclosed identity metric",
-            classify_metric(s, h).skt == exp["skt_identity"].value,
-        )
-    if "closed_10_dim" in exp:
-        record(
-            "closed (1,0) dimension",
-            closed_p0_space(s, 1).dim == exp["closed_10_dim"].value,
-        )
-    if "bc20_contains_f1f2" in exp:
-        v = form_to_vector(Form.monomial(s.n, [1, 2], []), basis(s.n, 2, 0))
-        record("f1^f2 closed", closed_p0_space(s, 2).contains(v))
-    if "star_f1F1" in exp:
-        got = render_form(h.star(Form.monomial(s.n, [1], [1])))
-        record("star of f1^F1", got == exp["star_f1F1"].value, got)
-    if "aeppli_vanishes" in exp:
-        ok = True
-        for p, want in exp["aeppli_vanishes"].value.items():
-            if aeppli_class_vanishes(s, h, p).vanishes != want:
-                ok = False
-        record("aeppli class decisions", ok)
+    for key, check in _EXPECTATION_CHECKS.items():
+        if key in exp and check is not None:
+            label, compute, show = check
+            want = _expected(exp, key, s.n)
+            got = compute(s, h, want)
+            record(label, got == want, f"{got}" if show else "")
+    for key in exp:
+        if key not in _EXPECTATION_CHECKS:
+            record(f"unknown expectation {key!r}", False, "no check reads this key")
     # theorem-level consistency for every p where the class is defined
     for p in range(1, s.n):
         check = verify_vanishing_theorem(s, h, p)

@@ -140,3 +140,50 @@ def test_verify_single_entry(capsys):
 def test_verify_unknown_scope(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == 2
+
+
+# (metric block, exit code of `classify`, line of the error within the block)
+METRIC_BLOCKS = [
+    ("metric hermitian\n2 0 0\n0 1 0\n0 0 1\n", 0, None),
+    ("metric bogus\n", 2, 1),
+    ("metric identityfoo\n", 2, 1),
+    ("metric identity extra\n", 2, 1),
+    ("metric hermitian\n1 0 0\n0 1 0\n", 2, 3),  # a row missing
+    ("metric hermitian\n1 0 0\n0 1 x\n0 0 1\n", 2, 3),
+    ("metric hermitian\n1 0 0\n0 1 0 0\n0 0 1\n", 2, 3),
+    ("metric hermitian\n1 1 0\n0 1 0\n0 0 1\n", 2, 1),  # not Hermitian
+    ("metric hermitian\n1 2 0\n2 1 0\n0 0 1\n", 3, None),  # Hermitian, not positive
+]
+
+# Metric files only: the header is optional there, and nothing may follow the rows.
+METRIC_FILES = [
+    ("1 0 0\n0 1 0\n", 2, 2),
+    ("1 0 0\n0 1 0\n0 0 1\n0 0 1\n", 2, 4),
+    ("metric identity\n1 0 0\n", 2, 2),
+    ("1 1i 0\n1i 1 0\n0 0 1\n", 2, 1),
+    ("# nothing here\n", 2, 1),
+]
+
+
+def _assert_exit(code, err, want_code, want_line):
+    assert code == want_code, err
+    if want_line is not None:
+        assert f"line {want_line}," in err
+
+
+@pytest.mark.parametrize("text,want_code,want_line", METRIC_BLOCKS + METRIC_FILES)
+def test_metric_file_errors(tmp_path, capsys, text, want_code, want_line):
+    metric = tmp_path / "metric.txt"
+    metric.write_text(text)
+    code, _, err = run(capsys, "classify", "corpus:sl2c", "--metric", str(metric))
+    _assert_exit(code, err, want_code, want_line)
+
+
+@pytest.mark.parametrize("text,want_code,want_line", METRIC_BLOCKS)
+def test_metric_block_errors_in_lie_file(tmp_path, capsys, text, want_code, want_line):
+    structure = SL2C.replace("metric identity\n", "")
+    path = tmp_path / "sl2c.lie"
+    path.write_text(structure + text)
+    code, _, err = run(capsys, "classify", str(path))
+    offset = structure.count("\n")
+    _assert_exit(code, err, want_code, want_line and want_line + offset)

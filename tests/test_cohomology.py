@@ -271,3 +271,13 @@ def test_report_star_duality_entries():
                 report.groups["bc"][(p, q)][0]
                 == report.groups["a"][(n - p, n - q)][0]
             )
+
+
+def test_quotient_containment_failure_names_kind_bidegree_and_witness():
+    from liecohom.cohomology import _quotient
+    from liecohom.linalg import Matrix
+
+    # numerator {0}, denominator the whole line: the quotient is undefined
+    one = Matrix.identity(1)
+    with pytest.raises(PreconditionError, match=r"^bc cohomology at \(1,1\): .*witness"):
+        _quotient("bc", 1, 1, 1, basis(1, 1, 1), [one], [one])

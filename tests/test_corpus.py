@@ -38,3 +38,12 @@ def test_all_expectations_hold():
     results = corpus_checks("all")
     failures = [r.line() for r in results if not r.passed]
     assert not failures, "\n".join(failures)
+
+
+def test_unknown_expectation_fails(monkeypatch):
+    entry = corpus.get("iwasawa")
+    monkeypatch.setitem(
+        entry.expected, "closed_10_dims", corpus.Expectation(2, corpus.DERIVED)
+    )
+    failures = [r.name for r in corpus_checks("iwasawa") if not r.passed]
+    assert failures == ["iwasawa: unknown expectation 'closed_10_dims'"]

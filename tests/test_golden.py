@@ -1,0 +1,25 @@
+"""Outputs must stay byte-identical to the golden copies the benchmark keeps
+in perfbench/golden/ (read here, never rewritten)."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from liecohom import corpus
+from liecohom.cli import main
+from liecohom.verification import corpus_checks
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_cohomology_json_matches_golden(capsys, name):
+    code = main(["cohomology", f"corpus:{name}", "--metric", "identity", "--json"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_corpus_check_names_match_golden():
+    names = json.loads((GOLDEN / "verify_checks.json").read_text(encoding="utf-8"))
+    assert [r.name for r in corpus_checks("all")] == names["corpus_checks"]
