@@ -5,6 +5,20 @@ pivot, so echelon bases come out in a canonical form (RREF is unique),
 and Subspace equality is literal row equality.  Arithmetic is exact, so no
 pivoting heuristics are needed; sizes grow as binomials in the coframe size
 (n = 5 reaches C(10, 5) = 252 columns in de Rham degree 5).
+
+The operator matrices are sparse, so every elimination loop skips zeros:
+``rref`` scales each pivot row once, collects its nonzero columns (all at
+or right of the pivot) and updates only those entries of the rows that are
+nonzero in the pivot column; ``Subspace.reduce`` and the quotient loop skip
+echelon rows whose pivot entry in the vector is zero and zero entries of
+the rows they do use.  Since ``x - f*0 == x`` exactly and RREF is unique,
+the results are those of dense elimination.
+
+``quotient_representatives`` keeps a running echelon: the denominator's
+rows, then the residue of each accepted numerator row, scaled to 1 at its
+first nonzero entry (its pivot).  A residue is zero at every earlier
+pivot, so reducing in insertion order decides span membership exactly as
+a freshly row-reduced basis would, with no RREF per accepted row.
 """
 
 from __future__ import annotations
@@ -185,12 +199,19 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
+        prow = rows[r]
+        inv = ONE / prow[c]
+        # prow is zero left of c: earlier pivots were eliminated from it and
+        # the other columns had no nonzero in rows r.. (else they would pivot)
+        support = [j for j in range(c, ncols) if prow[j]]
+        for j in support:
+            prow[j] = inv * prow[j]
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            factor = row[c]
+            if factor and i != r:
+                for j in support:
+                    row[j] = row[j] - factor * prow[j]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -240,6 +261,21 @@ def solve(matrix: Matrix, b: Vector):
     return tuple(x)
 
 
+def _eliminate(v: list, rows: Sequence[Vector], pivots: Sequence[int]) -> None:
+    """Reduce v in place against rows taken in order.
+
+    Row k must be 1 at pivots[k], zero left of it and zero at every earlier
+    pivot; then v ends zero at every pivot.
+    """
+    for row, c in zip(rows, pivots):
+        factor = v[c]
+        if factor:
+            for j in range(c, len(v)):
+                y = row[j]
+                if y:
+                    v[j] = v[j] - factor * y
+
+
 class Subspace:
     """A subspace of Scalar^ambient held as canonical echelon rows."""
 
@@ -265,10 +301,7 @@ class Subspace:
     def reduce(self, v: Vector) -> Vector:
         """Residue of v after elimination against the echelon basis."""
         v = list(v)
-        for row, c in zip(self.rows, self._pivots):
-            if v[c]:
-                factor = v[c]
-                v = [x - factor * y for x, y in zip(v, row)]
+        _eliminate(v, self.rows, self._pivots)
         return tuple(v)
 
     def contains(self, v: Vector) -> bool:
@@ -280,11 +313,6 @@ class Subspace:
             if not self.contains(v):
                 return False, v
         return True, None
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch")
-        return Subspace(self.ambient, list(self.rows) + list(other.rows))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -313,11 +341,17 @@ def quotient_representatives(
         raise PreconditionError(
             f"denominator is not contained in numerator; witness {witness}"
         )
+    rows = list(denominator.rows)
+    pivots = list(denominator._pivots)
     reps = []
-    current = denominator
     for v in numerator.rows:
-        if not current.contains(v):
+        residue = list(v)
+        _eliminate(residue, rows, pivots)
+        c = next((j for j, x in enumerate(residue) if x), None)
+        if c is not None:
             reps.append(v)
-            current = Subspace(numerator.ambient, list(current.rows) + [v])
+            inv = ONE / residue[c]
+            rows.append([inv * x if x else x for x in residue])
+            pivots.append(c)
     return reps
 

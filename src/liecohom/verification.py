@@ -41,7 +41,7 @@ from .cohomology import (
 from .corpus import CORPUS, CorpusEntry
 from .exterior import Form, basis
 from .hodge import HermitianMetric, random_positive_metric
-from .linalg import Matrix, rank
+from .linalg import Matrix, Subspace, rank
 from .scalars import ONE, Scalar
 from .structure import StructureEquations, render_form
 
@@ -267,7 +267,7 @@ def check_calabi_eckmann() -> CheckResult:
             problems.append("product monomial rep not (del delbar)-closed")
         if span.contains(v):
             problems.append("product monomial rep is exact; class zero")
-        span = span.sum(type(span)(span.ambient, list(span.rows) + [v]))
+        span = Subspace(span.ambient, list(span.rows) + [v])
     if span.dim != group.denominator.dim + 2:
         problems.append("product monomials do not span H_A^(2,2)")
     pairing = h.pairing(h.omega_power(2), psi2233)

@@ -23,3 +23,12 @@ def test_cohomology_json_matches_golden(capsys, name):
 def test_corpus_check_names_match_golden():
     names = json.loads((GOLDEN / "verify_checks.json").read_text(encoding="utf-8"))
     assert [r.name for r in corpus_checks("all")] == names["corpus_checks"]
+
+
+def test_heisenberg_4_ladder_json_matches_golden(capsys, tmp_path):
+    lie = tmp_path / "heisenberg-4.lie"
+    lie.write_text("algebra heisenberg-4\ndim 4\nd f4 = f1^f2\n", encoding="utf-8")
+    code = main(["cohomology", str(lie), "--metric", "identity", "--json"])
+    assert code == 0
+    golden = (GOLDEN / "heisenberg-4.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden

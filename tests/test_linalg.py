@@ -117,3 +117,139 @@ def test_matmul_and_shapes():
     assert prod.rows[0][0] == Scalar(1, Fraction(1, 2))
     with pytest.raises(ValueError):
         b @ a
+
+
+# -- quotient representatives against the rebuild-per-acceptance reference ----
+
+
+def _quotient_reference(numerator, denominator):
+    """Reference: one full Subspace rebuild per accepted row."""
+    reps, current = [], denominator
+    for v in numerator.rows:
+        if not current.contains(v):
+            reps.append(v)
+            current = Subspace(numerator.ambient, list(current.rows) + [v])
+    return reps
+
+
+def _random_scalar(rng, density=1.0):
+    if rng.random() >= density:
+        return ZERO
+    return Scalar(
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+    )
+
+
+def test_quotient_scales_residues_with_non_unit_leading_entry():
+    # the residue of e1 against (1, 2, 0) is (0, -2, 0); left unscaled, it
+    # would fail to eliminate e2, which lies in the span
+    numerator = Subspace(3, [vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1])])
+    denominator = Subspace(3, [vec([1, 2, 0])])
+    assert denominator.reduce(numerator.rows[0]) == vec([0, -2, 0])
+    reps = quotient_representatives(numerator, denominator)
+    assert reps == [vec([1, 0, 0]), vec([0, 0, 1])]
+    assert reps == _quotient_reference(numerator, denominator)
+
+
+def test_quotient_matches_rebuild_reference_on_random_pairs():
+    rng = random.Random(20261018)
+    seen_zero_denominator = seen_equal = seen_non_unit_residue = False
+    for trial in range(60):
+        ambient = rng.randint(1, 7)
+        gens = [
+            vec([_random_scalar(rng, 0.6) for _ in range(ambient)])
+            for _ in range(rng.randint(1, ambient + 1))
+        ]
+        numerator = Subspace(ambient, gens)
+        if trial % 10 == 0:
+            denominator = numerator
+        else:
+            combos = []
+            for _ in range(rng.randint(0, len(gens))):
+                coeffs = [_random_scalar(rng, 0.5) for _ in gens]
+                combos.append(
+                    vec(sum((c * x for c, x in zip(coeffs, col)), ZERO) for col in zip(*gens))
+                )
+            denominator = Subspace(ambient, combos)
+        expected = _quotient_reference(numerator, denominator)
+        assert quotient_representatives(numerator, denominator) == expected
+        assert len(expected) == numerator.dim - denominator.dim
+        seen_zero_denominator |= denominator.dim == 0
+        seen_equal |= denominator == numerator
+        seen_non_unit_residue |= any(
+            next(x for x in denominator.reduce(v) if x) != ONE for v in expected
+        )
+    assert seen_zero_denominator and seen_equal and seen_non_unit_residue
+
+
+def test_quotient_builds_no_echelon_per_representative(monkeypatch):
+    import liecohom.linalg as linalg
+
+    numerator = Subspace(4, [vec([1, 2, 0, I]), vec([0, 3, 1, 0]), vec([1, 0, 0, 1])])
+    denominator = Subspace(4, [vec([2, 7, 1, 2 * I])])
+    calls = []
+
+    def counting_rref(matrix):
+        calls.append(matrix.shape)
+        return rref(matrix)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    reps = quotient_representatives(numerator, denominator)
+    assert len(reps) == 2
+    assert calls == []
+
+
+# -- rref against an independent oracle (sympy, test-only) ---------------------
+
+
+def _assert_rref_matches_sympy(sympy, m):
+    def to_sympy(z):
+        return sympy.Rational(z.re.numerator, z.re.denominator) + sympy.I * sympy.Rational(
+            z.im.numerator, z.im.denominator
+        )
+
+    def from_sympy(e):
+        re, im = sympy.re(e), sympy.im(e)
+        return Scalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+    reduced, pivots = rref(m)
+    theirs, their_pivots = sympy.Matrix(
+        m.nrows, m.ncols, [to_sympy(x) for row in m.rows for x in row]
+    ).rref()
+    assert pivots == list(their_pivots)
+    assert reduced == Matrix(
+        [[from_sympy(theirs[i, j]) for j in range(m.ncols)] for i in range(m.nrows)],
+        ncols=m.ncols,
+    )
+
+
+def test_rref_matches_sympy_on_sparse_random_matrices():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(4)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+        rows = [[_random_scalar(rng, 0.3) for _ in range(ncols)] for _ in range(nrows)]
+        rows[rng.randrange(nrows)] = [ZERO] * ncols
+        zero_col = rng.randrange(ncols)
+        for row in rows:
+            row[zero_col] = ZERO
+        _assert_rref_matches_sympy(sympy, Matrix(rows, ncols=ncols))
+
+
+def test_rref_matches_sympy_on_corpus_operator_matrices():
+    sympy = pytest.importorskip("sympy")
+    from liecohom import corpus
+    from liecohom.cohomology import operator_matrix
+
+    checked = 0
+    for name in corpus.names():
+        s = corpus.get(name).load().structure
+        for p in range(s.n + 1):
+            for q in range(s.n + 1):
+                for op in ("d", "del", "delbar"):
+                    m = operator_matrix(op, s, p, q).matrix
+                    if m.nrows and m.ncols and not m.is_zero():
+                        _assert_rref_matches_sympy(sympy, m)
+                        checked += 1
+    assert checked > 0
