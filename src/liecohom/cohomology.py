@@ -94,14 +94,19 @@ def _single_matrix(
     src = _clip(n, p, q)
     dst = _clip(n, p + dp, q + dq)
     if name == "del":
-        op = s.del_
+        out = _matrix_for(s.del_, n, src, dst)
     elif name == "delbar":
-        op = s.delbar
+        out = _matrix_for(s.delbar, n, src, dst)
     else:
-        op = (lambda a: h.del_adjoint(a, s)) if name == "del_adj" else (
-            lambda a: h.delbar_adjoint(a, s)
-        )
-    out = _matrix_for(op, n, src, dst)
+        # a -> -*(D *a) with the conjugate-linear star: -S' conj(D) conj(S)
+        if src:
+            h.require_positive()  # as the star of each source monomial would
+        d = _single_matrix(name[: -len("_adj")], s, n - p, n - q, None)
+        if d.is_zero():
+            out = Matrix.zeros(len(dst), len(src))
+        else:
+            star_back = h._star_matrix(n - p - dp, n - q - dq)
+            out = -(star_back @ d.conjugate() @ h._star_matrix(p, q).conjugate())
     s._op_matrix_cache[key] = out
     return out
 

@@ -11,18 +11,23 @@ Conventions (all exact over the Gaussian rationals):
     (the conjugate of h^-1; the index order matters for non-real h), so a
     coframe with h = identity has |f_j|^2 = 2;
   * products on (p,q)-monomials are determinants of Gram minors, with the
-    holomorphic and anti-holomorphic blocks paired independently;
+    holomorphic and anti-holomorphic blocks paired independently, so the
+    (p,q) Gram matrix is the Kronecker product of the p-th compound matrix
+    of the (1,0) Gram matrix with the conjugate of its q-th compound;
   * vol = omega^n / n!, which gives <vol, vol> = 1;
   * the star of a (p,q)-form a is the unique (n-p, n-q)-form with
     alpha ^ (*a) = <alpha, a> vol for every (p,q)-form alpha, and it is
-    conjugate-linear in a.  It is computed by solving that linear system
-    on the monomial basis, never from hand-derived sign tables.
+    conjugate-linear in a.  On the monomial basis that relation pairs each
+    monomial only with its complement, so the star matrix is the Gram
+    matrix times vol with its rows signed and permuted by the wedge
+    signs, never taken from hand-derived sign tables.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .errors import MetricError
@@ -69,6 +74,13 @@ def _invert(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     if pivots != list(range(k)):
         raise MetricError("matrix is singular")
     return [list(reduced.rows[i][k:]) for i in range(k)]
+
+
+def _compound(g: Sequence[Sequence[Scalar]], k: int) -> list[list[Scalar]]:
+    """The k-th compound matrix: k x k minors of g over k-subsets of indices,
+    in ``combinations`` order (the order ``basis`` uses)."""
+    subsets = list(combinations(range(len(g)), k))
+    return [[_det([[g[x][y] for y in b] for x in a]) for b in subsets] for a in subsets]
 
 
 class HermitianMetric:
@@ -216,22 +228,12 @@ class HermitianMetric:
         cached = self._gram_cache.get(key)
         if cached is not None:
             return cached
+        dim = len(basis(self.n, p, q))  # rejects an out-of-range bidegree
         g1 = self._gram_generators()
-        mons = basis(self.n, p, q)
-        rows = []
-        for ma in mons:
-            row = []
-            for mb in mons:
-                holo = _det([[g1[x - 1][y - 1] for y in mb.holo] for x in ma.holo])
-                anti = _det(
-                    [
-                        [g1[x - 1][y - 1].conjugate() for y in mb.anti]
-                        for x in ma.anti
-                    ]
-                )
-                row.append(holo * anti)
-            rows.append(row)
-        out = Matrix(rows, ncols=len(mons))
+        holo = _compound(g1, p)
+        anti = [[x.conjugate() for x in row] for row in _compound(g1, q)]
+        rows = [[x * y for x in hrow for y in arow] for hrow in holo for arow in anti]
+        out = Matrix(rows, ncols=dim)
         self._gram_cache[key] = out
         return out
 
@@ -268,34 +270,34 @@ class HermitianMetric:
 
     def _star_matrix(self, p: int, q: int) -> Matrix:
         """Matrix S with S[:, b] = coordinates of *(m_b) over the (n-p, n-q)
-        basis, obtained by solving  W @ S = vol_coeff * Gram  where
-        W[a][c] f_top = m_a ^ m'_c."""
+        basis.
+
+        The defining relation on monomials reads  W @ S = vol_coeff * Gram
+        with W[a][c] f_top = m_a ^ m'_c.  m_a ^ m'_c vanishes unless m_a is
+        the complement of m'_c, so W is a signed permutation and
+        S = W^T @ (vol_coeff * Gram): row c of S is sign * vol_coeff times
+        Gram row a, with m_a the complement of m'_c and sign the sign of
+        m_a ^ m'_c."""
         key = (p, q)
         cached = self._star_cache.get(key)
         if cached is not None:
             return cached
         self.require_positive()
         n = self.n
-        src = basis(n, p, q)
-        dst = basis(n, n - p, n - q)
-        top = BasisMonomial(tuple(range(1, n + 1)), tuple(range(1, n + 1)))
-        vol = self.volume_form()
-        vol_coeff = vol.terms.get(top, ZERO)
-        wedge_rows = []
-        for ma in src:
-            row = []
-            for mc in dst:
-                hit = monomial_wedge(ma, mc)
-                if hit is None:
-                    row.append(ZERO)
-                else:
-                    sign, mono = hit
-                    row.append(Scalar(sign) if mono == top else ZERO)
-            wedge_rows.append(row)
-        w = Matrix(wedge_rows, ncols=len(dst))
-        rhs = self.gram(p, q).scale(vol_coeff)
-        w_inv = Matrix(_invert(w.rows), ncols=len(dst)) if src else Matrix([], ncols=0)
-        out = w_inv @ rhs if src else Matrix([], ncols=0)
+        full = tuple(range(1, n + 1))
+        vol_coeff = self.volume_form().terms.get(BasisMonomial(full, full), ZERO)
+        gram = self.gram(p, q)
+        index = {m: i for i, m in enumerate(basis(n, p, q))}
+        rows = []
+        for mc in basis(n, n - p, n - q):
+            ma = BasisMonomial(
+                tuple(j for j in full if j not in mc.holo),
+                tuple(j for j in full if j not in mc.anti),
+            )
+            sign, _ = monomial_wedge(ma, mc)
+            c = Scalar(sign) * vol_coeff
+            rows.append([c * x if x else ZERO for x in gram.rows[index[ma]]])
+        out = Matrix(rows, ncols=gram.ncols)
         self._star_cache[key] = out
         return out
 

@@ -91,13 +91,10 @@ class Matrix:
             ncols=self.nrows,
         )
 
-    def conj_transpose(self) -> "Matrix":
+    def conjugate(self) -> "Matrix":
         return Matrix(
-            [
-                [self.rows[i][j].conjugate() for i in range(self.nrows)]
-                for j in range(self.ncols)
-            ],
-            ncols=self.nrows,
+            [[x.conjugate() if x else ZERO for x in row] for row in self.rows],
+            ncols=self.ncols,
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -131,7 +128,9 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = Scalar.coerce(c)
-        return Matrix([[c * x for x in row] for row in self.rows], ncols=self.ncols)
+        return Matrix(
+            [[c * x if x else ZERO for x in row] for row in self.rows], ncols=self.ncols
+        )
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
@@ -236,12 +235,6 @@ def kernel_basis(matrix: Matrix) -> list[Vector]:
             v[c] = -reduced.rows[r][f]
         out.append(tuple(v))
     return out
-
-
-def column_space_basis(matrix: Matrix) -> list[Vector]:
-    """Echelonized basis of the column space."""
-    reduced, pivots = rref(matrix.transpose())
-    return [reduced.rows[r] for r in range(len(pivots))]
 
 
 def solve(matrix: Matrix, b: Vector):

@@ -30,6 +30,7 @@ from .analysis import (
     verify_vanishing_theorem,
 )
 from .cohomology import (
+    _matrix_for,
     aeppli_cohomology,
     bc_cohomology,
     chain_matrix,
@@ -41,7 +42,7 @@ from .cohomology import (
 from .corpus import CORPUS, CorpusEntry
 from .exterior import Form, basis
 from .hodge import HermitianMetric, random_positive_metric
-from .linalg import Matrix, Subspace, rank
+from .linalg import Subspace, rank
 from .scalars import ONE, Scalar
 from .structure import StructureEquations, render_form
 
@@ -542,12 +543,7 @@ def check_lefschetz_rank(seed: int = DEFAULT_SEED) -> CheckResult:
             for p in range(1, n):
                 src = basis(n, p, 0)
                 dst = basis(n, n, n - p)
-                cols = []
-                wnp = hm.omega_power(n - p)
-                for mono in src:
-                    image = wnp.wedge(Form(n, {mono: ONE}, _validated=True))
-                    cols.append(form_to_vector(image, dst))
-                m = Matrix.from_columns(cols, nrows=len(dst))
+                m = _matrix_for(lambda a: hm.lefschetz(a, n - p), n, src, dst)
                 want = len(src)
                 if rank(m) != want:
                     return CheckResult(

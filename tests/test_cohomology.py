@@ -84,7 +84,7 @@ def test_laplacian_self_adjoint_for_pairing():
     for p, q in ((1, 0), (1, 1)):
         m = operator_matrix("lap_bc", s, p, q, h).matrix
         g = h.gram(p, q)
-        assert g @ m == m.conj_transpose() @ g
+        assert g @ m == m.transpose().conjugate() @ g
 
 
 # -- quotient groups ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Outputs must stay byte-identical to the golden copies the benchmark keeps
-in perfbench/golden/ (read here, never rewritten)."""
+in perfbench/golden/ (read here, never rewritten) and to the verify-suite
+golden in tests/golden/."""
 
 import json
 from pathlib import Path
@@ -11,6 +12,7 @@ from liecohom.cli import main
 from liecohom.verification import corpus_checks
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+TESTS_GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("name", corpus.names())
@@ -31,4 +33,12 @@ def test_heisenberg_4_ladder_json_matches_golden(capsys, tmp_path):
     code = main(["cohomology", str(lie), "--metric", "identity", "--json"])
     assert code == 0
     golden = (GOLDEN / "heisenberg-4.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
+
+
+def test_verify_all_json_matches_golden(capsys):
+    # names, verdicts and details of every check, byte for byte
+    code = main(["verify", "all", "--json"])
+    assert code == 0
+    golden = (TESTS_GOLDEN / "verify_all.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden

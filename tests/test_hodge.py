@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from liecohom import corpus
+from liecohom.cohomology import _OP_SHIFT, _clip, _matrix_for, _single_matrix
 from liecohom.errors import MetricError
-from liecohom.exterior import Form, basis
-from liecohom.hodge import HermitianMetric, random_positive_metric
-from liecohom.scalars import HALF, I, ONE, Scalar
+from liecohom.exterior import BasisMonomial, Form, basis, monomial_wedge
+from liecohom.hodge import HermitianMetric, _det, _invert, random_positive_metric
+from liecohom.linalg import Matrix
+from liecohom.scalars import HALF, I, ONE, ZERO, Scalar
 from liecohom.structure import parse_structure
 
 SL2C = "algebra sl2c\ndim 3\nd f1 = f2^f3\nd f2 = -1*f1^f3\nd f3 = f1^f2\n"
@@ -266,6 +269,79 @@ def test_lefschetz_injective_on_generators():
     h = HermitianMetric.identity(3)
     for j in (1, 2, 3):
         assert not h.lefschetz(mono(3, [j], []), 2).is_zero()
+
+
+# -- matrix constructions against their reference routes ---------------------------
+
+
+def reference_gram(h, p, q):
+    """Two determinants per entry: holomorphic minor times conjugate minor."""
+    g1 = h._gram_generators()
+    g1bar = [[x.conjugate() for x in row] for row in g1]
+
+    def minor(g, rows, cols):
+        return _det([[g[x - 1][y - 1] for y in cols] for x in rows])
+
+    mons = basis(h.n, p, q)
+    return Matrix(
+        [
+            [minor(g1, a.holo, b.holo) * minor(g1bar, a.anti, b.anti) for b in mons]
+            for a in mons
+        ],
+        ncols=len(mons),
+    )
+
+
+def reference_star_matrix(h, p, q):
+    """Solve W @ S = vol_coeff * Gram, W[a][c] f_top = m_a ^ m'_c (Gram as
+    checked against ``reference_gram`` first)."""
+    n = h.n
+    full = tuple(range(1, n + 1))
+    top = BasisMonomial(full, full)
+    dst = basis(n, n - p, n - q)
+    w = []
+    for ma in basis(n, p, q):
+        row = []
+        for mc in dst:
+            hit = monomial_wedge(ma, mc)
+            row.append(Scalar(hit[0]) if hit and hit[1] == top else ZERO)
+        w.append(row)
+    vol_coeff = h.volume_form().terms[top]
+    return Matrix(_invert(w), ncols=len(dst)) @ h.gram(p, q).scale(vol_coeff)
+
+
+def reference_adjoint_matrix(name, s, h, p, q):
+    """One Form round trip (star, del or delbar, star) per basis column."""
+    form_op = h.del_adjoint if name == "del_adj" else h.delbar_adjoint
+    dp, dq = _OP_SHIFT[name]
+    return _matrix_for(
+        lambda a: form_op(a, s), s.n, _clip(s.n, p, q), _clip(s.n, p + dp, q + dq)
+    )
+
+
+def assert_tables_match_references(s, seed):
+    n = s.n
+    rng = random.Random(seed)
+    # the random metrics have non-real entries, so a dropped conjugation shows
+    metrics = [HermitianMetric.identity(n)]
+    metrics += [random_positive_metric(n, rng) for _ in range(3)]
+    for h in metrics:
+        for p in range(n + 1):
+            for q in range(n + 1):
+                assert h.gram(p, q) == reference_gram(h, p, q)
+                assert h._star_matrix(p, q) == reference_star_matrix(h, p, q)
+                for name in ("del_adj", "delbar_adj"):
+                    got = _single_matrix(name, s, p, q, h)
+                    assert got == reference_adjoint_matrix(name, s, h, p, q)
+
+
+@pytest.mark.parametrize("name", corpus.names())
+def test_hermitian_tables_match_reference_routes_on_corpus(name):
+    assert_tables_match_references(corpus.get(name).load().structure, seed=41)
+
+
+def test_hermitian_tables_match_reference_routes_without_unimodularity():
+    assert_tables_match_references(parse_structure(AFFINE), seed=42)
 
 
 # -- random metric generator ----------------------------------------------------------------

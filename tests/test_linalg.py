@@ -7,7 +7,6 @@ from liecohom.errors import PreconditionError
 from liecohom.linalg import (
     Matrix,
     Subspace,
-    column_space_basis,
     kernel_basis,
     quotient_representatives,
     rank,
@@ -68,12 +67,6 @@ def test_solve_random_roundtrip():
         b = m.apply(x)
         sol = solve(m, b)
         assert sol is not None and m.apply(sol) == b
-
-
-def test_column_space():
-    m = Matrix([[1, 2], [1, 2], [0, 0]])
-    cs = column_space_basis(m)
-    assert len(cs) == 1
 
 
 def test_subspace_membership_and_equality():
