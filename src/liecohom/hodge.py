@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 from .errors import MetricError
 from .exterior import BasisMonomial, Form, basis, monomial_wedge
 from .linalg import Matrix, rref
-from .scalars import ONE, ZERO, I, Scalar
+from .scalars import I_HALF, ONE, ZERO, I, Scalar
 from .structure import StructureEquations
 
 
@@ -180,13 +180,12 @@ class HermitianMetric:
         cached = self._omega_powers.get(1)
         if cached is not None:
             return cached
-        half_i = Scalar(0, Fraction(1, 2))
         terms = {}
         for j in range(self.n):
             for k in range(self.n):
                 c = self.entries[j][k]
                 if c:
-                    terms[BasisMonomial((j + 1,), (k + 1,))] = half_i * c
+                    terms[BasisMonomial((j + 1,), (k + 1,))] = I_HALF * c
         omega = Form(self.n, terms, _validated=True)
         self._omega_powers[1] = omega
         return omega

@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
 )
 from .exterior import BasisMonomial, Form
-from .linalg import Subspace, Vector, vec_is_zero, zero_vector
+from .linalg import Subspace
 from .scalars import ONE, ZERO, Scalar, format_scalar
 
 
@@ -68,16 +68,16 @@ class StructureEquations:
         self.dgen_conj = tuple(g.conjugate() for g in dgen)
         self._d_mono: dict[BasisMonomial, Form] = {}
         self._op_matrix_cache: dict = {}
-        self._bracket_cache: dict[tuple[int, int], Vector] = {}
         for k in range(1, n + 1):
             if not self.d(self.dgen[k - 1]).is_zero():
                 raise JacobiViolation(
                     f"Jacobi violation: d(d f{k}) != 0 for generator f{k}"
                 )
+        table = self._bracket_table()
         self.flags = AlgebraFlags(
             integrable=self._compute_integrable(),
-            unimodular=self._compute_unimodular(),
-            nilpotent=self._compute_nilpotent(),
+            unimodular=self._compute_unimodular(table),
+            nilpotent=self._compute_nilpotent(table),
         )
 
     # -- differential -----------------------------------------------------
@@ -154,64 +154,48 @@ class StructureEquations:
     # basis vector index a in 0..2n-1 means Z_{a+1} for a < n, else the
     # conjugate generator.  Unimodularity / nilpotency of the real algebra
     # and of its complexification coincide, so no real basis is needed.
+    #
+    # The brackets are read off the equations: a canonical monomial of
+    # degree 2 has its factors at basis indices a < b (f_i -> i-1 before
+    # F_j -> n+j-1), it evaluates to 1 on (e_a, e_b), so a term c*m of
+    # d e^k gives [e_a, e_b]_k = -c.  Antisymmetry ([e_b, e_a] = -[e_a, e_b],
+    # [e_a, e_a] = 0) supplies the rest, so the table keeps only a < b.
 
-    def _eval_two_form(self, form: Form, a: int, b: int) -> Scalar:
-        total = ZERO
-        for mono, coeff in form.terms.items():
-            factors = [(i, False) for i in mono.holo] + [(j, True) for j in mono.anti]
-            f1, f2 = factors
-            val = _eval_factor(f1, a, self.n) * _eval_factor(f2, b, self.n) - _eval_factor(
-                f1, b, self.n
-            ) * _eval_factor(f2, a, self.n)
-            if val:
-                total = total + coeff * val
-        return total
-
-    def bracket(self, a: int, b: int) -> Vector:
-        """[e_a, e_b] in coordinates over the 2n complexified basis vectors."""
-        cached = self._bracket_cache.get((a, b))
-        if cached is not None:
-            return cached
-        coords = []
-        for g in self.dgen:
-            coords.append(-self._eval_two_form(g, a, b))
-        for g in self.dgen_conj:
-            coords.append(-self._eval_two_form(g, a, b))
-        out = tuple(coords)
-        self._bracket_cache[(a, b)] = out
-        return out
-
-    def _bracket_with_vector(self, a: int, v: Vector) -> Vector:
-        out = list(zero_vector(2 * self.n))
-        for b, vb in enumerate(v):
-            if vb:
-                w = self.bracket(a, b)
-                out = [x + vb * y for x, y in zip(out, w)]
-        return tuple(out)
-
-    def _compute_unimodular(self) -> bool:
+    def _bracket_table(self) -> dict[tuple[int, int], list[Scalar]]:
+        """The nonzero brackets [e_a, e_b], a < b, over the 2n basis vectors."""
         dim = 2 * self.n
-        for a in range(dim):
-            trace = ZERO
-            for b in range(dim):
-                trace = trace + self.bracket(a, b)[b]
-            if trace:
-                return False
-        return True
+        table: dict[tuple[int, int], list[Scalar]] = {}
+        for k, g in enumerate(self.dgen + self.dgen_conj):
+            for mono, coeff in g.terms.items():
+                a, b = [i - 1 for i in mono.holo] + [self.n + j - 1 for j in mono.anti]
+                table.setdefault((a, b), [ZERO] * dim)[k] = -coeff
+        return table
 
-    def _compute_nilpotent(self) -> bool:
+    def _compute_unimodular(self, table: dict) -> bool:
+        # tr ad(e_a) = sum_b [e_a, e_b]_b; entry (a, b) adds to a's trace
+        # and, as [e_b, e_a] = -[e_a, e_b], subtracts from b's
+        trace = [ZERO] * (2 * self.n)
+        for (a, b), v in table.items():
+            trace[a] = trace[a] + v[b]
+            trace[b] = trace[b] - v[a]
+        return not any(trace)
+
+    def _compute_nilpotent(self, table: dict) -> bool:
         dim = 2 * self.n
-        vectors = [
-            self.bracket(a, b) for a in range(dim) for b in range(a + 1, dim)
-        ]
-        layer = Subspace(dim, [v for v in vectors if not vec_is_zero(v)])
+        layer = Subspace(dim, list(table.values()))
         while layer.dim:
-            next_vectors = [
-                self._bracket_with_vector(a, v)
-                for a in range(dim)
-                for v in layer.basis_vectors()
-            ]
-            next_layer = Subspace(dim, [v for v in next_vectors if not vec_is_zero(v)])
+            images = []
+            for v in layer.basis_vectors():
+                # row c is [e_c, v] = sum_b v_b [e_c, e_b]: entry (a, b) adds
+                # v_b w to row a and, by antisymmetry, -v_a w to row b
+                ad = [[ZERO] * dim for _ in range(dim)]
+                for (a, b), w in table.items():
+                    if v[b]:
+                        ad[a] = [x + v[b] * y for x, y in zip(ad[a], w)]
+                    if v[a]:
+                        ad[b] = [x - v[a] * y for x, y in zip(ad[b], w)]
+                images.extend(row for row in ad if any(row))
+            next_layer = Subspace(dim, images)
             if next_layer.dim == layer.dim:
                 return False  # lower central series stabilized above zero
             layer = next_layer
@@ -219,12 +203,6 @@ class StructureEquations:
 
     def __repr__(self):
         return f"StructureEquations({self.name!r}, n={self.n})"
-
-
-def _eval_factor(factor, a: int, n: int) -> Scalar:
-    idx, is_conj = factor
-    target = n + idx - 1 if is_conj else idx - 1
-    return ONE if a == target else ZERO
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,9 @@ def test_heisenberg_4_ladder_json_matches_golden(capsys, tmp_path):
     assert capsys.readouterr().out == golden
 
 
-def test_verify_all_json_matches_golden(capsys):
+def test_verify_all_json_matches_golden(verify_all_json):
     # names, verdicts and details of every check, byte for byte
-    code = main(["verify", "all", "--json"])
+    code, out = verify_all_json
     assert code == 0
     golden = (TESTS_GOLDEN / "verify_all.json").read_text(encoding="utf-8")
-    assert capsys.readouterr().out == golden
+    assert out == golden

@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from liecohom import corpus
+from liecohom.analysis import generate_skt_family
 from liecohom.errors import IntegrabilityError, JacobiViolation, ParseError
 from liecohom.exterior import Form, basis, total_basis
-from liecohom.scalars import HALF, I, ONE, Scalar
+from liecohom.linalg import Subspace
+from liecohom.scalars import HALF, I, ONE, ZERO, Scalar
 from liecohom.structure import (
     StructureEquations,
     parse_form_expr,
@@ -14,6 +17,7 @@ from liecohom.structure import (
     render_form,
     render_structure,
 )
+from liecohom.verification import DEFAULT_SEED, _skt_tuples
 
 SL2C = """\
 algebra sl2c
@@ -286,3 +290,101 @@ def test_unimodularity_matches_top_degree_exactness():
             s.d(Form(s.n, {m: ONE})).is_zero() for m in total_basis(s.n, 2 * s.n - 1)
         )
         assert kills_all == s.flags.unimodular
+
+
+# -- the bracket table against the 2-form evaluation route ------------------------------
+
+
+def _ref_bracket(s, a, b):
+    """[e_a, e_b]_k = -(d e^k)(e_a, e_b), each 2-form evaluated on the pair of
+    basis vectors through 0/1 deltas of its factors."""
+
+    def delta(factor, x):
+        idx, is_conj = factor
+        return int(x == (s.n + idx - 1 if is_conj else idx - 1))
+
+    out = []
+    for g in s.dgen + s.dgen_conj:
+        value = ZERO
+        for m, coeff in g.terms.items():
+            f1, f2 = [(i, False) for i in m.holo] + [(j, True) for j in m.anti]
+            pairing = delta(f1, a) * delta(f2, b) - delta(f1, b) * delta(f2, a)
+            if pairing:
+                value = value + coeff * pairing
+        out.append(-value)
+    return tuple(out)
+
+
+def _ref_flags(brackets, dim):
+    """(unimodular, nilpotent) from the full bracket map: every trace of ad
+    is zero; the lower central series reaches zero."""
+    unimodular = all(
+        not sum((brackets[a, b][b] for b in range(dim)), ZERO) for a in range(dim)
+    )
+
+    def ad(a, v):
+        out = [ZERO] * dim
+        for b, vb in enumerate(v):
+            if vb:
+                out = [x + vb * y for x, y in zip(out, brackets[a, b])]
+        return out
+
+    layer = Subspace(dim, [brackets[a, b] for a in range(dim) for b in range(a + 1, dim)])
+    while layer.dim:
+        next_layer = Subspace(dim, [ad(a, v) for a in range(dim) for v in layer.basis_vectors()])
+        if next_layer.dim == layer.dim:
+            return unimodular, False
+        layer = next_layer
+    return unimodular, True
+
+
+_COEFFS = [ONE, -ONE, I, -I, HALF, Scalar(2), Scalar(1, 1)]
+
+
+def _random_valid_structures(count, seed):
+    """Sparse random equations over n in {2, 3}, redrawn until d^2 = 0."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice([2, 3])
+        mons = basis(n, 2, 0) + basis(n, 1, 1) + basis(n, 0, 2)
+        dgen = [
+            Form(n, {rng.choice(mons): rng.choice(_COEFFS) for _ in range(rng.choice([0, 1, 1, 2, 3]))})
+            for _ in range(n)
+        ]
+        try:
+            out.append(StructureEquations(n, dgen, name=f"random-{len(out)}"))
+        except JacobiViolation:
+            pass
+    return out
+
+
+def test_bracket_table_and_flags_match_reference_route():
+    structures = [corpus.CORPUS[name].load().structure for name in corpus.names()]
+    structures.append(parse_structure(AFFINE))
+    structures += [
+        parse_structure(f"algebra heisenberg-{n}\ndim {n}\nd f{n} = f1^f2\n") for n in (3, 4, 5)
+    ]
+    structures += [generate_skt_family(*t) for t in _skt_tuples(DEFAULT_SEED, 50)]
+    structures += _random_valid_structures(200, 5)
+    seen = set()
+    for s in structures:
+        dim = 2 * s.n
+        table = s._bracket_table()
+        assert all(a < b and any(v) for (a, b), v in table.items()), s.name
+        brackets = {(a, b): _ref_bracket(s, a, b) for a in range(dim) for b in range(dim)}
+        for (a, b), want in brackets.items():
+            if (a, b) in table:
+                got = tuple(table[a, b])
+            elif (b, a) in table:
+                got = tuple(-x for x in table[b, a])
+            else:
+                got = (ZERO,) * dim
+            assert got == want, (s.name, render_structure(s), a, b)
+        unimodular, nilpotent = _ref_flags(brackets, dim)
+        assert (s.flags.unimodular, s.flags.nilpotent) == (unimodular, nilpotent), (
+            render_structure(s)
+        )
+        seen.add(s.flags)
+    for flag in ("integrable", "unimodular", "nilpotent"):
+        assert {getattr(f, flag) for f in seen} == {True, False}, flag
