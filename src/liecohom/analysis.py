@@ -40,8 +40,7 @@ class MetricClass:
 
 def classify_metric(s: StructureEquations, h: HermitianMetric) -> MetricClass:
     h.require_positive()
-    if h.n != s.n:
-        raise PreconditionError("metric and structure sizes differ")
+    h.require_size(s.n)
     omega = h.fundamental_form()
     top_minus = h.omega_power(s.n - 1)
     return MetricClass(
@@ -103,6 +102,7 @@ def aeppli_class_vanishes(
         raise PreconditionError(f"p must be in 1..{n - 1}")
     if not s.flags.integrable:
         raise PreconditionError("Aeppli classes need an integrable structure")
+    h.require_size(n)
     h.require_positive()
     m = n - p
     w = h.omega_power(m)
@@ -174,8 +174,9 @@ def verify_vanishing_theorem(
     A COUNTEREXAMPLE-AT-INVARIANT-LEVEL can only mean an engine defect (or
     an invariant/manifold gap) and is treated as a hard failure by the
     verification suite.  A false hypothesis is vacuously consistent; the
-    condition is sufficient, not necessary.
+    condition is sufficient, not necessary; a wrong-size metric is refused.
     """
+    h.require_size(s.n)
     closed_dim = closed_p0_space(s, p).dim
     try:
         decision = aeppli_class_vanishes(s, h, p)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from .errors import IntegrabilityError, PreconditionError
-from .exterior import Form, basis, total_basis
+from .exterior import Form, basis, bidegrees_of_total, total_basis
 from .hodge import HermitianMetric
 from .linalg import (
     Matrix,
@@ -52,15 +52,14 @@ def _matrix_for(op: Callable[[Form], Form], n: int, src, dst) -> Matrix:
     for mono in src:
         image = op(Form(n, {mono: Scalar(1)}, _validated=True))
         cols.append(form_to_vector(image, dst))
-    if not cols:
-        return Matrix([], ncols=0) if not dst else Matrix.zeros(len(dst), 0)
     return Matrix.from_columns(cols, nrows=len(dst))
 
 
-# Bidegree shifts of the four first-order operators.
+# Bidegree shifts of the bigraded operators.
 _OP_SHIFT = {
     "del": (1, 0),
     "delbar": (0, 1),
+    "deldelbar": (1, 1),
     "del_adj": (-1, 0),
     "delbar_adj": (0, -1),
 }
@@ -82,6 +81,10 @@ def _single_matrix(
     q: int,
     h: Optional[HermitianMetric],
 ) -> Matrix:
+    """The one builder and cache (``s._op_matrix_cache``) of the matrices of
+    d, del, delbar, deldelbar and the adjoints out of the (p, q) space.
+    ``analysis.closed_p0_space`` builds its d matrix on its own on purpose:
+    it is the independent route that checks H_BC^(p,0) against this one."""
     needs_metric = name in ("del_adj", "delbar_adj")
     if needs_metric and h is None:
         raise PreconditionError(f"operator {name} needs a metric")
@@ -90,23 +93,28 @@ def _single_matrix(
     if cached is not None:
         return cached
     n = s.n
-    dp, dq = _OP_SHIFT[name]
     src = _clip(n, p, q)
-    dst = _clip(n, p + dp, q + dq)
-    if name == "del":
-        out = _matrix_for(s.del_, n, src, dst)
-    elif name == "delbar":
-        out = _matrix_for(s.delbar, n, src, dst)
+    if name == "d":
+        out = _matrix_for(s.d, n, src, total_basis(n, p + q + 1))
+    elif name == "deldelbar":
+        out = _single_matrix("del", s, p, q + 1, None) @ _single_matrix("delbar", s, p, q, None)
     else:
-        # a -> -*(D *a) with the conjugate-linear star: -S' conj(D) conj(S)
-        if src:
-            h.require_positive()  # as the star of each source monomial would
-        d = _single_matrix(name[: -len("_adj")], s, n - p, n - q, None)
-        if d.is_zero():
-            out = Matrix.zeros(len(dst), len(src))
+        dp, dq = _OP_SHIFT[name]
+        dst = _clip(n, p + dp, q + dq)
+        if name == "del":
+            out = _matrix_for(s.del_, n, src, dst)
+        elif name == "delbar":
+            out = _matrix_for(s.delbar, n, src, dst)
         else:
-            star_back = h._star_matrix(n - p - dp, n - q - dq)
-            out = -(star_back @ d.conjugate() @ h._star_matrix(p, q).conjugate())
+            # a -> -*(D *a) with the conjugate-linear star: -S' conj(D) conj(S)
+            if src:
+                h.require_positive()  # as the star of each source monomial would
+            d = _single_matrix(name[: -len("_adj")], s, n - p, n - q, None)
+            if d.is_zero():
+                out = Matrix.zeros(len(dst), len(src))
+            else:
+                star_back = h._star_matrix(n - p - dp, n - q - dq)
+                out = -(star_back @ d.conjugate() @ h._star_matrix(p, q).conjugate())
     s._op_matrix_cache[key] = out
     return out
 
@@ -120,7 +128,6 @@ def chain_matrix(
 ) -> Matrix:
     """Matrix of a composite written left-to-right (applied right-to-left),
     as an endo/exo-morphism out of the (p, q) space."""
-    n = s.n
     cur_p, cur_q = p, q
     total: Optional[Matrix] = None
     for name in reversed(ops):
@@ -152,26 +159,26 @@ _THEORIES = {
     "bc": {
         "kernel": [["del"], ["delbar"], ["del_adj", "delbar_adj"]],
         "laplacian": [
-            ["del", "delbar", "delbar_adj", "del_adj"],
-            ["delbar_adj", "del_adj", "del", "delbar"],
+            ["deldelbar", "delbar_adj", "del_adj"],
+            ["delbar_adj", "del_adj", "deldelbar"],
             ["delbar_adj", "del", "del_adj", "delbar"],
             ["del_adj", "delbar", "delbar_adj", "del"],
             ["delbar_adj", "delbar"],
             ["del_adj", "del"],
         ],
         "blocks": [
-            ("gamma", ["del", "delbar"]),
+            ("gamma", ["deldelbar"]),
             ("alpha", ["del_adj"]),
             ("beta", ["delbar_adj"]),
         ],
     },
     "a": {
-        "kernel": [["del_adj"], ["delbar_adj"], ["del", "delbar"]],
+        "kernel": [["del_adj"], ["delbar_adj"], ["deldelbar"]],
         "laplacian": [
             ["del", "del_adj"],
             ["delbar", "delbar_adj"],
-            ["delbar_adj", "del_adj", "del", "delbar"],
-            ["del", "delbar", "delbar_adj", "del_adj"],
+            ["delbar_adj", "del_adj", "deldelbar"],
+            ["deldelbar", "delbar_adj", "del_adj"],
             ["del", "delbar_adj", "delbar", "del_adj"],
             ["delbar", "del_adj", "del", "delbar_adj"],
         ],
@@ -220,38 +227,30 @@ def operator_matrix(
     """Exact matrix of a named operator out of the (p, q) space.
 
     Names: d, del, delbar, del_adj, delbar_adj, deldelbar, lap_bc, lap_a.
-    Starred and Laplacian operators need a metric; bigraded operators need
-    an integrable structure (d does not).
+    d targets the full space of total degree p+q+1 (``target`` is that
+    degree).  Starred and Laplacian operators need a metric; bigraded
+    operators need an integrable structure (d does not).  All but the
+    Laplacians are cached: per structure for the metric-free names, per
+    metric for the adjoints.
     """
-    n = s.n
+    if name in ("lap_bc", "lap_a"):
+        if h is None:
+            raise PreconditionError(f"{name} needs a metric")
+        lap = bc_laplacian_matrix if name == "lap_bc" else aeppli_laplacian_matrix
+        return OperatorMatrix(name, (p, q), (p, q), lap(s, h, p, q))
     if name == "d":
-        src = basis(n, p, q)
-        dst = total_basis(n, p + q + 1)
-        return OperatorMatrix("d", (p, q), p + q + 1, _matrix_for(s.d, n, src, dst))
-    if name == "deldelbar":
-        return OperatorMatrix(
-            name, (p, q), (p + 1, q + 1), chain_matrix(["del", "delbar"], s, p, q, h)
-        )
-    if name in _OP_SHIFT:
-        dp, dq = _OP_SHIFT[name]
-        return OperatorMatrix(
-            name, (p, q), (p + dp, q + dq), _single_matrix(name, s, p, q, h)
-        )
-    if name == "lap_bc":
-        if h is None:
-            raise PreconditionError("lap_bc needs a metric")
-        return OperatorMatrix(name, (p, q), (p, q), bc_laplacian_matrix(s, h, p, q))
-    if name == "lap_a":
-        if h is None:
-            raise PreconditionError("lap_a needs a metric")
-        return OperatorMatrix(name, (p, q), (p, q), aeppli_laplacian_matrix(s, h, p, q))
-    raise ValueError(f"unknown operator {name!r}")
+        target = p + q + 1
+    elif name in _OP_SHIFT:
+        target = (p + _OP_SHIFT[name][0], q + _OP_SHIFT[name][1])
+    else:
+        raise ValueError(f"unknown operator {name!r}")
+    return OperatorMatrix(name, (p, q), target, _single_matrix(name, s, p, q, h))
 
 
 def d_matrix_total(s: StructureEquations, k: int) -> Matrix:
-    """d on the full degree-k space, in the canonical total-degree basis."""
-    n = s.n
-    return _matrix_for(s.d, n, total_basis(n, k), total_basis(n, k + 1))
+    """d on the full degree-k space, in the canonical total-degree basis:
+    the cached (p, q) blocks side by side, in ``total_basis`` order."""
+    return hstack([_single_matrix("d", s, p, q, None) for p, q in bidegrees_of_total(s.n, k)])
 
 
 # -- quotient cohomologies ----------------------------------------------------
@@ -291,7 +290,7 @@ def _quotient(
 def bc_cohomology(s: StructureEquations, p: int, q: int) -> CohomologyGroup:
     """(ker del /\\ ker delbar) / im(del delbar) on (p, q)-forms."""
     kernel_of = [_single_matrix(op, s, p, q, None) for op in ("del", "delbar")]
-    image_of = [chain_matrix(["del", "delbar"], s, p - 1, q - 1)] if p and q else []
+    image_of = [_single_matrix("deldelbar", s, p - 1, q - 1, None)] if p and q else []
     return _quotient("bc", s.n, p, q, basis(s.n, p, q), kernel_of, image_of)
 
 
@@ -300,7 +299,7 @@ def aeppli_cohomology(s: StructureEquations, p: int, q: int) -> CohomologyGroup:
     image_of = [_single_matrix("del", s, p - 1, q, None)] if p else []
     if q:
         image_of.append(_single_matrix("delbar", s, p, q - 1, None))
-    kernel_of = [chain_matrix(["del", "delbar"], s, p, q)]
+    kernel_of = [_single_matrix("deldelbar", s, p, q, None)]
     return _quotient("a", s.n, p, q, basis(s.n, p, q), kernel_of, image_of)
 
 
@@ -331,6 +330,7 @@ def _require_harmonic_preconditions(s: StructureEquations, h: HermitianMetric):
             "adjoint identities behind the kernel characterizations only "
             "hold at the invariant level when trace(ad) = 0"
         )
+    h.require_size(s.n)
     h.require_positive()
 
 
@@ -429,13 +429,8 @@ def _decompose(
     harm = harmonic_projection(kind, s, h, a)
     rest = a - harm
     blocks = _theory(kind)["blocks"]
-    mats = []
-    srcs = []
-    for _, ops in blocks:
-        dp, dq = _chain_shift(ops)
-        sp, sq = p - dp, q - dq
-        srcs.append(_clip(n, sp, sq))
-        mats.append(chain_matrix(ops, s, sp, sq, h) if srcs[-1] else Matrix.zeros(len(mons), 0))
+    sources = [(p - dp, q - dq) for dp, dq in (_chain_shift(ops) for _, ops in blocks)]
+    mats = [chain_matrix(ops, s, *src, h) for (_, ops), src in zip(blocks, sources)]
     system = hstack(mats)
     sol = solve(system, form_to_vector(rest, mons))
     if sol is None:
@@ -443,12 +438,11 @@ def _decompose(
     offset = 0
     witnesses: dict[str, Form] = {}
     parts: list[Form] = []
-    for (name, _), mat, src in zip(blocks, mats, srcs):
+    for (name, _), mat, src in zip(blocks, mats, sources):
         piece_coords = sol[offset : offset + mat.ncols]
         offset += mat.ncols
-        witness = vector_to_form(n, piece_coords, src) if src else Form.zero(n)
-        witnesses[name] = witness
-        parts.append(vector_to_form(n, mat.apply(piece_coords), mons) if src else Form.zero(n))
+        witnesses[name] = vector_to_form(n, piece_coords, _clip(n, *src))
+        parts.append(vector_to_form(n, mat.apply(piece_coords), mons))
     out = Decomposition(kind, harm, parts[0], parts[1], parts[2], witnesses)
     if out.total() != a:
         raise RuntimeError("decomposition does not reassemble; engine defect")

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .errors import MetricError
+from .errors import MetricError, PreconditionError
 from .exterior import BasisMonomial, Form, basis, monomial_wedge
 from .linalg import Matrix, rref
 from .scalars import I_HALF, ONE, ZERO, I, Scalar
@@ -172,6 +172,14 @@ class HermitianMetric:
         ok, minors = self.positivity()
         if not ok:
             raise MetricError(f"metric is not positive definite; minors {minors}")
+
+    def require_size(self, n: int):
+        """Refuse a structure over n whose coframe size is not the metric's."""
+        if self.n != n:
+            raise PreconditionError(
+                f"metric and structure sizes differ: metric over n={self.n}, "
+                f"structure over n={n}"
+            )
 
     # -- fundamental form and volume -----------------------------------------
 

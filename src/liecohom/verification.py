@@ -411,9 +411,7 @@ def _check_operator_identities(s: StructureEquations) -> list[str]:
                 problems.append(f"del^2 != 0 at ({p},{q})")
             if not chain_matrix(["delbar", "delbar"], s, p, q).is_zero():
                 problems.append(f"delbar^2 != 0 at ({p},{q})")
-            anti = chain_matrix(["del", "delbar"], s, p, q) + chain_matrix(
-                ["delbar", "del"], s, p, q
-            )
+            anti = chain_matrix(["deldelbar"], s, p, q) + chain_matrix(["delbar", "del"], s, p, q)
             if not anti.is_zero():
                 problems.append(f"del delbar + delbar del != 0 at ({p},{q})")
     return problems
@@ -481,32 +479,29 @@ def check_structural_identities(seed: int = DEFAULT_SEED) -> CheckResult:
         problems += _check_leibniz(s, rng, 100)
         problems += _check_adjointness(s, h, rng)
         # star duality + quotient-vs-harmonic agreement + Euler characteristic
+        bidegrees = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+        bc_harmonic = {pq: harmonic_space("bc", s, h, *pq) for pq in bidegrees}
+        a_harmonic = {pq: harmonic_space("a", s, h, *pq) for pq in bidegrees}
         bc_dims = {}
         a_dims = {}
-        for p in range(n + 1):
-            for q in range(n + 1):
-                bc = bc_cohomology(s, p, q)
-                ae = aeppli_cohomology(s, p, q)
-                bc_dims[(p, q)] = bc.dim
-                a_dims[(p, q)] = ae.dim
-                hb = harmonic_space("bc", s, h, p, q)
-                ha = harmonic_space("a", s, h, p, q)
-                if hb.dim != bc.dim or ha.dim != ae.dim:
+        for p, q in bidegrees:
+            bc = bc_cohomology(s, p, q)
+            ae = aeppli_cohomology(s, p, q)
+            bc_dims[(p, q)] = bc.dim
+            a_dims[(p, q)] = ae.dim
+            hb = bc_harmonic[(p, q)]
+            if hb.dim != bc.dim or a_harmonic[(p, q)].dim != ae.dim:
+                problems.append(f"{entry.name}: quotient/harmonic mismatch at ({p},{q})")
+            # the star maps one harmonic theory onto the other
+            mons = basis(n, p, q)
+            dual_mons = basis(n, n - p, n - q)
+            dual = a_harmonic[(n - p, n - q)]
+            for v in hb.basis_vectors():
+                starred = h.star(Form(n, dict(zip(mons, v)), _validated=True))
+                if not dual.contains(form_to_vector(starred, dual_mons)):
                     problems.append(
-                        f"{entry.name}: quotient/harmonic mismatch at ({p},{q})"
+                        f"{entry.name}: star image of harmonic BC not Aeppli-harmonic"
                     )
-                # the star maps one harmonic theory onto the other
-                mons = basis(n, p, q)
-                dual_mons = basis(n, n - p, n - q)
-                dual = harmonic_space("a", s, h, n - p, n - q)
-                for v in hb.basis_vectors():
-                    starred = h.star(
-                        Form(n, dict(zip(mons, v)), _validated=True)
-                    )
-                    if not dual.contains(form_to_vector(starred, dual_mons)):
-                        problems.append(
-                            f"{entry.name}: star image of harmonic BC not Aeppli-harmonic"
-                        )
         for (p, q), dim in bc_dims.items():
             if dim != a_dims[(n - p, n - q)]:
                 problems.append(f"{entry.name}: star duality fails at ({p},{q})")

@@ -13,6 +13,12 @@ from liecohom.analysis import (
     skt_condition,
     verify_vanishing_theorem,
 )
+from liecohom.cohomology import (
+    decompose_aeppli,
+    decompose_bc,
+    harmonic_projection,
+    harmonic_space,
+)
 from liecohom.errors import PreconditionError
 from liecohom.exterior import Form, basis
 from liecohom.hodge import HermitianMetric, random_positive_metric
@@ -118,6 +124,32 @@ def test_p_range_validated():
         aeppli_class_vanishes(s, h, 0)
     with pytest.raises(PreconditionError):
         aeppli_class_vanishes(s, h, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, h: classify_metric(s, h),
+        lambda s, h: aeppli_class_vanishes(s, h, 1),
+        lambda s, h: verify_vanishing_theorem(s, h, 1),
+        lambda s, h: harmonic_space("bc", s, h, 1, 1),
+        lambda s, h: harmonic_space("a", s, h, 1, 1),
+        lambda s, h: harmonic_projection("bc", s, h, mono(s.n, [1], [1])),
+        lambda s, h: decompose_bc(s, h, mono(s.n, [1], [1])),
+        lambda s, h: decompose_aeppli(s, h, mono(s.n, [1], [1])),
+    ],
+    ids=[
+        "classify_metric", "aeppli_class_vanishes", "verify_vanishing_theorem",
+        "harmonic_space-bc", "harmonic_space-a", "harmonic_projection",
+        "decompose_bc", "decompose_aeppli",
+    ],
+)
+def test_metric_of_the_wrong_size_is_refused(call):
+    # an n=2 metric on the n=3 algebra sl2c: a precondition failure, never a
+    # shape error and never a vacuous "hypothesis undefined" verdict
+    s = parse_structure(SL2C)
+    with pytest.raises(PreconditionError, match="metric and structure sizes differ"):
+        call(s, HermitianMetric.identity(2))
 
 
 # -- the vanishing implication --------------------------------------------------------

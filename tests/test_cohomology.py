@@ -3,9 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from liecohom import corpus
 from liecohom.cohomology import (
+    _clip,
+    _matrix_for,
+    _single_matrix,
     aeppli_cohomology,
     bc_cohomology,
+    d_matrix_total,
     de_rham_cohomology,
     decompose_aeppli,
     decompose_bc,
@@ -18,7 +23,7 @@ from liecohom.cohomology import (
     operator_matrix,
 )
 from liecohom.errors import PreconditionError
-from liecohom.exterior import Form, basis
+from liecohom.exterior import Form, basis, total_basis
 from liecohom.hodge import HermitianMetric, random_positive_metric
 from liecohom.scalars import I, ONE, Scalar
 from liecohom.structure import parse_structure
@@ -69,6 +74,53 @@ def test_matrix_composition_is_zero_for_del_squared():
     a = operator_matrix("del", s, 2, 1).matrix
     b = operator_matrix("del", s, 1, 1).matrix
     assert (a @ b).is_zero()
+
+
+def _reference_structures():
+    out = [corpus.get(name).load().structure for name in corpus.names()]
+    return out + [parse_structure(AFFINE)]
+
+
+def test_deldelbar_entry_matches_form_route():
+    # the cached product del . delbar against del_delbar applied to each
+    # basis form, including the empty out-of-range bidegrees
+    for s in _reference_structures():
+        n = s.n
+        for p in range(-1, n + 2):
+            for q in range(-1, n + 2):
+                want = _matrix_for(s.del_delbar, n, _clip(n, p, q), _clip(n, p + 1, q + 1))
+                assert _single_matrix("deldelbar", s, p, q, None) == want, (s.name, p, q)
+                assert operator_matrix("deldelbar", s, p, q).matrix == want
+
+
+def test_de_rham_d_matrix_matches_form_route():
+    # the (p, q) blocks of d side by side against d applied to each
+    # total-degree basis form, also where del and delbar are undefined
+    nonint = parse_structure("algebra nonint\ndim 3\nd f1 = F2^F3\n")
+    assert not nonint.flags.integrable
+    for s in _reference_structures() + [nonint]:
+        n = s.n
+        for k in range(2 * n + 1):
+            want = _matrix_for(s.d, n, total_basis(n, k), total_basis(n, k + 1))
+            assert d_matrix_total(s, k) == want, (s.name, k)
+
+
+def test_bc_and_aeppli_build_each_deldelbar_product_once(monkeypatch):
+    # n = 4 ladder: Bott-Chern's image at (p-1, q-1) and Aeppli's kernel at
+    # (p, q) share one del delbar product per bidegree, 25 in all
+    from liecohom.linalg import Matrix
+
+    s = parse_structure("algebra heisenberg-4\ndim 4\nd f4 = f1^f2\n")
+    calls = []
+    matmul = Matrix.__matmul__
+
+    def counting_matmul(a, b):
+        calls.append((a.shape, b.shape))
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
+    full_report(s, groups=("bc", "a"))
+    assert len(calls) <= 25
 
 
 def test_laplacian_needs_metric():

@@ -193,32 +193,49 @@ def test_quotient_builds_no_echelon_per_representative(monkeypatch):
     assert calls == []
 
 
-# -- rref against an independent oracle (sympy, test-only) ---------------------
+# -- rref and kernel_basis against an independent oracle (sympy, test-only) -----
 
 
-def _assert_rref_matches_sympy(sympy, m):
-    def to_sympy(z):
+def _to_sympy(sympy, m):
+    def entry(z):
         return sympy.Rational(z.re.numerator, z.re.denominator) + sympy.I * sympy.Rational(
             z.im.numerator, z.im.denominator
         )
 
-    def from_sympy(e):
-        re, im = sympy.re(e), sympy.im(e)
-        return Scalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+    return sympy.Matrix(m.nrows, m.ncols, [entry(x) for row in m.rows for x in row])
 
+
+def _from_sympy(sympy, e):
+    re, im = sympy.re(e), sympy.im(e)
+    return Scalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+def _assert_rref_matches_sympy(sympy, m):
     reduced, pivots = rref(m)
-    theirs, their_pivots = sympy.Matrix(
-        m.nrows, m.ncols, [to_sympy(x) for row in m.rows for x in row]
-    ).rref()
+    theirs, their_pivots = _to_sympy(sympy, m).rref()
     assert pivots == list(their_pivots)
     assert reduced == Matrix(
-        [[from_sympy(theirs[i, j]) for j in range(m.ncols)] for i in range(m.nrows)],
+        [[_from_sympy(sympy, theirs[i, j]) for j in range(m.ncols)] for i in range(m.nrows)],
         ncols=m.ncols,
     )
 
 
-def test_rref_matches_sympy_on_sparse_random_matrices():
-    sympy = pytest.importorskip("sympy")
+def _assert_kernel_matches_sympy(sympy, m):
+    ours = kernel_basis(m)
+    theirs = _to_sympy(sympy, m)
+    assert len(ours) == m.ncols - theirs.rank()
+    for v in ours:
+        assert all(not x for x in m.apply(v))
+    # same span: the two row sets have the same canonical RREF
+    nullspace = theirs.nullspace()
+    assert len(nullspace) == len(ours)
+    if ours:
+        ours_rref = _to_sympy(sympy, Matrix(ours, ncols=m.ncols)).rref()[0]
+        assert ours_rref == sympy.Matrix.hstack(*nullspace).T.rref()[0]
+
+
+def _sparse_random_matrices():
+    # 40 seeded sparse matrices, each with a zero row and a zero column
     rng = random.Random(4)
     for _ in range(40):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
@@ -227,22 +244,49 @@ def test_rref_matches_sympy_on_sparse_random_matrices():
         zero_col = rng.randrange(ncols)
         for row in rows:
             row[zero_col] = ZERO
-        _assert_rref_matches_sympy(sympy, Matrix(rows, ncols=ncols))
+        yield Matrix(rows, ncols=ncols)
 
 
-def test_rref_matches_sympy_on_corpus_operator_matrices():
-    sympy = pytest.importorskip("sympy")
+def _corpus_operator_matrices(ops):
+    # the nonzero operator matrices of every corpus entry at every bidegree
     from liecohom import corpus
     from liecohom.cohomology import operator_matrix
 
-    checked = 0
     for name in corpus.names():
         s = corpus.get(name).load().structure
         for p in range(s.n + 1):
             for q in range(s.n + 1):
-                for op in ("d", "del", "delbar"):
+                for op in ops:
                     m = operator_matrix(op, s, p, q).matrix
                     if m.nrows and m.ncols and not m.is_zero():
-                        _assert_rref_matches_sympy(sympy, m)
-                        checked += 1
+                        yield m
+
+
+def test_rref_matches_sympy_on_sparse_random_matrices():
+    sympy = pytest.importorskip("sympy")
+    for m in _sparse_random_matrices():
+        _assert_rref_matches_sympy(sympy, m)
+
+
+def test_rref_matches_sympy_on_corpus_operator_matrices():
+    sympy = pytest.importorskip("sympy")
+    checked = 0
+    for m in _corpus_operator_matrices(("d", "del", "delbar")):
+        _assert_rref_matches_sympy(sympy, m)
+        checked += 1
+    assert checked > 0
+
+
+def test_kernel_basis_matches_sympy_on_sparse_random_matrices():
+    sympy = pytest.importorskip("sympy")
+    for m in _sparse_random_matrices():
+        _assert_kernel_matches_sympy(sympy, m)
+
+
+def test_kernel_basis_matches_sympy_on_corpus_operator_matrices():
+    sympy = pytest.importorskip("sympy")
+    checked = 0
+    for m in _corpus_operator_matrices(("d", "del", "delbar", "deldelbar")):
+        _assert_kernel_matches_sympy(sympy, m)
+        checked += 1
     assert checked > 0
