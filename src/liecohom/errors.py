@@ -21,7 +21,14 @@ class ParseError(LieCohomError):
 
 
 class JacobiViolation(ParseError):
-    """d**2 != 0 on a generator; the input is not a Lie coalgebra."""
+    """d**2 != 0 on a generator; the input is not a Lie coalgebra.
+
+    ``generator`` is the index k of the offending d fK.
+    """
+
+    def __init__(self, message, line=None, col=None, generator=None):
+        super().__init__(message, line, col)
+        self.generator = generator
 
 
 class IntegrabilityError(LieCohomError):

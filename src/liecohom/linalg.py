@@ -6,13 +6,19 @@ and Subspace equality is literal row equality.  Arithmetic is exact, so no
 pivoting heuristics are needed; sizes grow as binomials in the coframe size
 (n = 5 reaches C(10, 5) = 252 columns in de Rham degree 5).
 
-The operator matrices are sparse, so every elimination loop skips zeros:
-``rref`` scales each pivot row once, collects its nonzero columns (all at
-or right of the pivot) and updates only those entries of the rows that are
-nonzero in the pivot column; ``Subspace.reduce`` and the quotient loop skip
-echelon rows whose pivot entry in the vector is zero and zero entries of
-the rows they do use.  Since ``x - f*0 == x`` exactly and RREF is unique,
-the results are those of dense elimination.
+Matrices are stored as dense rows, but the operator matrices are sparse,
+so products and eliminations touch nonzero entries only.  The product
+``A @ B`` lists the nonzero ``(column, entry)`` pairs of each row of B
+once; each nonzero ``A[i][k]`` then meets just the pairs of row k, and
+row i of the product accumulates in a dict from zero, over increasing k as
+the dense triple loop would.  So each entry of A and B is zero-tested once.
+``apply`` likewise finds the support of the vector once.  ``rref`` scales
+each pivot row once, collects its nonzero columns (all at or right of the
+pivot) and updates only those entries of the rows that are nonzero in the
+pivot column; ``Subspace.reduce`` and the quotient loop skip echelon rows
+whose pivot entry in the vector is zero and zero entries of the rows they
+do use.  Since ``x - f*0 == x`` and ``x + 0 == x`` exactly and RREF is
+unique, the results are those of dense arithmetic.
 
 ``quotient_representatives`` keeps a running echelon: the denominator's
 rows, then the residue of each accepted numerator row, scaled to 1 at its
@@ -47,7 +53,8 @@ def vec_is_zero(a: Vector) -> bool:
 
 
 class Matrix:
-    """A dense exact matrix with an explicit shape (rows may be empty)."""
+    """An exact matrix held as dense rows, with an explicit shape (rows may
+    be empty); the product and ``apply`` skip zero entries."""
 
     __slots__ = ("nrows", "ncols", "rows")
 
@@ -100,20 +107,16 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        # the nonzero (column, entry) pairs of each right row, found once
+        right = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
         out = []
-        for i in range(self.nrows):
-            row = []
-            left = self.rows[i]
-            for j in range(other.ncols):
-                acc = ZERO
-                for k in range(self.ncols):
-                    x = left[k]
-                    if x:
-                        y = other.rows[k][j]
-                        if y:
-                            acc = acc + x * y
-                row.append(acc)
-            out.append(row)
+        for left in self.rows:
+            acc: dict[int, Scalar] = {}
+            for k, x in enumerate(left):
+                if x:
+                    for j, y in right[k]:
+                        acc[j] = acc.get(j, ZERO) + x * y
+            out.append([acc.get(j, ZERO) for j in range(other.ncols)])
         return Matrix(out, ncols=other.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -135,10 +138,8 @@ class Matrix:
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
             raise ValueError("vector length does not match ncols")
-        return tuple(
-            sum((row[k] * v[k] for k in range(self.ncols) if v[k]), ZERO)
-            for row in self.rows
-        )
+        support = [(k, x) for k, x in enumerate(v) if x]
+        return tuple(sum((row[k] * x for k, x in support), ZERO) for row in self.rows)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -4,11 +4,18 @@ Every coefficient in the engine is a number ``re + im*i`` with ``re`` and
 ``im`` rational.  This field contains every constant that appears in the
 computations in scope (1/2, i/2, powers of -i, factorials), so equality
 tests throughout the engine are exact, never approximate.
+
+A Scalar is one integer triple ``(a, b, d)`` meaning ``(a + b*i)/d``, kept
+canonical: ``d > 0`` and ``gcd(a, b, d) = 1``.  So zero is ``(0, 0, 1)``
+and equal values have equal triples.  Each of ``+ - * /`` takes a few
+integer products and one three-argument ``math.gcd``; no Fraction is built.
+``re`` and ``im`` are read-only Fraction views of the triple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 def _frac(x) -> Fraction:
@@ -22,16 +29,24 @@ def _frac(x) -> Fraction:
 
 
 class Scalar:
-    """An immutable Gaussian rational ``re + im*i``."""
+    """An immutable Gaussian rational ``re + im*i``.
 
-    __slots__ = ("re", "im")
+    Like Fraction, it is immutable by having only read-only public
+    attributes; the slots hold the canonical triple.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+        re, im = _frac(re), _frac(im)
+        p, q = re.denominator, im.denominator
+        # over the least common denominator the triple is already reduced:
+        # a prime of d divides a denominator to d's full power, so it
+        # misses that part's numerator scaled by d/denominator
+        d = p * q // gcd(p, q)
+        self._a = re.numerator * (d // p)
+        self._b = im.numerator * (d // q)
+        self._d = d
 
     # -- constructors -------------------------------------------------
 
@@ -39,46 +54,55 @@ class Scalar:
     def coerce(value) -> "Scalar":
         if isinstance(value, Scalar):
             return value
-        return Scalar(_frac(value))
-
-    @staticmethod
-    def _mk(re: Fraction, im: Fraction) -> "Scalar":
-        # fast path for arithmetic: arguments are already Fractions
-        z = Scalar.__new__(Scalar)
-        object.__setattr__(z, "re", re)
-        object.__setattr__(z, "im", im)
-        return z
+        return Scalar(value)
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     def conjugate(self) -> "Scalar":
-        return Scalar._mk(self.re, -self.im)
+        return _scalar(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """|z|^2 = re^2 + im^2, a non-negative rational."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce_or_none(other)
-        if other is None:
-            return NotImplemented
-        return Scalar._mk(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = _coerce_or_none(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _scalar(self._a + other._a, self._b + other._b, d)
+        return _scalar(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce_or_none(other)
-        if other is None:
-            return NotImplemented
-        return Scalar._mk(self.re - other.re, self.im - other.im)
+        if type(other) is not Scalar:
+            other = _coerce_or_none(other)
+            if other is None:
+                return NotImplemented
+        d, e = self._d, other._d
+        if d == e:
+            return _scalar(self._a - other._a, self._b - other._b, d)
+        return _scalar(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
         other = _coerce_or_none(other)
@@ -87,25 +111,27 @@ class Scalar:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce_or_none(other)
-        if other is None:
-            return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return Scalar._mk(a * c - b * d, a * d + b * c)
+        if type(other) is not Scalar:
+            other = _coerce_or_none(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        return _scalar(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce_or_none(other)
-        if other is None:
-            return NotImplemented
-        n = other.abs2()
+        if type(other) is not Scalar:
+            other = _coerce_or_none(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        n = c * c + e * e
         if not n:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar._mk(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # (a + bi)/d * f/(c + ei) = (a + bi)(c - ei) f / (d (c^2 + e^2))
+        f = other._d
+        return _scalar((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __rtruediv__(self, other):
         other = _coerce_or_none(other)
@@ -114,7 +140,7 @@ class Scalar:
         return other / self
 
     def __neg__(self):
-        return Scalar._mk(-self.re, -self.im)
+        return _scalar(-self._a, -self._b, self._d)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -131,22 +157,40 @@ class Scalar:
     # -- comparison / hashing ------------------------------------------
 
     def __eq__(self, other):
-        other = _coerce_or_none(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not Scalar:
+            other = _coerce_or_none(other)
+            if other is None:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return not self.is_zero()
+        return self._a != 0 or self._b != 0
 
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"
 
     def __str__(self):
         return format_scalar(self)
+
+
+_new = object.__new__
+
+
+def _scalar(a: int, b: int, d: int) -> Scalar:
+    """The Scalar ``(a + b*i)/d`` for integers with ``d > 0``, in lowest terms."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    z = _new(Scalar)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
 
 
 def _coerce_or_none(value):

@@ -71,7 +71,7 @@ class StructureEquations:
         for k in range(1, n + 1):
             if not self.d(self.dgen[k - 1]).is_zero():
                 raise JacobiViolation(
-                    f"Jacobi violation: d(d f{k}) != 0 for generator f{k}"
+                    f"Jacobi violation: d(d f{k}) != 0 for generator f{k}", generator=k
                 )
         table = self._bracket_table()
         self.flags = AlgebraFlags(
@@ -289,6 +289,12 @@ def _parse_rational(tok: _Token) -> Scalar:
         return Scalar(Fraction(tok.text))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {tok.text!r}", tok.line, tok.col) from None
+    except ValueError:  # more digits than int() converts
+        raise _too_long(tok) from None
+
+
+def _too_long(tok: _Token) -> ParseError:
+    return ParseError(f"number too long ({len(tok.text)} characters)", tok.line, tok.col)
 
 
 def _parse_scalar_atom(ts: _TokenStream, allow_sign: bool = True) -> Scalar:
@@ -502,6 +508,7 @@ def parse_lie(text: str, name: Optional[str] = None) -> LieFile:
     algebra_name = name
     n: Optional[int] = None
     equations: dict[int, Form] = {}
+    positions: dict[int, _Token] = {}
     metric = None
 
     lines = _content_lines(text)
@@ -520,7 +527,10 @@ def parse_lie(text: str, name: Optional[str] = None) -> LieFile:
                 raise ParseError("dim must be an integer", tok.line, tok.col)
             if n is not None:
                 raise ParseError("duplicate dim declaration", tok.line, tok.col)
-            n = int(tok.text)
+            try:
+                n = int(tok.text)
+            except ValueError:  # more digits than int() converts
+                raise _too_long(tok) from None
             if n < 1:
                 raise ParseError("dim must be at least 1", tok.line, tok.col)
             ts.expect_end()
@@ -551,6 +561,7 @@ def parse_lie(text: str, name: Optional[str] = None) -> LieFile:
                     gen_tok.col,
                 )
             equations[k] = value
+            positions[k] = gen_tok
         elif head.text == "metric":
             if n is None:
                 raise ParseError("dim must be declared before the metric", head.line, head.col)
@@ -563,7 +574,12 @@ def parse_lie(text: str, name: Optional[str] = None) -> LieFile:
     if algebra_name is None:
         raise ParseError("missing 'algebra NAME' declaration", last_line, 1)
     dgen = [equations.get(k, Form.zero(n)) for k in range(1, n + 1)]
-    structure = StructureEquations(n, dgen, name=algebra_name)
+    try:
+        structure = StructureEquations(n, dgen, name=algebra_name)
+    except JacobiViolation as exc:
+        # a generator with no equation is closed, so the offender has one
+        tok = positions[exc.generator]
+        raise JacobiViolation(str(exc), tok.line, tok.col, exc.generator) from None
     return LieFile(structure=structure, metric=metric)
 
 

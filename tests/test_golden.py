@@ -1,6 +1,6 @@
 """Outputs must stay byte-identical to the golden copies the benchmark keeps
 in perfbench/golden/ (read here, never rewritten) and to the verify-suite
-golden in tests/golden/."""
+and n=5 ladder goldens in tests/golden/."""
 
 import json
 from pathlib import Path
@@ -31,12 +31,15 @@ def test_corpus_check_names_match_golden(verify_all_json):
     assert corpus_names == names["corpus_checks"]
 
 
-def test_heisenberg_4_ladder_json_matches_golden(capsys, tmp_path):
-    lie = tmp_path / "heisenberg-4.lie"
-    lie.write_text("algebra heisenberg-4\ndim 4\nd f4 = f1^f2\n", encoding="utf-8")
+@pytest.mark.parametrize("n", [4, 5])
+def test_heisenberg_ladder_json_matches_golden(capsys, tmp_path, n):
+    # the ladder d fn = f1^f2; n=4 is the benchmark's copy, n=5 is kept here
+    lie = tmp_path / f"heisenberg-{n}.lie"
+    lie.write_text(f"algebra heisenberg-{n}\ndim {n}\nd f{n} = f1^f2\n", encoding="utf-8")
     code = main(["cohomology", str(lie), "--metric", "identity", "--json"])
     assert code == 0
-    golden = (GOLDEN / "heisenberg-4.json").read_text(encoding="utf-8")
+    folder = GOLDEN if n == 4 else TESTS_GOLDEN
+    golden = (folder / f"heisenberg-{n}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
 
 

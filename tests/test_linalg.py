@@ -262,6 +262,69 @@ def _corpus_operator_matrices(ops):
                         yield m
 
 
+# -- the sparse product against the dense triple loop ---------------------------
+
+
+def _matmul_reference(a, b):
+    """Reference: the dense triple loop, accumulating over k in order."""
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = ZERO
+            for k in range(a.ncols):
+                acc = acc + a.rows[i][k] * b.rows[k][j]
+            row.append(acc)
+        out.append(row)
+    return Matrix(out, ncols=b.ncols)
+
+
+def _assert_products_match_reference(m):
+    for other in (m.transpose(), m.conjugate().transpose()):
+        for left, right in ((m, other), (other, m)):
+            assert left @ right == _matmul_reference(left, right)
+    v = tuple(ONE if j % 2 else ZERO for j in range(m.ncols))
+    assert m.apply(v) == _matmul_reference(m, Matrix([[x] for x in v], ncols=1)).column(0)
+
+
+def test_matmul_matches_dense_reference_on_sparse_random_matrices():
+    matrices = list(_sparse_random_matrices())
+    for m in matrices:
+        _assert_products_match_reference(m)
+    for a, b in zip(matrices, matrices[1:]):
+        if a.ncols == b.nrows:
+            assert a @ b == _matmul_reference(a, b)
+
+
+def test_matmul_matches_dense_reference_on_corpus_operator_matrices():
+    checked = 0
+    for m in _corpus_operator_matrices(("d", "del", "delbar", "deldelbar")):
+        _assert_products_match_reference(m)
+        checked += 1
+    assert checked > 0
+
+
+def test_matmul_zero_tests_each_entry_once(monkeypatch):
+    rng = random.Random(40)
+    a, b = (
+        Matrix([[_random_scalar(rng, 0.1) for _ in range(40)] for _ in range(40)])
+        for _ in range(2)
+    )
+    expected = _matmul_reference(a, b)
+    original = Scalar.__bool__
+    calls = []
+
+    def counting_bool(z):
+        calls.append(None)
+        return original(z)
+
+    monkeypatch.setattr(Scalar, "__bool__", counting_bool)
+    product = a @ b
+    monkeypatch.undo()
+    assert len(calls) <= a.nrows * a.ncols + b.nrows * b.ncols
+    assert product == expected
+
+
 def test_rref_matches_sympy_on_sparse_random_matrices():
     sympy = pytest.importorskip("sympy")
     for m in _sparse_random_matrices():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from liecohom.structure import (
     StructureEquations,
     parse_form_expr,
     parse_lie,
+    parse_metric,
+    parse_scalar,
     parse_structure,
     render_form,
     render_structure,
@@ -113,6 +116,7 @@ def test_jacobi_violation_names_generator():
     with pytest.raises(JacobiViolation) as err:
         parse_structure(text)
     assert "f1" in str(err.value)
+    assert (err.value.line, err.value.col) == (3, 3)  # at the equation of f1
 
 
 def test_missing_dim_rejected():
@@ -388,3 +392,87 @@ def test_bracket_table_and_flags_match_reference_route():
         seen.add(s.flags)
     for flag in ("integrable", "unimodular", "nilpotent"):
         assert {getattr(f, flag) for f in seen} == {True, False}, flag
+
+
+# -- parser fuzzing: every outcome is a value or a positioned ParseError ---------
+
+# the `.lie` token alphabet: keywords, generators, symbols, numbers (zero
+# denominators included), blanks, comments and newlines; concatenation also
+# fuses neighbours into longer words and numbers
+LIE_ALPHABET = [
+    "algebra", "dim", "d", "metric", "identity", "hermitian", "x",
+    "f1", "f2", "f3", "f4", "F1", "F2", "F4", "f0", "f5", "F9",
+    "^", "+", "-", "/", "i", "(", ")", "=", "*", "#",
+    "0", "1", "2", "3", "4", "1/2", "1/0", "0/0", "3i", "1/0i",
+    " ", " ", "\n",
+]
+
+
+def _small_dims(text):
+    # dim <= 4 keeps each draw cheap
+    return all(int(k) <= 4 for k in re.findall(r"dim\s*(\d+)", text))
+
+
+def _parses_or_raises_positioned(parse, *args):
+    try:
+        parse(*args)
+    except ParseError as exc:  # JacobiViolation included
+        assert exc.line is not None and exc.col is not None, (args, exc)
+
+
+def test_parsers_fuzzed_over_the_token_alphabet():
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings, strategies as st
+
+    soup = st.lists(st.sampled_from(LIE_ALPHABET), max_size=24).map("".join)
+    line = st.lists(st.sampled_from([t for t in LIE_ALPHABET if t != "\n"]), max_size=12).map(
+        "".join
+    )
+    header = st.sampled_from(["", "algebra a\n", "algebra a\ndim 2\n", "algebra a\ndim 3\n"])
+    wedges = st.sampled_from(["f1^f2", "f2^f3", "f1^F2", "F1^F3", "1/2i*f3^F3", "-f1^F1"])
+    rhs = st.one_of(line, st.lists(wedges, min_size=1, max_size=3).map(" + ".join))
+    statement = st.one_of(
+        st.tuples(st.sampled_from(["d f1 = ", "d f2 = ", "d f3 = ", "d f4 = "]), rhs),
+        st.tuples(st.sampled_from(["metric ", "metric hermitian\n", "metric identity"]), line),
+        st.tuples(st.just(""), line),
+    ).map("".join)
+    equation = st.tuples(
+        st.sampled_from(["d f1 = ", "d f2 = ", "d f3 = "]),
+        st.lists(wedges, min_size=1, max_size=3).map(" + ".join),
+    ).map("".join)
+    lie_text = st.one_of(
+        soup,
+        st.tuples(header, st.lists(statement, max_size=5).map("\n".join)).map("".join),
+        # well-formed equations: reaches the Jacobi check and the flags
+        st.lists(equation, max_size=3).map(lambda eqs: "\n".join(["algebra a", "dim 3"] + eqs)),
+    )
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(lie_text, soup, line, st.integers(1, 4))
+    def check(text, other, row, n):
+        assume(_small_dims(text))
+        _parses_or_raises_positioned(parse_lie, text)
+        _parses_or_raises_positioned(parse_scalar, row)
+        _parses_or_raises_positioned(parse_form_expr, row, n)
+        _parses_or_raises_positioned(parse_form_expr, other, n)
+        _parses_or_raises_positioned(parse_metric, other, n)
+        _parses_or_raises_positioned(parse_metric, "metric hermitian\n" + "\n".join([row] * n), n)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_scalar, "1" * 5000),
+        (parse_scalar, "1/" + "1" * 5000),
+        (parse_lie, "algebra a\ndim " + "1" * 5000),
+        (parse_lie, "algebra a\ndim 2\nd f2 = " + "3" * 5000 + "*f1^F1"),
+    ],
+    ids=["integer", "denominator", "dim", "coefficient"],
+)
+def test_overlong_numbers_are_parse_errors(parse, text):
+    # more digits than int() converts: a positioned ParseError, no ValueError
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line is not None and "too long" in str(err.value)
