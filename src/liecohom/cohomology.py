@@ -48,11 +48,12 @@ def vector_to_form(n: int, v: Vector, mons) -> Form:
 
 
 def _matrix_for(op: Callable[[Form], Form], n: int, src, dst) -> Matrix:
-    cols = []
-    for mono in src:
-        image = op(Form(n, {mono: Scalar(1)}, _validated=True))
-        cols.append(form_to_vector(image, dst))
-    return Matrix.from_columns(cols, nrows=len(dst))
+    index = {m: i for i, m in enumerate(dst)}
+    rows: list[dict[int, Scalar]] = [{} for _ in dst]
+    for j, mono in enumerate(src):
+        for m, c in op(Form(n, {mono: Scalar(1)}, _validated=True)).terms.items():
+            rows[index[m]][j] = c
+    return Matrix.sparse(rows, len(src))
 
 
 # Bidegree shifts of the bigraded operators.
@@ -273,8 +274,9 @@ def _quotient(
 ) -> CohomologyGroup:
     """(common kernel of `kernel_of`) / (span of the columns of `image_of`)."""
     numerator = Subspace(len(mons), kernel_basis(vstack(kernel_of)))
+    columns = [m.transpose() for m in image_of]
     denominator = Subspace(
-        len(mons), [m.column(j) for m in image_of for j in range(m.ncols)]
+        len(mons), [t.row(j) for t in columns for j in range(t.nrows)]
     )
     try:
         reps = quotient_representatives(numerator, denominator)

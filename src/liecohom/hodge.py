@@ -25,6 +25,7 @@ Conventions (all exact over the Gaussian rationals):
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -73,7 +74,7 @@ def _invert(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     reduced, pivots = rref(aug)
     if pivots != list(range(k)):
         raise MetricError("matrix is singular")
-    return [list(reduced.rows[i][k:]) for i in range(k)]
+    return [list(reduced.row(i)[k:]) for i in range(k)]
 
 
 def _compound(g: Sequence[Sequence[Scalar]], k: int) -> list[list[Scalar]]:
@@ -104,6 +105,7 @@ class HermitianMetric:
                     )
         self.n = n
         self.entries = tuple(tuple(row) for row in entries)
+        self._hash = hash(self.entries)  # the entries never change
         self._gram1: Optional[list[list[Scalar]]] = None
         self._gram_cache: dict[tuple[int, int], Matrix] = {}
         self._star_cache: dict[tuple[int, int], Matrix] = {}
@@ -212,11 +214,7 @@ class HermitianMetric:
     def volume_form(self) -> Form:
         """vol = omega^n / n!; nonzero exactly when the metric is nondegenerate."""
         self.require_positive()
-        top = self.omega_power(self.n)
-        fact = 1
-        for j in range(2, self.n + 1):
-            fact *= j
-        return top.scale(Fraction(1, fact))
+        return self.omega_power(self.n).scale(Fraction(1, math.factorial(self.n)))
 
     # -- inner products --------------------------------------------------------
 
@@ -263,8 +261,8 @@ class HermitianMetric:
             for ma, xa in ca.terms.items():
                 row = gram.rows[idx[ma]]
                 for mb, xb in cb.terms.items():
-                    g = row[idx[mb]]
-                    if g:
+                    g = row.get(idx[mb])
+                    if g is not None:
                         total = total + xa * xb.conjugate() * g
         return total
 
@@ -303,8 +301,8 @@ class HermitianMetric:
             )
             sign, _ = monomial_wedge(ma, mc)
             c = Scalar(sign) * vol_coeff
-            rows.append([c * x if x else ZERO for x in gram.rows[index[ma]]])
-        out = Matrix(rows, ncols=gram.ncols)
+            rows.append({j: c * x for j, x in gram.rows[index[ma]].items()})
+        out = Matrix.sparse(rows, gram.ncols)
         self._star_cache[key] = out
         return out
 
@@ -343,7 +341,7 @@ class HermitianMetric:
         return self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.entries)
+        return self._hash
 
     def __repr__(self):
         return f"HermitianMetric(n={self.n})"

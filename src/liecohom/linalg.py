@@ -6,19 +6,20 @@ and Subspace equality is literal row equality.  Arithmetic is exact, so no
 pivoting heuristics are needed; sizes grow as binomials in the coframe size
 (n = 5 reaches C(10, 5) = 252 columns in de Rham degree 5).
 
-Matrices are stored as dense rows, but the operator matrices are sparse,
-so products and eliminations touch nonzero entries only.  The product
-``A @ B`` lists the nonzero ``(column, entry)`` pairs of each row of B
-once; each nonzero ``A[i][k]`` then meets just the pairs of row k, and
-row i of the product accumulates in a dict from zero, over increasing k as
-the dense triple loop would.  So each entry of A and B is zero-tested once.
-``apply`` likewise finds the support of the vector once.  ``rref`` scales
-each pivot row once, collects its nonzero columns (all at or right of the
-pivot) and updates only those entries of the rows that are nonzero in the
-pivot column; ``Subspace.reduce`` and the quotient loop skip echelon rows
-whose pivot entry in the vector is zero and zero entries of the rows they
-do use.  Since ``x - f*0 == x`` and ``x + 0 == x`` exactly and RREF is
-unique, the results are those of dense arithmetic.
+A Matrix stores each row as a dict ``{column: entry}`` holding its nonzero
+entries only; every operation keeps that invariant, dropping any entry
+that cancels to zero, so the sparse operator matrices cost in proportion
+to their nonzeros.  The product ``A @ B`` meets each nonzero ``A[i][k]``
+with the stored entries of row k of B and accumulates row i of the
+product in a dict; ``rref`` scales each pivot row once and updates only
+the rows holding an entry in the pivot column, and only at the pivot
+row's columns.  The public constructor takes dense rows, coerces and
+drops zeros; the engine's own results go through the trusted
+``Matrix.sparse``.  Vectors, and ``Subspace`` rows, stay dense tuples;
+``Subspace.reduce`` and the quotient loop skip echelon rows whose pivot
+entry in the vector is zero and zero entries of the rows they do use.
+Since ``x - f*0 == x`` and ``x + 0 == x`` exactly and RREF is unique, the
+results are those of dense arithmetic.
 
 ``quotient_representatives`` keeps a running echelon: the denominator's
 rows, then the residue of each accepted numerator row, scaled to 1 at its
@@ -40,26 +41,20 @@ def vec(values) -> Vector:
     return tuple(Scalar.coerce(v) for v in values)
 
 
-def zero_vector(k: int) -> Vector:
-    return tuple([ZERO] * k)
-
-
-def vec_add(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_is_zero(a: Vector) -> bool:
     return all(not x for x in a)
 
 
 class Matrix:
-    """An exact matrix held as dense rows, with an explicit shape (rows may
-    be empty); the product and ``apply`` skip zero entries."""
+    """An exact matrix with an explicit shape (it may have no rows) whose
+    rows are dicts ``{column: entry}`` holding the nonzero entries only.
+    Rows are never changed once a Matrix holds them, so results may share
+    them."""
 
     __slots__ = ("nrows", "ncols", "rows")
 
     def __init__(self, rows: Sequence[Sequence], ncols: int | None = None):
-        rows = [tuple(Scalar.coerce(x) for x in row) for row in rows]
+        rows = [tuple(row) for row in rows]
         if rows:
             ncols_found = len(rows[0])
             if any(len(r) != ncols_found for r in rows):
@@ -69,92 +64,100 @@ class Matrix:
             ncols = ncols_found
         elif ncols is None:
             raise ValueError("empty matrix needs an explicit ncols")
-        self.rows = tuple(rows)
+        self.rows = tuple(
+            {j: y for j, x in enumerate(row) if (y := Scalar.coerce(x))} for row in rows
+        )
         self.nrows = len(rows)
         self.ncols = ncols
 
     @staticmethod
+    def sparse(rows: Sequence[dict[int, Scalar]], ncols: int) -> "Matrix":
+        """Trusted constructor: rows of nonzero Scalars keyed in range(ncols),
+        taken as they are, with no check and no coercion."""
+        m = Matrix.__new__(Matrix)
+        m.rows, m.nrows, m.ncols = tuple(rows), len(rows), ncols
+        return m
+
+    @staticmethod
     def zeros(nrows: int, ncols: int) -> "Matrix":
-        return Matrix([[ZERO] * ncols for _ in range(nrows)], ncols=ncols)
+        return Matrix.sparse([{} for _ in range(nrows)], ncols)
 
     @staticmethod
     def identity(k: int) -> "Matrix":
-        return Matrix(
-            [[ONE if i == j else ZERO for j in range(k)] for i in range(k)], ncols=k
-        )
+        return Matrix.sparse([{i: ONE} for i in range(k)], k)
 
-    @staticmethod
-    def from_columns(cols: Sequence[Vector], nrows: int) -> "Matrix":
-        return Matrix(
-            [[col[i] for col in cols] for i in range(nrows)], ncols=len(cols)
-        )
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.rows)
+    def row(self, i: int) -> Vector:
+        """Row i as a dense vector."""
+        row = self.rows[i]
+        return tuple(row.get(j, ZERO) for j in range(self.ncols))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-            ncols=self.nrows,
-        )
+        cols: list[dict[int, Scalar]] = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return Matrix.sparse(cols, self.nrows)
 
     def conjugate(self) -> "Matrix":
-        return Matrix(
-            [[x.conjugate() if x else ZERO for x in row] for row in self.rows],
-            ncols=self.ncols,
+        return Matrix.sparse(
+            [{j: x.conjugate() for j, x in row.items()} for row in self.rows], self.ncols
         )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        # the nonzero (column, entry) pairs of each right row, found once
-        right = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
         out = []
         for left in self.rows:
             acc: dict[int, Scalar] = {}
-            for k, x in enumerate(left):
-                if x:
-                    for j, y in right[k]:
-                        acc[j] = acc.get(j, ZERO) + x * y
-            out.append([acc.get(j, ZERO) for j in range(other.ncols)])
-        return Matrix(out, ncols=other.ncols)
+            for k, x in left.items():
+                for j, y in other.rows[k].items():
+                    acc[j] = acc.get(j, ZERO) + x * y
+            out.append({j: z for j, z in acc.items() if z})
+        return Matrix.sparse(out, other.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
-        return Matrix(
-            [vec_add(a, b) for a, b in zip(self.rows, other.rows)], ncols=self.ncols
-        )
+        out = []
+        for a, b in zip(self.rows, other.rows):
+            row = dict(a)
+            for j, y in b.items():
+                z = row.pop(j, ZERO) + y
+                if z:
+                    row[j] = z
+            out.append(row)
+        return Matrix.sparse(out, self.ncols)
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
         c = Scalar.coerce(c)
-        return Matrix(
-            [[c * x if x else ZERO for x in row] for row in self.rows], ncols=self.ncols
+        return Matrix.sparse(
+            [{j: y for j, x in row.items() if (y := c * x)} for row in self.rows],
+            self.ncols,
         )
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.ncols:
             raise ValueError("vector length does not match ncols")
-        support = [(k, x) for k, x in enumerate(v) if x]
-        return tuple(sum((row[k] * x for k, x in support), ZERO) for row in self.rows)
+        support = {k: x for k, x in enumerate(v) if x}
+        return tuple(
+            sum((y * support[k] for k, y in row.items() if k in support), ZERO)
+            for row in self.rows
+        )
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.rows)
+        return not any(self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.shape == other.shape and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.shape, self.rows))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -164,59 +167,42 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     ncols = mats[0].ncols
     if any(m.ncols != ncols for m in mats):
         raise ValueError("vstack needs equal ncols")
-    rows: list[Sequence] = []
-    for m in mats:
-        rows.extend(m.rows)
-    return Matrix(rows, ncols=ncols)
+    return Matrix.sparse([row for m in mats for row in m.rows], ncols)
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
     nrows = mats[0].nrows
     if any(m.nrows != nrows for m in mats):
         raise ValueError("hstack needs equal nrows")
-    rows = []
-    for i in range(nrows):
-        row: list[Scalar] = []
-        for m in mats:
-            row.extend(m.rows[i])
-        rows.append(row)
-    return Matrix(rows, ncols=sum(m.ncols for m in mats))
+    return vstack([m.transpose() for m in mats]).transpose()
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form with first-nonzero pivoting; returns
     (canonical RREF, pivot column indices)."""
-    rows = [list(r) for r in matrix.rows]
+    rows = [dict(r) for r in matrix.rows]
     nrows, ncols = matrix.shape
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, nrows) if c in rows[i]), None)
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        prow = rows[r]
-        inv = ONE / prow[c]
-        # prow is zero left of c: earlier pivots were eliminated from it and
-        # the other columns had no nonzero in rows r.. (else they would pivot)
-        support = [j for j in range(c, ncols) if prow[j]]
-        for j in support:
-            prow[j] = inv * prow[j]
-        for i in range(nrows):
-            row = rows[i]
-            factor = row[c]
-            if factor and i != r:
-                for j in support:
-                    row[j] = row[j] - factor * prow[j]
+        inv = ONE / rows[pivot_row][c]
+        prow = {j: inv * x for j, x in rows[pivot_row].items()}
+        rows[pivot_row], rows[r] = rows[r], prow
+        for i, row in enumerate(rows):
+            factor = row.get(c)
+            if factor is not None and i != r:
+                for j, y in prow.items():
+                    z = row.pop(j, ZERO) - factor * y
+                    if z:
+                        row[j] = z
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return Matrix(rows, ncols=ncols), pivots
+    return Matrix.sparse(rows, ncols), pivots
 
 
 def rank(matrix: Matrix) -> int:
@@ -227,13 +213,14 @@ def kernel_basis(matrix: Matrix) -> list[Vector]:
     """Deterministic basis of the null space (one vector per free column)."""
     reduced, pivots = rref(matrix)
     pivot_set = set(pivots)
-    free = [c for c in range(matrix.ncols) if c not in pivot_set]
     out = []
-    for f in free:
+    for f in range(matrix.ncols):
+        if f in pivot_set:
+            continue
         v = [ZERO] * matrix.ncols
         v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -reduced.rows[r][f]
+        for row, c in zip(reduced.rows, pivots):
+            v[c] = -row.get(f, ZERO)
         out.append(tuple(v))
     return out
 
@@ -242,16 +229,16 @@ def solve(matrix: Matrix, b: Vector):
     """One exact solution of M x = b with free variables set to 0, or None."""
     if len(b) != matrix.nrows:
         raise ValueError("right-hand side has wrong length")
-    aug = hstack([matrix, Matrix([[x] for x in b], ncols=1) if b else Matrix([], ncols=1)])
-    if matrix.nrows == 0:
-        return zero_vector(matrix.ncols)
+    n = matrix.ncols
+    aug = Matrix.sparse(
+        [{**row, n: x} if x else row for row, x in zip(matrix.rows, b)], n + 1
+    )
     reduced, pivots = rref(aug)
-    for r in range(len(pivots)):
-        if pivots[r] == matrix.ncols:
-            return None  # pivot in the augmented column: inconsistent
-    x = [ZERO] * matrix.ncols
-    for r, c in enumerate(pivots):
-        x[c] = reduced.rows[r][matrix.ncols]
+    if pivots and pivots[-1] == n:
+        return None  # pivot in the augmented column: inconsistent
+    x = [ZERO] * n
+    for row, c in zip(reduced.rows, pivots):
+        x[c] = row.get(n, ZERO)
     return tuple(x)
 
 
@@ -279,7 +266,7 @@ class Subspace:
         self.ambient = ambient
         if vectors:
             reduced, pivots = rref(Matrix(list(vectors), ncols=ambient))
-            self.rows = tuple(reduced.rows[: len(pivots)])
+            self.rows = tuple(reduced.row(i) for i in range(len(pivots)))
             self._pivots = tuple(pivots)
         else:
             self.rows = ()

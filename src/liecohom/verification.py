@@ -15,6 +15,7 @@ every n, p and randomized metric).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -61,16 +62,10 @@ class CheckResult:
         return f"[{status}] {self.name}{suffix}"
 
 
-def _fact(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
-
-
 def star_identity_constant(n: int, p: int) -> Scalar:
     """c(n,p) = (-1)^(p(p+1)/2) (-i)^p (n-p)!  (derivation-verified)."""
-    return Scalar(-1) ** ((p * (p + 1)) // 2) * Scalar(0, -1) ** p * Scalar(_fact(n - p))
+    sign = Scalar(-1) ** ((p * (p + 1)) // 2)
+    return sign * Scalar(0, -1) ** p * Scalar(math.factorial(n - p))
 
 
 def _seeded_metrics(n: int, count: int, rng: random.Random) -> list[HermitianMetric]:

@@ -61,6 +61,17 @@ def test_non_hermitian_rejected():
         HermitianMetric([[1, I], [I, 1]])
 
 
+def test_metric_hash_is_the_entries_hash():
+    h = random_positive_metric(3, random.Random(5))
+    same = HermitianMetric([list(row) for row in h.entries])
+    assert hash(h) == hash(h.entries)
+    assert same == h and hash(same) == hash(h)
+    assert HermitianMetric.from_form_parameters(2, [1, 1]) == HermitianMetric.identity(2)
+    assert hash(HermitianMetric.from_form_parameters(2, [1, 1])) == hash(
+        HermitianMetric.identity(2)
+    )
+
+
 def test_parameter_map_matches_surface_positivity():
     # 2w = i(A^2 f1F1 + C^2 f2F2) + B f1F2 - conj(B) f2F1 is positive
     # exactly when A^2 > 0 and A^2 C^2 - |B|^2 > 0

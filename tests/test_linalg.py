@@ -7,12 +7,14 @@ from liecohom.errors import PreconditionError
 from liecohom.linalg import (
     Matrix,
     Subspace,
+    hstack,
     kernel_basis,
     quotient_representatives,
     rank,
     rref,
     solve,
     vec,
+    vstack,
 )
 from liecohom.scalars import I, ONE, ZERO, Scalar
 
@@ -28,8 +30,8 @@ def test_rref_over_gaussian_rationals():
     m = Matrix([[I, 1], [1, -I]])  # second row = -i * first
     reduced, pivots = rref(m)
     assert pivots == [0]
-    assert reduced.rows[0] == (ONE, Scalar(0, -1))
-    assert reduced.rows[1] == (ZERO, ZERO)
+    assert reduced.row(0) == (ONE, Scalar(0, -1))
+    assert reduced.row(1) == (ZERO, ZERO)
 
 
 def test_kernel_and_rank():
@@ -107,7 +109,7 @@ def test_matmul_and_shapes():
     b = Matrix([[1], [Fraction(1, 2)]])
     prod = a @ b
     assert prod.shape == (2, 1)
-    assert prod.rows[0][0] == Scalar(1, Fraction(1, 2))
+    assert prod.row(0)[0] == Scalar(1, Fraction(1, 2))
     with pytest.raises(ValueError):
         b @ a
 
@@ -202,7 +204,9 @@ def _to_sympy(sympy, m):
             z.im.numerator, z.im.denominator
         )
 
-    return sympy.Matrix(m.nrows, m.ncols, [entry(x) for row in m.rows for x in row])
+    return sympy.Matrix(
+        m.nrows, m.ncols, [entry(x) for i in range(m.nrows) for x in m.row(i)]
+    )
 
 
 def _from_sympy(sympy, e):
@@ -267,13 +271,15 @@ def _corpus_operator_matrices(ops):
 
 def _matmul_reference(a, b):
     """Reference: the dense triple loop, accumulating over k in order."""
+    a_rows = [a.row(i) for i in range(a.nrows)]
+    b_rows = [b.row(k) for k in range(b.nrows)]
     out = []
     for i in range(a.nrows):
         row = []
         for j in range(b.ncols):
             acc = ZERO
             for k in range(a.ncols):
-                acc = acc + a.rows[i][k] * b.rows[k][j]
+                acc = acc + a_rows[i][k] * b_rows[k][j]
             row.append(acc)
         out.append(row)
     return Matrix(out, ncols=b.ncols)
@@ -284,7 +290,8 @@ def _assert_products_match_reference(m):
         for left, right in ((m, other), (other, m)):
             assert left @ right == _matmul_reference(left, right)
     v = tuple(ONE if j % 2 else ZERO for j in range(m.ncols))
-    assert m.apply(v) == _matmul_reference(m, Matrix([[x] for x in v], ncols=1)).column(0)
+    column = _matmul_reference(m, Matrix([[x] for x in v], ncols=1)).transpose()
+    assert m.apply(v) == column.row(0)
 
 
 def test_matmul_matches_dense_reference_on_sparse_random_matrices():
@@ -323,6 +330,43 @@ def test_matmul_zero_tests_each_entry_once(monkeypatch):
     monkeypatch.undo()
     assert len(calls) <= a.nrows * a.ncols + b.nrows * b.ncols
     assert product == expected
+
+
+# -- the storage invariant: rows hold their nonzero entries only ----------------
+
+
+def _assert_sparse_rows(m):
+    assert len(m.rows) == m.nrows
+    for row in m.rows:
+        assert all(x for x in row.values())
+        assert all(j in range(m.ncols) for j in row)
+
+
+def test_every_result_keeps_only_nonzero_entries_in_range():
+    matrices = list(_sparse_random_matrices())
+    matrices += _corpus_operator_matrices(("del", "delbar"))
+    for m in matrices:
+        t = m.transpose()
+        results = [
+            m, t, m @ t, t @ m, m + m, -m, m + (-m), m.scale(0), m.scale(I),
+            m.conjugate(), vstack([m, m.conjugate()]), hstack([m, m]), rref(m)[0],
+        ]
+        for result in results:
+            _assert_sparse_rows(result)
+        assert (m + (-m)).is_zero()
+        assert (m + (-m)).rows == m.scale(0).rows == tuple({} for _ in range(m.nrows))
+    # dense rows that cancel in the product leave empty rows behind
+    a = Matrix([[1, 1], [I, 0]])
+    b = Matrix([[1, 2], [-1, -2]])
+    product = a @ b
+    _assert_sparse_rows(product)
+    assert product.rows[0] == {}
+    assert product.row(1) == (I, 2 * I)
+    assert Matrix([[0, 0, 5]]).rows == ({2: Scalar(5)},)
+    # solve on empty shapes: no equations, no unknowns
+    assert solve(Matrix.zeros(0, 2), ()) == (ZERO, ZERO)
+    assert solve(Matrix.zeros(2, 0), vec([1, 0])) is None
+    assert solve(Matrix.zeros(2, 0), vec([0, 0])) == ()
 
 
 def test_rref_matches_sympy_on_sparse_random_matrices():

@@ -1,10 +1,12 @@
 import ast
+import re
 import warnings
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "liecohom").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "liecohom").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -31,3 +33,53 @@ def test_every_import_is_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _definitions(tree):
+    """Each top-level function or class, and each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield item
+
+
+def _references(node, enclosing=()):
+    """(identifier, enclosing definitions) for each name, attribute and
+    dotted-name string (as the benchmark tracer binds targets) in the tree."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing = enclosing + (node,)
+    if isinstance(node, ast.Name):
+        yield node.id, enclosing
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, enclosing
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if re.fullmatch(r"[A-Za-z_][\w.]*", node.value):
+            for part in node.value.split("."):
+                yield part, enclosing
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, enclosing)
+
+
+def test_every_definition_is_referenced():
+    # a definition nothing uses outside its own body is a leftover
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("src", "tests", "demos", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    used: dict[str, list] = {}
+    for tree in trees.values():
+        for name, enclosing in _references(tree):
+            used.setdefault(name, []).append(enclosing)
+    unused = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in MODULES
+        for node in _definitions(trees[path])
+        if all(node in enclosing for enclosing in used.get(node.name, []))
+    ]
+    assert unused == []
