@@ -20,6 +20,7 @@ from .cohomology import (
     chain_matrix,
     form_to_vector,
     harmonic_forms,
+    row_to_form,
     vector_to_form,
 )
 from .errors import PreconditionError
@@ -154,15 +155,12 @@ def closed_p0_space(s: StructureEquations, p: int) -> Subspace:
     n = s.n
     mons = basis(n, p, 0)
     mat = _matrix_for(s.d, n, mons, total_basis(n, p + 1))
-    return Subspace(len(mons), kernel_basis(mat))
+    return Subspace(len(mons), kernel_basis(mat).rows)
 
 
 def closed_p0_forms(s: StructureEquations, p: int) -> list[Form]:
     mons = basis(s.n, p, 0)
-    return [
-        vector_to_form(s.n, v, mons)
-        for v in closed_p0_space(s, p).basis_vectors()
-    ]
+    return [row_to_form(s.n, v, mons) for v in closed_p0_space(s, p).rows]
 
 
 def verify_vanishing_theorem(

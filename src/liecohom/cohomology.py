@@ -24,6 +24,7 @@ from .exterior import Form, basis, bidegrees_of_total, total_basis
 from .hodge import HermitianMetric
 from .linalg import (
     Matrix,
+    Row,
     Subspace,
     Vector,
     hstack,
@@ -45,6 +46,14 @@ def form_to_vector(form: Form, mons) -> Vector:
 
 def vector_to_form(n: int, v: Vector, mons) -> Form:
     return Form(n, {m: c for m, c in zip(mons, v) if c}, _validated=True)
+
+
+def form_to_row(form: Form, mons) -> Row:
+    return {j: c for j, m in enumerate(mons) if (c := form.terms.get(m))}
+
+
+def row_to_form(n: int, row: Row, mons) -> Form:
+    return Form(n, {mons[j]: c for j, c in sorted(row.items())}, _validated=True)
 
 
 def _matrix_for(op: Callable[[Form], Form], n: int, src, dst) -> Matrix:
@@ -273,11 +282,9 @@ def _quotient(
     kernel_of: list[Matrix], image_of: list[Matrix],
 ) -> CohomologyGroup:
     """(common kernel of `kernel_of`) / (span of the columns of `image_of`)."""
-    numerator = Subspace(len(mons), kernel_basis(vstack(kernel_of)))
-    columns = [m.transpose() for m in image_of]
-    denominator = Subspace(
-        len(mons), [t.row(j) for t in columns for j in range(t.nrows)]
-    )
+    numerator = Subspace(len(mons), kernel_basis(vstack(kernel_of)).rows)
+    images = vstack([m.transpose() for m in image_of]).rows if image_of else ()
+    denominator = Subspace(len(mons), images)
     try:
         reps = quotient_representatives(numerator, denominator)
     except PreconditionError as exc:
@@ -285,7 +292,7 @@ def _quotient(
         raise PreconditionError(f"{kind} cohomology at {where}: {exc}") from None
     return CohomologyGroup(
         kind, p, q, numerator.dim - denominator.dim,
-        [vector_to_form(n, v, mons) for v in reps], numerator, denominator,
+        [row_to_form(n, v, mons) for v in reps], numerator, denominator,
     )
 
 
@@ -352,8 +359,8 @@ def harmonic_space(
     dim_pq = len(basis(s.n, p, q))
     stack = vstack([chain_matrix(ops, s, p, q, h) for ops in theory["kernel"]])
     lap = operator_matrix(f"lap_{kind}", s, p, q, h).matrix
-    primary = Subspace(dim_pq, kernel_basis(stack))
-    check = Subspace(dim_pq, kernel_basis(lap))
+    primary = Subspace(dim_pq, kernel_basis(stack).rows)
+    check = Subspace(dim_pq, kernel_basis(lap).rows)
     if primary != check:
         raise RuntimeError(
             f"harmonic characterization mismatch at ({p},{q}) for {kind}; engine defect"
@@ -366,7 +373,7 @@ def harmonic_forms(
 ) -> list[Form]:
     mons = basis(s.n, p, q)
     space = harmonic_space(kind, s, h, p, q)
-    return [vector_to_form(s.n, v, mons) for v in space.basis_vectors()]
+    return [row_to_form(s.n, v, mons) for v in space.rows]
 
 
 def harmonic_projection(

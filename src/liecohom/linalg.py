@@ -1,48 +1,51 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Everything here is deterministic: row reduction picks the first nonzero
-pivot, so echelon bases come out in a canonical form (RREF is unique),
-and Subspace equality is literal row equality.  Arithmetic is exact, so no
-pivoting heuristics are needed; sizes grow as binomials in the coframe size
-(n = 5 reaches C(10, 5) = 252 columns in de Rham degree 5).
+Everything here is deterministic and canonical: RREF is unique, so echelon
+bases come out the same whatever pivot rows the elimination picks, and
+Subspace equality is literal row equality.  Arithmetic is exact, so no
+pivoting is needed for stability; sizes grow as binomials in the coframe
+size (n = 6 reaches C(12, 6) = 924 columns in de Rham degree 6).
 
-A Matrix stores each row as a dict ``{column: entry}`` holding its nonzero
-entries only; every operation keeps that invariant, dropping any entry
-that cancels to zero, so the sparse operator matrices cost in proportion
-to their nonzeros.  The product ``A @ B`` meets each nonzero ``A[i][k]``
-with the stored entries of row k of B and accumulates row i of the
-product in a dict; ``rref`` scales each pivot row once and updates only
-the rows holding an entry in the pivot column, and only at the pivot
-row's columns.  The public constructor takes dense rows, coerces and
-drops zeros; the engine's own results go through the trusted
-``Matrix.sparse``.  Vectors, and ``Subspace`` rows, stay dense tuples;
-``Subspace.reduce`` and the quotient loop skip echelon rows whose pivot
-entry in the vector is zero and zero entries of the rows they do use.
-Since ``x - f*0 == x`` and ``x + 0 == x`` exactly and RREF is unique, the
-results are those of dense arithmetic.
+A Matrix stores each row as a sparse dict ``{column: entry}`` (a ``Row``)
+holding its nonzero entries only; every operation keeps that invariant,
+dropping any entry that cancels to zero, so the sparse operator matrices
+cost in proportion to their nonzeros.  The product ``A @ B`` meets each
+nonzero ``A[i][k]`` with the stored entries of row k of B and accumulates
+row i of the product in a dict.  ``rref`` keeps an index from each column
+to the rows holding an entry there: at column c it picks the shortest
+free row holding c as the pivot row, scales it once and updates only the
+other rows that hold c, and only at the pivot row's columns.  The public
+constructor takes dense rows, coerces and drops zeros; the engine's own
+results go through the trusted ``Matrix.sparse``.
+
+Null spaces, subspaces and quotients stay in sparse rows from end to end:
+``kernel_basis`` returns a Matrix with one kernel vector per row,
+``Subspace`` reduces its rows once with ``rref`` and keeps the echelon
+rows, and ``Subspace.reduce`` and ``quotient_representatives`` walk the
+entries of those rows.  Since ``x - f*0 == x`` and ``x + 0 == x`` exactly
+and RREF is unique, the results are those of dense arithmetic.  Dense
+tuples (``Vector``) remain only at the ``apply``/``solve`` boundary.
 
 ``quotient_representatives`` keeps a running echelon: the denominator's
 rows, then the residue of each accepted numerator row, scaled to 1 at its
-first nonzero entry (its pivot).  A residue is zero at every earlier
-pivot, so reducing in insertion order decides span membership exactly as
-a freshly row-reduced basis would, with no RREF per accepted row.
+smallest key (its pivot).  A residue is zero at every earlier pivot, so
+reducing in insertion order decides span membership exactly as a freshly
+row-reduced basis would, with no RREF per accepted row.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Sequence
 
 from .scalars import ONE, ZERO, Scalar
 
 Vector = tuple[Scalar, ...]
+Row = dict[int, Scalar]
 
 
 def vec(values) -> Vector:
     return tuple(Scalar.coerce(v) for v in values)
-
-
-def vec_is_zero(a: Vector) -> bool:
-    return all(not x for x in a)
 
 
 class Matrix:
@@ -71,7 +74,7 @@ class Matrix:
         self.ncols = ncols
 
     @staticmethod
-    def sparse(rows: Sequence[dict[int, Scalar]], ncols: int) -> "Matrix":
+    def sparse(rows: Sequence[Row], ncols: int) -> "Matrix":
         """Trusted constructor: rows of nonzero Scalars keyed in range(ncols),
         taken as they are, with no check and no coercion."""
         m = Matrix.__new__(Matrix)
@@ -178,51 +181,70 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form with first-nonzero pivoting; returns
-    (canonical RREF, pivot column indices)."""
+    """Reduced row echelon form; returns (canonical RREF, pivot column
+    indices).  The pivot rows come first, in pivot order, then the zero
+    rows."""
     rows = [dict(r) for r in matrix.rows]
-    nrows, ncols = matrix.shape
+    # column -> indices of the rows holding an entry there
+    holders: defaultdict[int, set[int]] = defaultdict(set)
+    for i, row in enumerate(rows):
+        for j in row:
+            holders[j].add(i)
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if c in rows[i]), None)
-        if pivot_row is None:
-            continue
-        inv = ONE / rows[pivot_row][c]
-        prow = {j: inv * x for j, x in rows[pivot_row].items()}
-        rows[pivot_row], rows[r] = rows[r], prow
-        for i, row in enumerate(rows):
-            factor = row.get(c)
-            if factor is not None and i != r:
-                for j, y in prow.items():
-                    z = row.pop(j, ZERO) - factor * y
-                    if z:
-                        row[j] = z
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    pivot_rows: list[int] = []
+    done: set[int] = set()
+    for c in range(matrix.ncols):
+        if len(pivots) == matrix.nrows:
             break
-    return Matrix.sparse(rows, ncols), pivots
+        hold = holders.pop(c, None)
+        free = hold - done if hold else None
+        if not free:
+            continue
+        # RREF is unique, so any row not yet a pivot row will do; the
+        # shortest fills in least
+        p = min(free, key=lambda i: (len(rows[i]), i)) if len(free) > 1 else free.pop()
+        inv = ONE / rows[p][c]
+        prow = rows[p] = {j: inv * x for j, x in rows[p].items()}
+        hold.discard(p)
+        if hold:
+            rest = [(j, y) for j, y in prow.items() if j != c]
+            for i in hold:
+                row = rows[i]
+                factor = row.pop(c)
+                for j, y in rest:
+                    x = row.get(j)
+                    if x is None:
+                        row[j] = ZERO - factor * y
+                        holders[j].add(i)
+                    elif z := x - factor * y:
+                        row[j] = z
+                    else:
+                        del row[j]
+                        holders[j].discard(i)
+        pivots.append(c)
+        pivot_rows.append(p)
+        done.add(p)
+    echelon = [rows[i] for i in pivot_rows]
+    echelon += [{} for _ in range(matrix.nrows - len(pivots))]
+    return Matrix.sparse(echelon, matrix.ncols), pivots
 
 
 def rank(matrix: Matrix) -> int:
     return len(rref(matrix)[1])
 
 
-def kernel_basis(matrix: Matrix) -> list[Vector]:
-    """Deterministic basis of the null space (one vector per free column)."""
+def kernel_basis(matrix: Matrix) -> Matrix:
+    """Deterministic basis of the null space, one row per free column f:
+    1 at f, minus the RREF's column f at the pivots, keyed in order."""
     reduced, pivots = rref(matrix)
     pivot_set = set(pivots)
     out = []
     for f in range(matrix.ncols):
-        if f in pivot_set:
-            continue
-        v = [ZERO] * matrix.ncols
-        v[f] = ONE
-        for row, c in zip(reduced.rows, pivots):
-            v[c] = -row.get(f, ZERO)
-        out.append(tuple(v))
-    return out
+        if f not in pivot_set:
+            v = {c: -x for row, c in zip(reduced.rows, pivots) if (x := row.get(f))}
+            v[f] = ONE
+            out.append(v)
+    return Matrix.sparse(out, matrix.ncols)
 
 
 def solve(matrix: Matrix, b: Vector):
@@ -242,31 +264,35 @@ def solve(matrix: Matrix, b: Vector):
     return tuple(x)
 
 
-def _eliminate(v: list, rows: Sequence[Vector], pivots: Sequence[int]) -> None:
-    """Reduce v in place against rows taken in order.
+def _eliminate(v: Row, rows: Sequence[Row], pivots: Sequence[int]) -> None:
+    """Reduce the sparse row v in place against rows taken in order.
 
-    Row k must be 1 at pivots[k], zero left of it and zero at every earlier
-    pivot; then v ends zero at every pivot.
+    Row k must be 1 at pivots[k] and zero at every earlier pivot; then v
+    ends zero at every pivot.
     """
     for row, c in zip(rows, pivots):
-        factor = v[c]
-        if factor:
-            for j in range(c, len(v)):
-                y = row[j]
-                if y:
-                    v[j] = v[j] - factor * y
+        factor = v.get(c)
+        if factor is not None:
+            for j, y in row.items():
+                z = v.pop(j, ZERO) - factor * y
+                if z:
+                    v[j] = z
 
 
 class Subspace:
-    """A subspace of Scalar^ambient held as canonical echelon rows."""
+    """A subspace of Scalar^ambient held as its canonical echelon rows:
+    sparse rows, each 1 at its pivot (its smallest key) and zero at every
+    other pivot."""
 
     __slots__ = ("ambient", "rows", "_pivots")
 
-    def __init__(self, ambient: int, vectors: Sequence[Vector] = ()):
+    def __init__(self, ambient: int, rows: Sequence[Row] = ()):
+        """The span of the sparse rows (dicts of nonzero entries keyed in
+        range(ambient))."""
         self.ambient = ambient
-        if vectors:
-            reduced, pivots = rref(Matrix(list(vectors), ncols=ambient))
-            self.rows = tuple(reduced.row(i) for i in range(len(pivots)))
+        if rows:
+            reduced, pivots = rref(Matrix.sparse(rows, ambient))
+            self.rows = reduced.rows[: len(pivots)]
             self._pivots = tuple(pivots)
         else:
             self.rows = ()
@@ -276,20 +302,17 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def basis_vectors(self) -> tuple[Vector, ...]:
-        return self.rows
-
-    def reduce(self, v: Vector) -> Vector:
+    def reduce(self, v: Row) -> Row:
         """Residue of v after elimination against the echelon basis."""
-        v = list(v)
+        v = dict(v)
         _eliminate(v, self.rows, self._pivots)
-        return tuple(v)
+        return v
 
-    def contains(self, v: Vector) -> bool:
-        return vec_is_zero(self.reduce(v))
+    def contains(self, v: Row) -> bool:
+        return not self.reduce(v)
 
     def contains_subspace(self, other: "Subspace"):
-        """(True, None) or (False, witness vector in other but not self)."""
+        """(True, None) or (False, witness row in other but not self)."""
         for v in other.rows:
             if not self.contains(v):
                 return False, v
@@ -300,17 +323,12 @@ class Subspace:
             return NotImplemented
         return self.ambient == other.ambient and self.rows == other.rows
 
-    def __hash__(self):
-        return hash((self.ambient, self.rows))
-
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
 
-def quotient_representatives(
-    numerator: Subspace, denominator: Subspace
-) -> list[Vector]:
-    """Vectors from the numerator's echelon basis completing the denominator.
+def quotient_representatives(numerator: Subspace, denominator: Subspace) -> list[Row]:
+    """Rows of the numerator's echelon basis completing the denominator.
 
     Raises PreconditionError (with a witness) if the denominator is not
     contained in the numerator.
@@ -319,20 +337,20 @@ def quotient_representatives(
 
     ok, witness = numerator.contains_subspace(denominator)
     if not ok:
+        dense = tuple(witness.get(j, ZERO) for j in range(numerator.ambient))
         raise PreconditionError(
-            f"denominator is not contained in numerator; witness {witness}"
+            f"denominator is not contained in numerator; witness {dense}"
         )
     rows = list(denominator.rows)
     pivots = list(denominator._pivots)
     reps = []
     for v in numerator.rows:
-        residue = list(v)
+        residue = dict(v)
         _eliminate(residue, rows, pivots)
-        c = next((j for j, x in enumerate(residue) if x), None)
-        if c is not None:
+        if residue:
+            c = min(residue)
             reps.append(v)
             inv = ONE / residue[c]
-            rows.append([inv * x if x else x for x in residue])
+            rows.append({j: inv * x for j, x in residue.items()})
             pivots.append(c)
     return reps
-

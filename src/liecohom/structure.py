@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
 )
 from .exterior import BasisMonomial, Form
-from .linalg import Subspace
+from .linalg import Row, Subspace
 from .scalars import ONE, ZERO, Scalar, format_scalar
 
 
@@ -161,14 +161,14 @@ class StructureEquations:
     # d e^k gives [e_a, e_b]_k = -c.  Antisymmetry ([e_b, e_a] = -[e_a, e_b],
     # [e_a, e_a] = 0) supplies the rest, so the table keeps only a < b.
 
-    def _bracket_table(self) -> dict[tuple[int, int], list[Scalar]]:
-        """The nonzero brackets [e_a, e_b], a < b, over the 2n basis vectors."""
-        dim = 2 * self.n
-        table: dict[tuple[int, int], list[Scalar]] = {}
+    def _bracket_table(self) -> dict[tuple[int, int], Row]:
+        """The nonzero brackets [e_a, e_b], a < b, over the 2n basis vectors,
+        each as a sparse row {k: [e_a, e_b]_k}."""
+        table: dict[tuple[int, int], Row] = {}
         for k, g in enumerate(self.dgen + self.dgen_conj):
             for mono, coeff in g.terms.items():
                 a, b = [i - 1 for i in mono.holo] + [self.n + j - 1 for j in mono.anti]
-                table.setdefault((a, b), [ZERO] * dim)[k] = -coeff
+                table.setdefault((a, b), {})[k] = -coeff
         return table
 
     def _compute_unimodular(self, table: dict) -> bool:
@@ -176,8 +176,8 @@ class StructureEquations:
         # and, as [e_b, e_a] = -[e_a, e_b], subtracts from b's
         trace = [ZERO] * (2 * self.n)
         for (a, b), v in table.items():
-            trace[a] = trace[a] + v[b]
-            trace[b] = trace[b] - v[a]
+            trace[a] = trace[a] + v.get(b, ZERO)
+            trace[b] = trace[b] - v.get(a, ZERO)
         return not any(trace)
 
     def _compute_nilpotent(self, table: dict) -> bool:
@@ -185,16 +185,19 @@ class StructureEquations:
         layer = Subspace(dim, list(table.values()))
         while layer.dim:
             images = []
-            for v in layer.basis_vectors():
+            for v in layer.rows:
                 # row c is [e_c, v] = sum_b v_b [e_c, e_b]: entry (a, b) adds
                 # v_b w to row a and, by antisymmetry, -v_a w to row b
-                ad = [[ZERO] * dim for _ in range(dim)]
+                ad: list[Row] = [{} for _ in range(dim)]
                 for (a, b), w in table.items():
-                    if v[b]:
-                        ad[a] = [x + v[b] * y for x, y in zip(ad[a], w)]
-                    if v[a]:
-                        ad[b] = [x - v[a] * y for x, y in zip(ad[b], w)]
-                images.extend(row for row in ad if any(row))
+                    for c, f in ((a, v.get(b, ZERO)), (b, -v.get(a, ZERO))):
+                        if f:
+                            row = ad[c]
+                            for j, y in w.items():
+                                z = row.pop(j, ZERO) + f * y
+                                if z:
+                                    row[j] = z
+                images.extend(row for row in ad if row)
             next_layer = Subspace(dim, images)
             if next_layer.dim == layer.dim:
                 return False  # lower central series stabilized above zero

@@ -37,8 +37,9 @@ from .cohomology import (
     chain_matrix,
     de_rham_cohomology,
     dolbeault_cohomology,
-    form_to_vector,
+    form_to_row,
     harmonic_space,
+    row_to_form,
 )
 from .corpus import CORPUS, CorpusEntry
 from .exterior import Form, basis
@@ -245,7 +246,7 @@ def check_calabi_eckmann() -> CheckResult:
         space = harmonic_space("bc", s, h, p, q)
         mons = basis(n, p, q)
         for rep in reps:
-            if not space.contains(form_to_vector(rep, mons)):
+            if not space.contains(form_to_row(rep, mons)):
                 problems.append(f"listed rep at ({p},{q}) not harmonic")
         if space.dim != expected_dims.get((p, q), 0):
             problems.append(f"harmonic BC({p},{q}) dim != table")
@@ -258,7 +259,7 @@ def check_calabi_eckmann() -> CheckResult:
     psi2233 = Form.monomial(n, [2], [2]).wedge(Form.monomial(n, [3], [3]))
     span = group.denominator
     for rep in (psi1133, psi2233):
-        v = form_to_vector(rep, mons22)
+        v = form_to_row(rep, mons22)
         if not group.numerator.contains(v):
             problems.append("product monomial rep not (del delbar)-closed")
         if span.contains(v):
@@ -299,7 +300,7 @@ def check_secondary_kodaira(seed: int = DEFAULT_SEED) -> CheckResult:
     if h.star(Form.monomial(n, [1], [1])) != -Form.monomial(n, [2], [2]):
         problems.append("*(f1^F1) != -f2^F2")
     a11 = aeppli_cohomology(s, 1, 1)
-    v = form_to_vector(Form.monomial(n, [2], [2]), basis(n, 1, 1))
+    v = form_to_row(Form.monomial(n, [2], [2]), basis(n, 1, 1))
     if a11.dim != 1 or not a11.numerator.contains(v) or a11.denominator.contains(v):
         problems.append("H_A^(1,1) is not spanned by the class of f2^F2")
     rng = random.Random(seed)
@@ -372,7 +373,7 @@ def check_skt_family(seed: int = DEFAULT_SEED) -> CheckResult:
         if condition:
             satisfied += 1
             f1f2 = Form.monomial(3, [1, 2], [])
-            v = form_to_vector(f1f2, basis(3, 2, 0))
+            v = form_to_row(f1f2, basis(3, 2, 0))
             if not closed_p0_space(s, 2).contains(v):
                 return CheckResult(
                     "skt-family", False, f"f1^f2 not closed at {nums}"
@@ -491,9 +492,9 @@ def check_structural_identities(seed: int = DEFAULT_SEED) -> CheckResult:
             mons = basis(n, p, q)
             dual_mons = basis(n, n - p, n - q)
             dual = a_harmonic[(n - p, n - q)]
-            for v in hb.basis_vectors():
-                starred = h.star(Form(n, dict(zip(mons, v)), _validated=True))
-                if not dual.contains(form_to_vector(starred, dual_mons)):
+            for v in hb.rows:
+                starred = h.star(row_to_form(n, v, mons))
+                if not dual.contains(form_to_row(starred, dual_mons)):
                     problems.append(
                         f"{entry.name}: star image of harmonic BC not Aeppli-harmonic"
                     )
@@ -562,7 +563,7 @@ def _reps(group, s: StructureEquations, cells) -> dict:
 
 
 def _f1f2_closed(s: StructureEquations) -> bool:
-    v = form_to_vector(Form.monomial(s.n, [1, 2], []), basis(s.n, 2, 0))
+    v = form_to_row(Form.monomial(s.n, [1, 2], []), basis(s.n, 2, 0))
     return closed_p0_space(s, 2).contains(v)
 
 

@@ -15,7 +15,7 @@ from liecohom.cohomology import (
     decompose_aeppli,
     decompose_bc,
     dolbeault_cohomology,
-    form_to_vector,
+    form_to_row,
     full_report,
     harmonic_forms,
     harmonic_projection,
@@ -197,7 +197,7 @@ def test_calabi_eckmann_harmonic_21():
     space = harmonic_space("bc", s, h, 2, 1)
     assert space.dim == 1
     rep = mono(3, [2, 3], [2]) + mono(3, [1, 3], [1], I)
-    assert space.contains(form_to_vector(rep, basis(3, 2, 1)))
+    assert space.contains(form_to_row(rep, basis(3, 2, 1)))
 
 
 def test_harmonic_star_duality():
@@ -210,7 +210,7 @@ def test_harmonic_star_duality():
             assert len(hb) == dual.dim
             for f in hb:
                 assert dual.contains(
-                    form_to_vector(h.star(f), basis(2, 2 - p, 2 - q))
+                    form_to_row(h.star(f), basis(2, 2 - p, 2 - q))
                 )
 
 

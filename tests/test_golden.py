@@ -1,6 +1,6 @@
 """Outputs must stay byte-identical to the golden copies the benchmark keeps
 in perfbench/golden/ (read here, never rewritten) and to the verify-suite
-and n=5 ladder goldens in tests/golden/."""
+and n=5, n=6 ladder goldens in tests/golden/."""
 
 import json
 from pathlib import Path
@@ -31,9 +31,10 @@ def test_corpus_check_names_match_golden(verify_all_json):
     assert corpus_names == names["corpus_checks"]
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_heisenberg_ladder_json_matches_golden(capsys, tmp_path, n):
-    # the ladder d fn = f1^f2; n=4 is the benchmark's copy, n=5 is kept here
+    # the ladder d fn = f1^f2; n=4 is the benchmark's copy, n=5 and n=6 (de
+    # Rham degree 6 has 924 columns) are kept here
     lie = tmp_path / f"heisenberg-{n}.lie"
     lie.write_text(f"algebra heisenberg-{n}\ndim {n}\nd f{n} = f1^f2\n", encoding="utf-8")
     code = main(["cohomology", str(lie), "--metric", "identity", "--json"])

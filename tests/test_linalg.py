@@ -19,6 +19,11 @@ from liecohom.linalg import (
 from liecohom.scalars import I, ONE, ZERO, Scalar
 
 
+def _row(values):
+    """A sparse row from dense values."""
+    return {j: x for j, x in enumerate(vec(values)) if x}
+
+
 def test_rref_canonical():
     m = Matrix([[0, 2], [1, 1]])
     reduced, pivots = rref(m)
@@ -38,15 +43,13 @@ def test_kernel_and_rank():
     m = Matrix([[1, 2, 3], [2, 4, 6]])
     assert rank(m) == 1
     kb = kernel_basis(m)
-    assert len(kb) == 2
-    for v in kb:
-        assert all(not x for x in m.apply(v))
+    assert kb.shape == (2, 3)
+    assert (m @ kb.transpose()).is_zero()
 
 
 def test_kernel_of_empty_shapes():
-    assert kernel_basis(Matrix.zeros(3, 0)) == []
-    kb = kernel_basis(Matrix.zeros(0, 2))
-    assert len(kb) == 2
+    assert kernel_basis(Matrix.zeros(3, 0)) == Matrix.zeros(0, 0)
+    assert kernel_basis(Matrix.zeros(0, 2)) == Matrix.identity(2)
 
 
 def test_solve_consistent_and_inconsistent():
@@ -72,17 +75,17 @@ def test_solve_random_roundtrip():
 
 
 def test_subspace_membership_and_equality():
-    s = Subspace(3, [vec([1, 0, 1]), vec([0, 1, 0])])
+    s = Subspace(3, [_row([1, 0, 1]), _row([0, 1, 0])])
     assert s.dim == 2
-    assert s.contains(vec([2, 3, 2]))
-    assert not s.contains(vec([1, 0, 0]))
-    t = Subspace(3, [vec([1, 1, 1]), vec([1, -1, 1])])
+    assert s.contains(_row([2, 3, 2]))
+    assert not s.contains(_row([1, 0, 0]))
+    t = Subspace(3, [_row([1, 1, 1]), _row([1, -1, 1])])
     assert s == t  # same span, same canonical echelon rows
 
 
 def test_subspace_containment_witness():
-    big = Subspace(2, [vec([1, 0]), vec([0, 1])])
-    small = Subspace(2, [vec([1, 1])])
+    big = Subspace(2, [_row([1, 0]), _row([0, 1])])
+    small = Subspace(2, [_row([1, 1])])
     ok, witness = big.contains_subspace(small)
     assert ok and witness is None
     ok, witness = small.contains_subspace(big)
@@ -90,18 +93,22 @@ def test_subspace_containment_witness():
 
 
 def test_quotient_representatives():
-    numerator = Subspace(3, [vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1])])
-    denominator = Subspace(3, [vec([1, 0, 0]), vec([0, 1, 0])])
+    numerator = Subspace(3, [_row([1, 0, 0]), _row([0, 1, 0]), _row([0, 0, 1])])
+    denominator = Subspace(3, [_row([1, 0, 0]), _row([0, 1, 0])])
     reps = quotient_representatives(numerator, denominator)
-    assert reps == [vec([0, 0, 1])]
+    assert reps == [_row([0, 0, 1])]
     assert quotient_representatives(numerator, numerator) == []
 
 
 def test_quotient_containment_enforced():
-    numerator = Subspace(2, [vec([1, 0])])
-    denominator = Subspace(2, [vec([0, 1])])
-    with pytest.raises(PreconditionError):
+    numerator = Subspace(2, [_row([1, 0])])
+    denominator = Subspace(2, [_row([0, 1])])
+    with pytest.raises(PreconditionError) as info:
         quotient_representatives(numerator, denominator)
+    # the witness is printed as the dense tuple of its entries
+    assert str(info.value) == (
+        f"denominator is not contained in numerator; witness {(ZERO, ONE)}"
+    )
 
 
 def test_matmul_and_shapes():
@@ -139,11 +146,11 @@ def _random_scalar(rng, density=1.0):
 def test_quotient_scales_residues_with_non_unit_leading_entry():
     # the residue of e1 against (1, 2, 0) is (0, -2, 0); left unscaled, it
     # would fail to eliminate e2, which lies in the span
-    numerator = Subspace(3, [vec([1, 0, 0]), vec([0, 1, 0]), vec([0, 0, 1])])
-    denominator = Subspace(3, [vec([1, 2, 0])])
-    assert denominator.reduce(numerator.rows[0]) == vec([0, -2, 0])
+    numerator = Subspace(3, [_row([1, 0, 0]), _row([0, 1, 0]), _row([0, 0, 1])])
+    denominator = Subspace(3, [_row([1, 2, 0])])
+    assert denominator.reduce(numerator.rows[0]) == _row([0, -2, 0])
     reps = quotient_representatives(numerator, denominator)
-    assert reps == [vec([1, 0, 0]), vec([0, 0, 1])]
+    assert reps == [_row([1, 0, 0]), _row([0, 0, 1])]
     assert reps == _quotient_reference(numerator, denominator)
 
 
@@ -156,7 +163,7 @@ def test_quotient_matches_rebuild_reference_on_random_pairs():
             vec([_random_scalar(rng, 0.6) for _ in range(ambient)])
             for _ in range(rng.randint(1, ambient + 1))
         ]
-        numerator = Subspace(ambient, gens)
+        numerator = Subspace(ambient, [_row(g) for g in gens])
         if trial % 10 == 0:
             denominator = numerator
         else:
@@ -164,7 +171,7 @@ def test_quotient_matches_rebuild_reference_on_random_pairs():
             for _ in range(rng.randint(0, len(gens))):
                 coeffs = [_random_scalar(rng, 0.5) for _ in gens]
                 combos.append(
-                    vec(sum((c * x for c, x in zip(coeffs, col)), ZERO) for col in zip(*gens))
+                    _row(sum((c * x for c, x in zip(coeffs, col)), ZERO) for col in zip(*gens))
                 )
             denominator = Subspace(ambient, combos)
         expected = _quotient_reference(numerator, denominator)
@@ -173,7 +180,7 @@ def test_quotient_matches_rebuild_reference_on_random_pairs():
         seen_zero_denominator |= denominator.dim == 0
         seen_equal |= denominator == numerator
         seen_non_unit_residue |= any(
-            next(x for x in denominator.reduce(v) if x) != ONE for v in expected
+            (r := denominator.reduce(v))[min(r)] != ONE for v in expected
         )
     assert seen_zero_denominator and seen_equal and seen_non_unit_residue
 
@@ -181,8 +188,8 @@ def test_quotient_matches_rebuild_reference_on_random_pairs():
 def test_quotient_builds_no_echelon_per_representative(monkeypatch):
     import liecohom.linalg as linalg
 
-    numerator = Subspace(4, [vec([1, 2, 0, I]), vec([0, 3, 1, 0]), vec([1, 0, 0, 1])])
-    denominator = Subspace(4, [vec([2, 7, 1, 2 * I])])
+    numerator = Subspace(4, [_row([1, 2, 0, I]), _row([0, 3, 1, 0]), _row([1, 0, 0, 1])])
+    denominator = Subspace(4, [_row([2, 7, 1, 2 * I])])
     calls = []
 
     def counting_rref(matrix):
@@ -227,14 +234,13 @@ def _assert_rref_matches_sympy(sympy, m):
 def _assert_kernel_matches_sympy(sympy, m):
     ours = kernel_basis(m)
     theirs = _to_sympy(sympy, m)
-    assert len(ours) == m.ncols - theirs.rank()
-    for v in ours:
-        assert all(not x for x in m.apply(v))
+    assert ours.shape == (m.ncols - theirs.rank(), m.ncols)
+    assert (m @ ours.transpose()).is_zero()
     # same span: the two row sets have the same canonical RREF
     nullspace = theirs.nullspace()
-    assert len(nullspace) == len(ours)
-    if ours:
-        ours_rref = _to_sympy(sympy, Matrix(ours, ncols=m.ncols)).rref()[0]
+    assert len(nullspace) == ours.nrows
+    if ours.nrows:
+        ours_rref = _to_sympy(sympy, ours).rref()[0]
         assert ours_rref == sympy.Matrix.hstack(*nullspace).T.rref()[0]
 
 
@@ -342,6 +348,23 @@ def _assert_sparse_rows(m):
         assert all(j in range(m.ncols) for j in row)
 
 
+def _assert_kernel_rows(kb):
+    # row k is 1 at its free column (its largest key) and 0 at the others
+    _assert_sparse_rows(kb)
+    free = [max(row) for row in kb.rows]
+    for row, f in zip(kb.rows, free):
+        assert row[f] == ONE and not any(g in row for g in free if g != f)
+
+
+def _assert_echelon_rows(space):
+    # row k is 1 at its pivot (its smallest key) and 0 at every other pivot
+    _assert_sparse_rows(Matrix.sparse(space.rows, space.ambient))
+    pivots = [min(row) for row in space.rows]
+    assert pivots == sorted(set(pivots))
+    for row, c in zip(space.rows, pivots):
+        assert row[c] == ONE and not any(d in row for d in pivots if d != c)
+
+
 def test_every_result_keeps_only_nonzero_entries_in_range():
     matrices = list(_sparse_random_matrices())
     matrices += _corpus_operator_matrices(("del", "delbar"))
@@ -353,6 +376,10 @@ def test_every_result_keeps_only_nonzero_entries_in_range():
         ]
         for result in results:
             _assert_sparse_rows(result)
+        kb = kernel_basis(m)
+        _assert_kernel_rows(kb)
+        for ambient, rows in ((m.ncols, m.rows), (m.nrows, t.rows), (m.ncols, kb.rows)):
+            _assert_echelon_rows(Subspace(ambient, rows))
         assert (m + (-m)).is_zero()
         assert (m + (-m)).rows == m.scale(0).rows == tuple({} for _ in range(m.nrows))
     # dense rows that cancel in the product leave empty rows behind
@@ -367,6 +394,22 @@ def test_every_result_keeps_only_nonzero_entries_in_range():
     assert solve(Matrix.zeros(0, 2), ()) == (ZERO, ZERO)
     assert solve(Matrix.zeros(2, 0), vec([1, 0])) is None
     assert solve(Matrix.zeros(2, 0), vec([0, 0])) == ()
+
+
+def test_rref_is_canonical_under_row_permutations():
+    # the pivot row rref picks depends on row order and row lengths; the
+    # result must not
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    matrices = list(_sparse_random_matrices())
+    matrices += _corpus_operator_matrices(("d", "del", "delbar"))
+    for m in matrices:
+        for a in (m, m.transpose()):
+            order = list(range(a.nrows))
+            rng.shuffle(order)
+            shuffled = Matrix.sparse([a.rows[i] for i in order], a.ncols)
+            assert rref(shuffled) == rref(a)
+            _assert_rref_matches_sympy(sympy, shuffled)
 
 
 def test_rref_matches_sympy_on_sparse_random_matrices():

@@ -83,3 +83,40 @@ def test_every_definition_is_referenced():
         if all(node in enclosing for enclosing in used.get(node.name, []))
     ]
     assert unused == []
+
+
+# The coercing ``Matrix(dense_rows)`` constructor and the dense ``Matrix.row``
+# accessor belong where dense input enters; everything else stays in sparse
+# rows.  Each entry is (module, innermost enclosing function).
+DENSE_BOUNDARIES = {
+    ("hodge.py", "_invert"),
+    ("hodge.py", "gram"),
+    ("cohomology.py", "harmonic_projection"),
+}
+
+
+def _dense_calls(node, function=None):
+    """(innermost enclosing function, line) of each ``Matrix(...)`` or
+    ``.row(...)`` call in the tree."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Call):
+        f = node.func
+        if (isinstance(f, ast.Name) and f.id == "Matrix") or (
+            isinstance(f, ast.Attribute) and f.attr in ("Matrix", "row")
+        ):
+            yield function, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _dense_calls(child, function)
+
+
+def test_dense_matrix_calls_stay_at_input_boundaries():
+    calls = [
+        (path.name, function, line)
+        for path in MODULES
+        for function, line in _dense_calls(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    outside = [f"{m}:{line} in {f}" for m, f, line in calls if (m, f) not in DENSE_BOUNDARIES]
+    assert outside == []
+    # an entry with no such call left is a stale exemption
+    assert {(m, f) for m, f, _ in calls} == DENSE_BOUNDARIES

@@ -333,9 +333,15 @@ def _ref_flags(brackets, dim):
                 out = [x + vb * y for x, y in zip(out, brackets[a, b])]
         return out
 
-    layer = Subspace(dim, [brackets[a, b] for a in range(dim) for b in range(a + 1, dim)])
+    def span(vectors):
+        return Subspace(dim, [{j: x for j, x in enumerate(v) if x} for v in vectors])
+
+    def dense(row):
+        return [row.get(j, ZERO) for j in range(dim)]
+
+    layer = span(brackets[a, b] for a in range(dim) for b in range(a + 1, dim))
     while layer.dim:
-        next_layer = Subspace(dim, [ad(a, v) for a in range(dim) for v in layer.basis_vectors()])
+        next_layer = span(ad(a, dense(v)) for a in range(dim) for v in layer.rows)
         if next_layer.dim == layer.dim:
             return unimodular, False
         layer = next_layer
@@ -375,13 +381,13 @@ def test_bracket_table_and_flags_match_reference_route():
     for s in structures:
         dim = 2 * s.n
         table = s._bracket_table()
-        assert all(a < b and any(v) for (a, b), v in table.items()), s.name
+        assert all(a < b and v and all(v.values()) for (a, b), v in table.items()), s.name
         brackets = {(a, b): _ref_bracket(s, a, b) for a in range(dim) for b in range(dim)}
         for (a, b), want in brackets.items():
             if (a, b) in table:
-                got = tuple(table[a, b])
+                got = tuple(table[a, b].get(k, ZERO) for k in range(dim))
             elif (b, a) in table:
-                got = tuple(-x for x in table[b, a])
+                got = tuple(-table[b, a].get(k, ZERO) for k in range(dim))
             else:
                 got = (ZERO,) * dim
             assert got == want, (s.name, render_structure(s), a, b)
