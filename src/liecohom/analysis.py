@@ -27,7 +27,7 @@ from .errors import PreconditionError
 from .exterior import Form, basis, total_basis
 from .hodge import HermitianMetric
 from .linalg import Subspace, hstack, kernel_basis, solve
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 from .structure import StructureEquations, render_form
 
 
@@ -154,7 +154,9 @@ def closed_p0_space(s: StructureEquations, p: int) -> Subspace:
     """d-closed invariant (p,0)-forms; equals invariant Bott-Chern H^(p,0)."""
     n = s.n
     mons = basis(n, p, 0)
-    mat = _matrix_for(s.d, n, mons, total_basis(n, p + 1))
+    mat = _matrix_for(
+        lambda m: s.d(Form(n, {m: ONE}, _validated=True)), n, mons, total_basis(n, p + 1)
+    )
     return Subspace(len(mons), kernel_basis(mat).rows)
 
 

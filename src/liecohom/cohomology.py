@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
 from .errors import IntegrabilityError, PreconditionError
-from .exterior import Form, basis, bidegrees_of_total, total_basis
+from .exterior import BasisMonomial, Form, basis, bidegrees_of_total, total_basis
 from .hodge import HermitianMetric
 from .linalg import (
     Matrix,
@@ -56,11 +56,18 @@ def row_to_form(n: int, row: Row, mons) -> Form:
     return Form(n, {mons[j]: c for j, c in sorted(row.items())}, _validated=True)
 
 
-def _matrix_for(op: Callable[[Form], Form], n: int, src, dst) -> Matrix:
+def _matrix_for(column: Callable[[BasisMonomial], Form], n: int, src, dst) -> Matrix:
+    """The matrix over the bases `src` -> `dst` whose column j holds the
+    coefficients of ``column(src[j])``, the image of the j-th source
+    monomial.  A term of an image outside `dst` is an engine defect and
+    raises KeyError.  The operator table passes ``s._d_monomial``; the
+    routes kept on purpose as independent checks pass a one-line wrapper
+    around their Form-level operator.  `n` is not read here: it keeps
+    `src` the third argument, where the benchmark tracer counts columns."""
     index = {m: i for i, m in enumerate(dst)}
     rows: list[dict[int, Scalar]] = [{} for _ in dst]
     for j, mono in enumerate(src):
-        for m, c in op(Form(n, {mono: Scalar(1)}, _validated=True)).terms.items():
+        for m, c in column(mono).terms.items():
             rows[index[m]][j] = c
     return Matrix.sparse(rows, len(src))
 
@@ -81,7 +88,7 @@ def _chain_shift(ops: list[str]) -> tuple[int, int]:
 
 
 def _clip(n: int, p: int, q: int):
-    return [] if not (0 <= p <= n and 0 <= q <= n) else basis(n, p, q)
+    return () if not (0 <= p <= n and 0 <= q <= n) else basis(n, p, q)
 
 
 def _single_matrix(
@@ -93,8 +100,18 @@ def _single_matrix(
 ) -> Matrix:
     """The one builder and cache (``s._op_matrix_cache``) of the matrices of
     d, del, delbar, deldelbar and the adjoints out of the (p, q) space.
-    ``analysis.closed_p0_space`` builds its d matrix on its own on purpose:
-    it is the independent route that checks H_BC^(p,0) against this one."""
+
+    d is assembled once per (p, q), from the per-monomial differentials
+    ``s._d_monomial``, into the full space of degree p+q+1; it needs no
+    integrability.  del and delbar are the (p+1, q) and (p, q+1) row
+    blocks of that d entry (sharing its rows), which is all of d on an
+    integrable structure; on any other structure they raise
+    IntegrabilityError unless the source space is empty.  deldelbar is
+    the cached del at (p, q+1) times the cached delbar at (p, q), and the
+    adjoints are composed from the star matrices and the conjugate d
+    blocks.  No Form is built here: ``analysis.closed_p0_space`` assembles
+    its d matrix through the Form-level ``s.d`` on purpose, as the
+    independent route that checks H_BC^(p,0) against this one."""
     needs_metric = name in ("del_adj", "delbar_adj")
     if needs_metric and h is None:
         raise PreconditionError(f"operator {name} needs a metric")
@@ -105,16 +122,24 @@ def _single_matrix(
     n = s.n
     src = _clip(n, p, q)
     if name == "d":
-        out = _matrix_for(s.d, n, src, total_basis(n, p + q + 1))
+        out = _matrix_for(s._d_monomial, n, src, total_basis(n, p + q + 1))
     elif name == "deldelbar":
         out = _single_matrix("del", s, p, q + 1, None) @ _single_matrix("delbar", s, p, q, None)
     else:
         dp, dq = _OP_SHIFT[name]
         dst = _clip(n, p + dp, q + dq)
-        if name == "del":
-            out = _matrix_for(s.del_, n, src, dst)
-        elif name == "delbar":
-            out = _matrix_for(s.delbar, n, src, dst)
+        if name in ("del", "delbar"):
+            if src:
+                s._require_integrable()
+                # the rows of d are in total_basis order: bidegrees by descending p
+                k = p + q + 1
+                start = sum(
+                    len(basis(n, b, c)) for b, c in bidegrees_of_total(n, k) if b > p + dp
+                )
+                d = _single_matrix("d", s, p, q, None)
+                out = Matrix.sparse(d.rows[start : start + len(dst)], len(src))
+            else:
+                out = Matrix.zeros(len(dst), 0)
         else:
             # a -> -*(D *a) with the conjugate-linear star: -S' conj(D) conj(S)
             if src:

@@ -14,6 +14,7 @@ single sign convention engine-wide.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -102,6 +103,11 @@ class Form:
     Immutable by convention: every operation returns a new Form, and stored
     coefficient maps are never exposed for mutation.  Mixed-bidegree forms
     are first class (the differential of a pure form is mixed in general).
+
+    ``terms`` holds nonzero ``Scalar`` coefficients under ``BasisMonomial``
+    keys.  The public constructor checks and coerces each entry and drops
+    zeros; ``_validated=True`` is the engine's trusted path, which takes a
+    dict already in that shape as it is, with no per-entry work.
     """
 
     __slots__ = ("n", "terms")
@@ -110,13 +116,15 @@ class Form:
         if not isinstance(n, int) or n < 1:
             raise ValueError("coframe size n must be a positive integer")
         self.n = n
+        if _validated:
+            self.terms = {} if terms is None else terms
+            return
         clean: dict[BasisMonomial, Scalar] = {}
         for mono, coeff in (terms or {}).items():
             if not isinstance(mono, BasisMonomial):
                 mono = BasisMonomial(tuple(mono[0]), tuple(mono[1]))
-            if not _validated:
-                _check_index_tuple(mono.holo, n, "holomorphic")
-                _check_index_tuple(mono.anti, n, "anti-holomorphic")
+            _check_index_tuple(mono.holo, n, "holomorphic")
+            _check_index_tuple(mono.anti, n, "anti-holomorphic")
             coeff = Scalar.coerce(coeff)
             if coeff:
                 clean[mono] = coeff
@@ -267,17 +275,19 @@ class Form:
         return f"Form({self.n}, {render_form(self)!r})"
 
 
-def basis(n: int, p: int, q: int) -> list[BasisMonomial]:
+@lru_cache(maxsize=None)
+def basis(n: int, p: int, q: int) -> tuple[BasisMonomial, ...]:
     """All C(n,p)*C(n,q) canonical (p,q)-monomials, holomorphic-major
-    lexicographic.  This order fixes matrix coordinates engine-wide."""
+    lexicographic.  This order fixes matrix coordinates engine-wide.
+    Memoized, so the tuple is shared by every caller."""
     if not (0 <= p <= n and 0 <= q <= n):
         raise ValueError(f"bidegree ({p},{q}) out of range for n={n}")
     rng = range(1, n + 1)
-    return [
+    return tuple(
         BasisMonomial(h, a)
         for h in combinations(rng, p)
         for a in combinations(rng, q)
-    ]
+    )
 
 
 def bidegrees_of_total(n: int, k: int) -> list[tuple[int, int]]:

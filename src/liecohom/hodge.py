@@ -235,10 +235,18 @@ class HermitianMetric:
             return cached
         dim = len(basis(self.n, p, q))  # rejects an out-of-range bidegree
         g1 = self._gram_generators()
-        holo = _compound(g1, p)
-        anti = [[x.conjugate() for x in row] for row in _compound(g1, q)]
-        rows = [[x * y for x in hrow for y in arow] for hrow in holo for arow in anti]
-        out = Matrix(rows, ncols=dim)
+        # entry ((a, b), (a', b')) is holo[a][a'] * conj(anti[b][b']), at
+        # column a' * width + b'; products of nonzeros are nonzero
+        anti = [
+            [(j, x.conjugate()) for j, x in enumerate(row) if x] for row in _compound(g1, q)
+        ]
+        width = len(anti)
+        rows = []
+        for hrow in _compound(g1, p):
+            hnz = [(i * width, x) for i, x in enumerate(hrow) if x]
+            for arow in anti:
+                rows.append({i + j: x * y for i, x in hnz for j, y in arow})
+        out = Matrix.sparse(rows, dim)
         self._gram_cache[key] = out
         return out
 

@@ -34,7 +34,7 @@ from .errors import (
     MetricError,
     ParseError,
 )
-from .exterior import BasisMonomial, Form
+from .exterior import BasisMonomial, Form, monomial_wedge
 from .linalg import Row, Subspace
 from .scalars import ONE, ZERO, Scalar, format_scalar
 
@@ -83,29 +83,41 @@ class StructureEquations:
     # -- differential -----------------------------------------------------
 
     def _d_monomial(self, mono: BasisMonomial) -> Form:
+        """d of one basis monomial, cached: the Leibniz sum over its factors
+        x_k of (-1)^k prefix ^ d(x_k) ^ suffix, each term of d(x_k) placed
+        between prefix and suffix by ``monomial_wedge``."""
         cached = self._d_mono.get(mono)
         if cached is not None:
             return cached
-        factors = [(i, False) for i in mono.holo] + [(j, True) for j in mono.anti]
         p = len(mono.holo)
-        out = Form.zero(self.n)
-        for k, (idx, is_conj) in enumerate(factors):
-            dfac = self.dgen_conj[idx - 1] if is_conj else self.dgen[idx - 1]
-            if dfac.is_zero():
-                continue
+        terms: dict[BasisMonomial, Scalar] = {}
+        for k, idx in enumerate(mono.holo + mono.anti):
+            odd = k % 2 == 1
             if k < p:
+                dfac = self.dgen[idx - 1]
                 prefix = BasisMonomial(mono.holo[:k], ())
                 suffix = BasisMonomial(mono.holo[k + 1 :], mono.anti)
             else:
                 y = k - p
+                dfac = self.dgen_conj[idx - 1]
                 prefix = BasisMonomial(mono.holo, mono.anti[:y])
                 suffix = BasisMonomial((), mono.anti[y + 1 :])
-            piece = (
-                Form(self.n, {prefix: ONE}, _validated=True)
-                .wedge(dfac)
-                .wedge(Form(self.n, {suffix: ONE}, _validated=True))
-            )
-            out = out + (piece if k % 2 == 0 else -piece)
+            for m, c in dfac.terms.items():
+                left = monomial_wedge(prefix, m)
+                if left is None:
+                    continue
+                hit = monomial_wedge(left[1], suffix)
+                if hit is None:
+                    continue
+                key = hit[1]
+                coeff = -c if (left[0] * hit[0] < 0) != odd else c
+                acc = terms.get(key)
+                acc = coeff if acc is None else acc + coeff
+                if acc:
+                    terms[key] = acc
+                else:
+                    del terms[key]
+        out = Form(self.n, terms, _validated=True)
         self._d_mono[mono] = out
         return out
 
@@ -113,10 +125,16 @@ class StructureEquations:
         """Exterior differential: the antiderivation extending the equations."""
         if a.n != self.n:
             raise ValueError(f"form over n={a.n}, structure over n={self.n}")
-        out = Form.zero(self.n)
+        terms: dict[BasisMonomial, Scalar] = {}
         for mono, coeff in a.terms.items():
-            out = out + self._d_monomial(mono).scale(coeff)
-        return out
+            for m, c in self._d_monomial(mono).terms.items():
+                acc = terms.get(m)
+                acc = coeff * c if acc is None else acc + coeff * c
+                if acc:
+                    terms[m] = acc
+                else:
+                    del terms[m]
+        return Form(self.n, terms, _validated=True)
 
     def _require_integrable(self):
         if not self.flags.integrable:

@@ -84,7 +84,7 @@ def _random_form(n: int, p: int, q: int, rng: random.Random, terms: int = 3) -> 
             Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
             Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
         )
-    return Form(n, out, _validated=True)
+    return Form(n, {m: c for m, c in out.items() if c}, _validated=True)
 
 
 def _random_pure_form(n: int, rng: random.Random, max_degree: int) -> Form:
@@ -534,7 +534,10 @@ def check_lefschetz_rank(seed: int = DEFAULT_SEED) -> CheckResult:
             for p in range(1, n):
                 src = basis(n, p, 0)
                 dst = basis(n, n, n - p)
-                m = _matrix_for(lambda a: hm.lefschetz(a, n - p), n, src, dst)
+                m = _matrix_for(
+                    lambda mono: hm.lefschetz(Form(n, {mono: ONE}, _validated=True), n - p),
+                    n, src, dst,
+                )
                 want = len(src)
                 if rank(m) != want:
                     return CheckResult(

@@ -22,11 +22,11 @@ from liecohom.cohomology import (
     harmonic_space,
     operator_matrix,
 )
-from liecohom.errors import PreconditionError
+from liecohom.errors import IntegrabilityError, PreconditionError
 from liecohom.exterior import Form, basis, total_basis
 from liecohom.hodge import HermitianMetric, random_positive_metric
 from liecohom.scalars import I, ONE, Scalar
-from liecohom.structure import parse_structure
+from liecohom.structure import StructureEquations, parse_structure
 
 SL2C = "algebra sl2c\ndim 3\nd f1 = f2^f3\nd f2 = -1*f1^f3\nd f3 = f1^f2\n"
 CALABI_ECKMANN = (
@@ -81,6 +81,11 @@ def _reference_structures():
     return out + [parse_structure(AFFINE)]
 
 
+def form_route(op, n):
+    """The image of one basis monomial under a Form-level operator."""
+    return lambda m: op(Form(n, {m: ONE}, _validated=True))
+
+
 def test_deldelbar_entry_matches_form_route():
     # the cached product del . delbar against del_delbar applied to each
     # basis form, including the empty out-of-range bidegrees
@@ -88,9 +93,57 @@ def test_deldelbar_entry_matches_form_route():
         n = s.n
         for p in range(-1, n + 2):
             for q in range(-1, n + 2):
-                want = _matrix_for(s.del_delbar, n, _clip(n, p, q), _clip(n, p + 1, q + 1))
+                want = _matrix_for(
+                    form_route(s.del_delbar, n), n, _clip(n, p, q), _clip(n, p + 1, q + 1)
+                )
                 assert _single_matrix("deldelbar", s, p, q, None) == want, (s.name, p, q)
                 assert operator_matrix("deldelbar", s, p, q).matrix == want
+
+
+def test_del_and_delbar_entries_match_form_route():
+    # the row blocks of the cached d against del_/delbar applied to each
+    # basis form, including the empty out-of-range bidegrees; without
+    # integrability both routes refuse a nonempty source space alike
+    nonint = parse_structure("algebra nonint\ndim 3\nd f1 = F2^F3\n")
+    for s in _reference_structures() + [nonint]:
+        n = s.n
+        for name, op in (("del", s.del_), ("delbar", s.delbar)):
+            dp, dq = (1, 0) if name == "del" else (0, 1)
+            for p in range(-1, n + 2):
+                for q in range(-1, n + 2):
+                    src, dst = _clip(n, p, q), _clip(n, p + dp, q + dq)
+                    if src and not s.flags.integrable:
+                        for build in (
+                            lambda: _single_matrix(name, s, p, q, None),
+                            lambda: _matrix_for(form_route(op, n), n, src, dst),
+                        ):
+                            with pytest.raises(IntegrabilityError):
+                                build()
+                        continue
+                    want = _matrix_for(form_route(op, n), n, src, dst)
+                    assert _single_matrix(name, s, p, q, None) == want, (s.name, name, p, q)
+                    assert operator_matrix(name, s, p, q).matrix == want
+
+
+def test_cohomology_groups_never_call_the_form_level_differential(monkeypatch):
+    # every operator matrix of the four quotient cohomologies is assembled
+    # from per-monomial differentials, never through d/del_/delbar on Forms
+    s = parse_structure("algebra heisenberg-4\ndim 4\nd f4 = f1^f2\n")
+    calls = []
+    for name in ("d", "del_", "delbar"):
+        def counting(self, a, _name=name, _op=getattr(StructureEquations, name)):
+            calls.append(_name)
+            return _op(self, a)
+
+        monkeypatch.setattr(StructureEquations, name, counting)
+    n = s.n
+    for p in range(n + 1):
+        for q in range(n + 1):
+            for group in (bc_cohomology, aeppli_cohomology, dolbeault_cohomology):
+                group(s, p, q)
+    for k in range(2 * n + 1):
+        de_rham_cohomology(s, k)
+    assert calls == []
 
 
 def test_de_rham_d_matrix_matches_form_route():
@@ -101,7 +154,7 @@ def test_de_rham_d_matrix_matches_form_route():
     for s in _reference_structures() + [nonint]:
         n = s.n
         for k in range(2 * n + 1):
-            want = _matrix_for(s.d, n, total_basis(n, k), total_basis(n, k + 1))
+            want = _matrix_for(form_route(s.d, n), n, total_basis(n, k), total_basis(n, k + 1))
             assert d_matrix_total(s, k) == want, (s.name, k)
 
 

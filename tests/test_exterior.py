@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from liecohom import corpus
+from liecohom.cohomology import bc_cohomology, row_to_form, vector_to_form
 from liecohom.errors import DimensionMismatch
 from liecohom.exterior import BasisMonomial, Form, basis, total_basis
-from liecohom.scalars import HALF, I, ONE, Scalar
+from liecohom.scalars import HALF, I, ONE, ZERO, Scalar
 
 
 def mono(n, h, a, c=ONE):
@@ -35,11 +37,11 @@ def random_pure(n, rng, max_degree):
 
 
 def test_basis_10():
-    assert basis(3, 1, 0) == [
+    assert basis(3, 1, 0) == (
         BasisMonomial((1,), ()),
         BasisMonomial((2,), ()),
         BasisMonomial((3,), ()),
-    ]
+    )
 
 
 def test_basis_count():
@@ -47,12 +49,20 @@ def test_basis_count():
 
 
 def test_basis_order_holomorphic_major():
-    assert basis(2, 1, 1) == [
+    assert basis(2, 1, 1) == (
         BasisMonomial((1,), (1,)),
         BasisMonomial((1,), (2,)),
         BasisMonomial((2,), (1,)),
         BasisMonomial((2,), (2,)),
-    ]
+    )
+
+
+def test_basis_is_one_shared_tuple_and_still_rejects_out_of_range():
+    assert isinstance(basis(3, 2, 1), tuple)
+    assert basis(3, 2, 1) is basis(3, 2, 1)
+    for _ in range(2):  # a failed call is not remembered
+        with pytest.raises(ValueError):
+            basis(3, 4, 0)
 
 
 def test_total_basis_partition():
@@ -217,3 +227,39 @@ def test_dimension_mismatch():
         mono(2, [1], []).wedge(mono(3, [1], []))
     with pytest.raises(DimensionMismatch):
         mono(2, [1], []) + mono(3, [1], [])
+
+
+# -- storage: trusted results keep the stored-term invariant ------------------------
+
+
+def assert_stored_terms_clean(form):
+    """Every stored key is a BasisMonomial and every coefficient a nonzero
+    Scalar, as the trusted constructor takes its dict without checking."""
+    for m, c in form.terms.items():
+        assert type(m) is BasisMonomial and type(c) is Scalar and c, (m, c)
+
+
+def test_results_store_only_nonzero_scalars_under_basis_monomials():
+    rng = random.Random(23)
+    n = 3
+    results = []
+    for _ in range(40):
+        a, b = random_pure(n, rng, 4), random_pure(n, rng, 4)
+        odd = random_form(n, 1, 0, rng) + random_form(n, 0, 1, rng)
+        results += [a.wedge(b), odd.wedge(odd), a + b, (a + b) - b, a - a, a + (-a)]
+        results += [a.scale(0), a.scale(I), (a + b).conjugate()]
+        results += [(a + b).project(p, q) for p in range(n + 1) for q in range(n + 1)]
+        results += list((a + b + odd).components().values())
+    for name in corpus.names():
+        s = corpus.get(name).load().structure
+        results += [
+            s._d_monomial(m) for k in range(2 * s.n + 1) for m in total_basis(s.n, k)
+        ]
+        if s.flags.integrable:
+            results += bc_cohomology(s, 1, 1).representatives
+    mons = basis(n, 1, 1)
+    results.append(row_to_form(n, {0: ONE, 4: I, 8: -HALF}, mons))
+    results.append(vector_to_form(n, tuple(ONE if j % 3 else ZERO for j in range(9)), mons))
+    assert any(r.is_zero() for r in results) and any(len(r.terms) > 2 for r in results)
+    for r in results:
+        assert_stored_terms_clean(r)

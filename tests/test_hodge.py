@@ -325,8 +325,10 @@ def reference_adjoint_matrix(name, s, h, p, q):
     """One Form round trip (star, del or delbar, star) per basis column."""
     form_op = h.del_adjoint if name == "del_adj" else h.delbar_adjoint
     dp, dq = _OP_SHIFT[name]
+    n = s.n
     return _matrix_for(
-        lambda a: form_op(a, s), s.n, _clip(s.n, p, q), _clip(s.n, p + dp, q + dq)
+        lambda m: form_op(Form(n, {m: ONE}, _validated=True), s),
+        n, _clip(n, p, q), _clip(n, p + dp, q + dq),
     )
 
 

@@ -400,6 +400,43 @@ def test_bracket_table_and_flags_match_reference_route():
         assert {getattr(f, flag) for f in seen} == {True, False}, flag
 
 
+# -- d on monomials against the Leibniz expansion over Forms ------------------------
+
+
+def _ref_d_monomial(s, mono):
+    """d of a monomial as the sum over its factors x_k of
+    (-1)^k prefix ^ d(x_k) ^ suffix, with Form wedges and Form sums."""
+    p = len(mono.holo)
+    out = Form.zero(s.n)
+    for k, idx in enumerate(mono.holo + mono.anti):
+        if k < p:
+            dfac = s.dgen[idx - 1]
+            prefix, suffix = (mono.holo[:k], ()), (mono.holo[k + 1 :], mono.anti)
+        else:
+            dfac = s.dgen_conj[idx - 1]
+            y = k - p
+            prefix, suffix = (mono.holo, mono.anti[:y]), ((), mono.anti[y + 1 :])
+        piece = Form.monomial(s.n, *prefix).wedge(dfac).wedge(Form.monomial(s.n, *suffix))
+        out = out + (piece if k % 2 == 0 else -piece)
+    return out
+
+
+def test_d_monomial_matches_leibniz_reference():
+    structures = [corpus.CORPUS[name].load().structure for name in corpus.names()]
+    structures.append(parse_structure(AFFINE))
+    structures.append(parse_structure("algebra nonint\ndim 3\nd f1 = F2^F3\n"))
+    structures += [
+        parse_structure(f"algebra heisenberg-{n}\ndim {n}\nd f{n} = f1^f2\n")
+        for n in (2, 3, 4, 5)
+    ]
+    structures += _random_valid_structures(40, 17)
+    assert {s.flags.integrable for s in structures} == {True, False}
+    for s in structures:
+        for k in range(2 * s.n + 1):
+            for m in total_basis(s.n, k):
+                assert s._d_monomial(m) == _ref_d_monomial(s, m), (render_structure(s), m)
+
+
 # -- parser fuzzing: every outcome is a value or a positioned ParseError ---------
 
 # the `.lie` token alphabet: keywords, generators, symbols, numbers (zero
