@@ -30,14 +30,17 @@ from .structure import LieFile, parse_lie, parse_metric, render_structure
 from .verification import DEFAULT_SEED, run_all
 
 
+def _corpus_entry(name: str) -> corpus.CorpusEntry:
+    try:
+        return corpus.get(name)
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its message
+        raise ParseError(exc.args[0]) from None
+
+
 def _load_input(source: str) -> LieFile:
     if source.startswith("corpus:"):
-        name = source.split(":", 1)[1]
-        try:
-            entry = corpus.get(name)
-        except KeyError as exc:
-            raise ParseError(str(exc)) from exc
-        return entry.load()
+        return _corpus_entry(source.split(":", 1)[1]).load()
     path = Path(source)
     if not path.exists():
         raise ParseError(f"no such file: {source}")
@@ -166,8 +169,8 @@ def cmd_verify(args) -> int:
     scope = args.scope
     if scope != "all" and scope.startswith("corpus:"):
         scope = scope.split(":", 1)[1]
-    if scope != "all" and scope not in corpus.CORPUS:
-        raise ParseError(f"unknown corpus entry {scope!r}")
+    if scope != "all":
+        _corpus_entry(scope)
     results = run_all(scope=scope, seed=args.seed)
     failures = [r for r in results if not r.passed]
     if args.json:

@@ -106,7 +106,7 @@ class HermitianMetric:
         self.n = n
         self.entries = tuple(tuple(row) for row in entries)
         self._hash = hash(self.entries)  # the entries never change
-        self._gram1: Optional[list[list[Scalar]]] = None
+        self._compounds: Optional[list[list[list[Scalar]]]] = None
         self._gram_cache: dict[tuple[int, int], Matrix] = {}
         self._star_cache: dict[tuple[int, int], Matrix] = {}
         self._omega_powers: dict[int, Form] = {}
@@ -218,14 +218,15 @@ class HermitianMetric:
 
     # -- inner products --------------------------------------------------------
 
-    def _gram_generators(self) -> list[list[Scalar]]:
-        if self._gram1 is None:
+    def _gram_compounds(self) -> list[list[list[Scalar]]]:
+        """The k-th compounds of the Gram matrix of f_1..f_n, k = 0..n, built
+        once: every Gram matrix is assembled from two of them."""
+        if self._compounds is None:
             inv = _invert(self.entries)
             # <f_j, f_k> = 2 * (h^-1)[k][j]
-            self._gram1 = [
-                [Scalar(2) * inv[k][j] for k in range(self.n)] for j in range(self.n)
-            ]
-        return self._gram1
+            g1 = [[Scalar(2) * inv[k][j] for k in range(self.n)] for j in range(self.n)]
+            self._compounds = [_compound(g1, k) for k in range(self.n + 1)]
+        return self._compounds
 
     def gram(self, p: int, q: int) -> Matrix:
         """Gram matrix of <.,.> on the canonical (p,q)-monomial basis."""
@@ -234,15 +235,15 @@ class HermitianMetric:
         if cached is not None:
             return cached
         dim = len(basis(self.n, p, q))  # rejects an out-of-range bidegree
-        g1 = self._gram_generators()
+        compounds = self._gram_compounds()
         # entry ((a, b), (a', b')) is holo[a][a'] * conj(anti[b][b']), at
         # column a' * width + b'; products of nonzeros are nonzero
         anti = [
-            [(j, x.conjugate()) for j, x in enumerate(row) if x] for row in _compound(g1, q)
+            [(j, x.conjugate()) for j, x in enumerate(row) if x] for row in compounds[q]
         ]
         width = len(anti)
         rows = []
-        for hrow in _compound(g1, p):
+        for hrow in compounds[p]:
             hnz = [(i * width, x) for i, x in enumerate(hrow) if x]
             for arow in anti:
                 rows.append({i + j: x * y for i, x in hnz for j, y in arow})

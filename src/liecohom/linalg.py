@@ -26,11 +26,10 @@ entries of those rows.  Since ``x - f*0 == x`` and ``x + 0 == x`` exactly
 and RREF is unique, the results are those of dense arithmetic.  Dense
 tuples (``Vector``) remain only at the ``apply``/``solve`` boundary.
 
-``quotient_representatives`` keeps a running echelon: the denominator's
-rows, then the residue of each accepted numerator row, scaled to 1 at its
-smallest key (its pivot).  A residue is zero at every earlier pivot, so
-reducing in insertion order decides span membership exactly as a freshly
-row-reduced basis would, with no RREF per accepted row.
+``rref`` is the only elimination.  An echelon row is zero at every other
+pivot, so the entries of a span vector at the pivots are its coordinates:
+``Subspace.reduce`` subtracts those multiples of the rows, and
+``quotient_representatives`` row-reduces the denominator's coordinates once.
 """
 
 from __future__ import annotations
@@ -238,13 +237,16 @@ def kernel_basis(matrix: Matrix) -> Matrix:
     1 at f, minus the RREF's column f at the pivots, keyed in order."""
     reduced, pivots = rref(matrix)
     pivot_set = set(pivots)
-    out = []
-    for f in range(matrix.ncols):
-        if f not in pivot_set:
-            v = {c: -x for row, c in zip(reduced.rows, pivots) if (x := row.get(f))}
-            v[f] = ONE
-            out.append(v)
-    return Matrix.sparse(out, matrix.ncols)
+    out = {f: {} for f in range(matrix.ncols) if f not in pivot_set}
+    # a reduced row holds its pivot and free columns only; rows come in
+    # pivot order, so each vector is keyed pivots ascending, then f
+    for row, c in zip(reduced.rows, pivots):
+        for f, x in row.items():
+            if f != c:
+                out[f][c] = -x
+    for f, v in out.items():
+        v[f] = ONE
+    return Matrix.sparse(list(out.values()), matrix.ncols)
 
 
 def solve(matrix: Matrix, b: Vector):
@@ -264,48 +266,40 @@ def solve(matrix: Matrix, b: Vector):
     return tuple(x)
 
 
-def _eliminate(v: Row, rows: Sequence[Row], pivots: Sequence[int]) -> None:
-    """Reduce the sparse row v in place against rows taken in order.
-
-    Row k must be 1 at pivots[k] and zero at every earlier pivot; then v
-    ends zero at every pivot.
-    """
-    for row, c in zip(rows, pivots):
-        factor = v.get(c)
-        if factor is not None:
-            for j, y in row.items():
-                z = v.pop(j, ZERO) - factor * y
-                if z:
-                    v[j] = z
-
-
 class Subspace:
     """A subspace of Scalar^ambient held as its canonical echelon rows:
     sparse rows, each 1 at its pivot (its smallest key) and zero at every
     other pivot."""
 
-    __slots__ = ("ambient", "rows", "_pivots")
+    __slots__ = ("ambient", "rows", "_index")
 
     def __init__(self, ambient: int, rows: Sequence[Row] = ()):
         """The span of the sparse rows (dicts of nonzero entries keyed in
         range(ambient))."""
         self.ambient = ambient
+        self.rows, pivots = (), []
         if rows:
             reduced, pivots = rref(Matrix.sparse(rows, ambient))
             self.rows = reduced.rows[: len(pivots)]
-            self._pivots = tuple(pivots)
-        else:
-            self.rows = ()
-            self._pivots = ()
+        self._index = {c: k for k, c in enumerate(pivots)}  # pivot -> row
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def reduce(self, v: Row) -> Row:
-        """Residue of v after elimination against the echelon basis."""
+        """Residue of v after elimination against the echelon basis: v minus
+        v[c] times the row of each pivot c, which is zero at every pivot."""
+        rows, index = self.rows, self._index
+        multiples = [
+            (rows[k], x) for c, x in v.items() if (k := index.get(c)) is not None
+        ]
         v = dict(v)
-        _eliminate(v, self.rows, self._pivots)
+        for row, factor in multiples:
+            for j, y in row.items():
+                z = v.pop(j, ZERO) - factor * y
+                if z:
+                    v[j] = z
         return v
 
     def contains(self, v: Row) -> bool:
@@ -341,16 +335,12 @@ def quotient_representatives(numerator: Subspace, denominator: Subspace) -> list
         raise PreconditionError(
             f"denominator is not contained in numerator; witness {dense}"
         )
-    rows = list(denominator.rows)
-    pivots = list(denominator._pivots)
-    reps = []
-    for v in numerator.rows:
-        residue = dict(v)
-        _eliminate(residue, rows, pivots)
-        if residue:
-            c = min(residue)
-            reps.append(v)
-            inv = ONE / residue[c]
-            rows.append({j: inv * x for j, x in residue.items()})
-            pivots.append(c)
-    return reps
+    # numerator row k is in the span of the denominator and rows 0..k-1
+    # exactly when some denominator vector's last nonzero coordinate is at
+    # k; with coordinate k in column m-1-k that is a pivot of one RREF
+    m, index = numerator.dim, numerator._index
+    coords = [
+        {m - 1 - index[c]: x for c, x in d.items() if c in index} for d in denominator.rows
+    ]
+    taken = {m - 1 - p for p in rref(Matrix.sparse(coords, m))[1]}
+    return [v for k, v in enumerate(numerator.rows) if k not in taken]

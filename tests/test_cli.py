@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from liecohom import corpus
 from liecohom.cli import main
 
 SL2C = """algebra sl2c
@@ -140,6 +141,17 @@ def test_verify_single_entry(capsys):
 def test_verify_unknown_scope(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == 2
+
+
+def test_unknown_corpus_entry_same_message_for_every_command(capsys):
+    want = (
+        "parse error: unknown corpus entry 'nosuch'; available: "
+        + ", ".join(corpus.names())
+        + "\n"
+    )
+    for argv in (["cohomology", "corpus:nosuch"], ["verify", "nosuch"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", want)
 
 
 # (metric block, exit code of `classify`, line of the error within the block)

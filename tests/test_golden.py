@@ -1,7 +1,8 @@
 """Outputs must stay byte-identical to the golden copies the benchmark keeps
 in perfbench/golden/ (read here, never rewritten) and to the verify-suite
-and n=5, n=6 ladder goldens in tests/golden/."""
+and n=5, n=6 ladder goldens in tests/golden/ (n=7 by its digest)."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -42,6 +43,16 @@ def test_heisenberg_ladder_json_matches_golden(capsys, tmp_path, n):
     folder = GOLDEN if n == 4 else TESTS_GOLDEN
     golden = (folder / f"heisenberg-{n}.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+def test_heisenberg_7_ladder_json_matches_digest(capsys, tmp_path):
+    # the n=7 report is 1.6 MB, so it is pinned by the sha256 of its bytes
+    lie = tmp_path / "heisenberg-7.lie"
+    lie.write_text("algebra heisenberg-7\ndim 7\nd f7 = f1^f2\n", encoding="utf-8")
+    code = main(["cohomology", str(lie), "--metric", "identity", "--json"])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "d799c32ab7f3a770ce4188406004b8b4a4504abb69ce2ecc39108f2cb2702d70"
 
 
 def test_verify_all_json_matches_golden(verify_all_json):

@@ -287,7 +287,7 @@ def test_lefschetz_injective_on_generators():
 
 def reference_gram(h, p, q):
     """Two determinants per entry: holomorphic minor times conjugate minor."""
-    g1 = h._gram_generators()
+    g1 = h._gram_compounds()[1]  # the Gram matrix of f_1..f_n
     g1bar = [[x.conjugate() for x in row] for row in g1]
 
     def minor(g, rows, cols):

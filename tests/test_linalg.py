@@ -189,7 +189,9 @@ def test_quotient_builds_no_echelon_per_representative(monkeypatch):
     import liecohom.linalg as linalg
 
     numerator = Subspace(4, [_row([1, 2, 0, I]), _row([0, 3, 1, 0]), _row([1, 0, 0, 1])])
-    denominator = Subspace(4, [_row([2, 7, 1, 2 * I])])
+    spanning = [_row([2, 7, 1, 2 * I]), _row([1, 2, 0, I]), _row([1, 0, 0, 1])]
+    # denominators of dim 0..3, leaving 3, 2, 1 and 0 representatives
+    denominators = [Subspace(4, spanning[:d]) for d in range(4)]
     calls = []
 
     def counting_rref(matrix):
@@ -197,9 +199,54 @@ def test_quotient_builds_no_echelon_per_representative(monkeypatch):
         return rref(matrix)
 
     monkeypatch.setattr(linalg, "rref", counting_rref)
-    reps = quotient_representatives(numerator, denominator)
-    assert len(reps) == 2
-    assert calls == []
+    for d, denominator in enumerate(denominators):
+        calls.clear()
+        reps = quotient_representatives(numerator, denominator)
+        assert len(reps) == 3 - d
+        # one RREF, of the denominator's coordinates in the numerator basis
+        assert calls == [(d, 3)]
+
+
+def test_subspace_reduce_properties_on_random_sparse_subspaces():
+    rng = random.Random(20261019)
+    seen_member = seen_nonmember = False
+    for _ in range(80):
+        ambient = rng.randint(1, 8)
+        space = Subspace(
+            ambient,
+            [
+                _row([_random_scalar(rng, 0.3) for _ in range(ambient)])
+                for _ in range(rng.randint(0, ambient))
+            ],
+        )
+
+        def in_span(w):
+            # membership by an independent route: a rebuild keeps the dim
+            return Subspace(ambient, list(space.rows) + [w]).dim == space.dim
+
+        if rng.random() < 0.4 and space.dim:
+            # a combination of the basis rows, so a member
+            coeffs = [_random_scalar(rng, 0.7) for _ in space.rows]
+            v = {}
+            for c, row in zip(coeffs, space.rows):
+                for j, y in row.items():
+                    v[j] = v.get(j, ZERO) + c * y
+            v = {j: x for j, x in v.items() if x}
+        else:
+            v = _row([_random_scalar(rng, 0.4) for _ in range(ambient)])
+        residue = space.reduce(v)
+        assert all(x for x in residue.values())
+        pivots = [min(row) for row in space.rows]
+        assert not any(c in residue for c in pivots)
+        difference = {
+            j: y for j in range(ambient) if (y := v.get(j, ZERO) - residue.get(j, ZERO))
+        }
+        assert in_span(difference)
+        member = space.contains(v)
+        assert member == in_span(v)
+        seen_member |= member and bool(v)
+        seen_nonmember |= not member
+    assert seen_member and seen_nonmember
 
 
 # -- rref and kernel_basis against an independent oracle (sympy, test-only) -----
