@@ -173,7 +173,8 @@ class HermitianMetric:
     def require_positive(self):
         ok, minors = self.positivity()
         if not ok:
-            raise MetricError(f"metric is not positive definite; minors {minors}")
+            shown = ", ".join(str(m) for m in minors)
+            raise MetricError(f"metric is not positive definite; minors [{shown}]")
 
     def require_size(self, n: int):
         """Refuse a structure over n whose coframe size is not the metric's."""
@@ -228,6 +229,15 @@ class HermitianMetric:
             self._compounds = [_compound(g1, k) for k in range(self.n + 1)]
         return self._compounds
 
+    def _conjugate_compound(self, q: int) -> list[list[tuple[int, Scalar]]]:
+        """The conjugate of the q-th compound as rows of (column, entry)
+        pairs over the nonzero entries: the anti-holomorphic factor of
+        every (p, q) Gram row."""
+        return [
+            [(j, x.conjugate()) for j, x in enumerate(row) if x]
+            for row in self._gram_compounds()[q]
+        ]
+
     def gram(self, p: int, q: int) -> Matrix:
         """Gram matrix of <.,.> on the canonical (p,q)-monomial basis."""
         key = (p, q)
@@ -238,9 +248,7 @@ class HermitianMetric:
         compounds = self._gram_compounds()
         # entry ((a, b), (a', b')) is holo[a][a'] * conj(anti[b][b']), at
         # column a' * width + b'; products of nonzeros are nonzero
-        anti = [
-            [(j, x.conjugate()) for j, x in enumerate(row) if x] for row in compounds[q]
-        ]
+        anti = self._conjugate_compound(q)
         width = len(anti)
         rows = []
         for hrow in compounds[p]:
@@ -291,7 +299,11 @@ class HermitianMetric:
         the complement of m'_c, so W is a signed permutation and
         S = W^T @ (vol_coeff * Gram): row c of S is sign * vol_coeff times
         Gram row a, with m_a the complement of m'_c and sign the sign of
-        m_a ^ m'_c."""
+        m_a ^ m'_c.  That Gram row is the Kronecker product of a row of the
+        p-th compound with a conjugate row of the q-th, so S is built from
+        the compounds directly: sign * vol_coeff scales the C(n, p) entries
+        of the holomorphic row, and each entry of S is one product of that
+        row with the anti-holomorphic row.  No Gram matrix is built."""
         key = (p, q)
         cached = self._star_cache.get(key)
         if cached is not None:
@@ -300,7 +312,10 @@ class HermitianMetric:
         n = self.n
         full = tuple(range(1, n + 1))
         vol_coeff = self.volume_form().terms.get(BasisMonomial(full, full), ZERO)
-        gram = self.gram(p, q)
+        holo = self._gram_compounds()[p]
+        anti = self._conjugate_compound(q)
+        width = len(anti)
+        # Gram row a * width + b pairs holomorphic row a with anti row b
         index = {m: i for i, m in enumerate(basis(n, p, q))}
         rows = []
         for mc in basis(n, n - p, n - q):
@@ -310,8 +325,10 @@ class HermitianMetric:
             )
             sign, _ = monomial_wedge(ma, mc)
             c = Scalar(sign) * vol_coeff
-            rows.append({j: c * x for j, x in gram.rows[index[ma]].items()})
-        out = Matrix.sparse(rows, gram.ncols)
+            a, b = divmod(index[ma], width)
+            hnz = [(i * width, c * x) for i, x in enumerate(holo[a]) if x]
+            rows.append({i + j: x * y for i, x in hnz for j, y in anti[b]})
+        out = Matrix.sparse(rows, len(index))
         self._star_cache[key] = out
         return out
 

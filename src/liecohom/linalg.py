@@ -9,14 +9,23 @@ size (n = 6 reaches C(12, 6) = 924 columns in de Rham degree 6).
 A Matrix stores each row as a sparse dict ``{column: entry}`` (a ``Row``)
 holding its nonzero entries only; every operation keeps that invariant,
 dropping any entry that cancels to zero, so the sparse operator matrices
-cost in proportion to their nonzeros.  The product ``A @ B`` meets each
-nonzero ``A[i][k]`` with the stored entries of row k of B and accumulates
-row i of the product in a dict.  ``rref`` keeps an index from each column
-to the rows holding an entry there: at column c it picks the shortest
-free row holding c as the pivot row, scales it once and updates only the
-other rows that hold c, and only at the pivot row's columns.  The public
-constructor takes dense rows, coerces and drops zeros; the engine's own
-results go through the trusted ``Matrix.sparse``.
+cost in proportion to their nonzeros.  ``rref`` keeps an index from each
+column to the rows holding an entry there: at column c it picks the
+shortest free row holding c as the pivot row, scales it once and updates
+only the other rows that hold c, and only at the pivot row's columns.  The
+public constructor takes dense rows, coerces and drops zeros; the engine's
+own results go through the trusted ``Matrix.sparse``.
+
+The product ``A @ B`` sums Gaussian integers.  A row of A with one entry
+x at k has nothing to sum: its product row is x times row k of B.  For the
+rows with two or more entries, it puts the rows of B they meet over one
+common denominator e and row i of A over its own d, meets each nonzero
+``A[i][k]`` with the stored entries of row k of B, and accumulates the real
+and imaginary parts of row i as plain ``int`` sums in two dicts.  Each
+nonzero sum then becomes one entry ``(re + im*i)/(d*e)``, reduced to lowest
+terms once; a Scalar is canonical, so the entries are those of Scalar
+arithmetic.  The sparse operator products are mostly one-entry rows, and
+the dense products of the metric layer (stars, adjoints) are all sums.
 
 Null spaces, subspaces and quotients stay in sparse rows from end to end:
 ``kernel_basis`` returns a Matrix with one kernel vector per row,
@@ -37,7 +46,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Sequence
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, common_denominator, from_parts, numerators
 
 Vector = tuple[Scalar, ...]
 Row = dict[int, Scalar]
@@ -108,13 +117,33 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        brows = other.rows
+        right = None
         out = []
         for left in self.rows:
-            acc: dict[int, Scalar] = {}
+            if len(left) < 2:
+                # nothing to sum: x times row k of B, products of nonzeros
+                out.append({j: x * y for k, x in left.items() for j, y in brows[k].items()})
+                continue
+            if right is None:
+                # the rows of B that rows with sums meet, over one denominator e
+                used = set().union(*(row for row in self.rows if len(row) > 1))
+                e = common_denominator(y for k in used for y in brows[k].values())
+                right = {k: [(j, *numerators(y, e)) for j, y in brows[k].items()] for k in used}
+            d = common_denominator(left.values())
+            re: dict[int, int] = {}
+            im: dict[int, int] = {}
             for k, x in left.items():
-                for j, y in other.rows[k].items():
-                    acc[j] = acc.get(j, ZERO) + x * y
-            out.append({j: z for j, z in acc.items() if z})
+                a, b = numerators(x, d)
+                for j, c, f in right[k]:
+                    re[j] = re.get(j, 0) + a * c - b * f
+                    im[j] = im.get(j, 0) + a * f + b * c
+            # entry j is (re[j] + im[j]*i)/(d*e); re and im share their keys,
+            # in order of first product
+            de = d * e
+            out.append(
+                {j: from_parts(x, y, de) for (j, x), y in zip(re.items(), im.values()) if x or y}
+            )
         return Matrix.sparse(out, other.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":

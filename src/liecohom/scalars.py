@@ -10,12 +10,17 @@ canonical: ``d > 0`` and ``gcd(a, b, d) = 1``.  So zero is ``(0, 0, 1)``
 and equal values have equal triples.  Each of ``+ - * /`` takes a few
 integer products and one three-argument ``math.gcd``; no Fraction is built.
 ``re`` and ``im`` are read-only Fraction views of the triple.
+
+The triple stays private to this module.  A kernel that sums many products
+(``linalg.Matrix.__matmul__``) puts its inputs over a common denominator
+with ``common_denominator`` and ``numerators``, adds plain integers, and
+builds each result once with ``from_parts``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def _frac(x) -> Fraction:
@@ -67,7 +72,7 @@ class Scalar:
         return Fraction(self._b, self._d)
 
     def conjugate(self) -> "Scalar":
-        return _scalar(self._a, -self._b, self._d)
+        return from_parts(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """|z|^2 = re^2 + im^2, a non-negative rational."""
@@ -89,8 +94,8 @@ class Scalar:
                 return NotImplemented
         d, e = self._d, other._d
         if d == e:
-            return _scalar(self._a + other._a, self._b + other._b, d)
-        return _scalar(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
+            return from_parts(self._a + other._a, self._b + other._b, d)
+        return from_parts(self._a * e + other._a * d, self._b * e + other._b * d, d * e)
 
     __radd__ = __add__
 
@@ -101,8 +106,8 @@ class Scalar:
                 return NotImplemented
         d, e = self._d, other._d
         if d == e:
-            return _scalar(self._a - other._a, self._b - other._b, d)
-        return _scalar(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
+            return from_parts(self._a - other._a, self._b - other._b, d)
+        return from_parts(self._a * e - other._a * d, self._b * e - other._b * d, d * e)
 
     def __rsub__(self, other):
         other = _coerce_or_none(other)
@@ -116,7 +121,7 @@ class Scalar:
             if other is None:
                 return NotImplemented
         a, b, c, e = self._a, self._b, other._a, other._b
-        return _scalar(a * c - b * e, a * e + b * c, self._d * other._d)
+        return from_parts(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -131,7 +136,7 @@ class Scalar:
             raise ZeroDivisionError("division by zero Scalar")
         # (a + bi)/d * f/(c + ei) = (a + bi)(c - ei) f / (d (c^2 + e^2))
         f = other._d
-        return _scalar((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
+        return from_parts((a * c + b * e) * f, (b * c - a * e) * f, self._d * n)
 
     def __rtruediv__(self, other):
         other = _coerce_or_none(other)
@@ -140,7 +145,7 @@ class Scalar:
         return other / self
 
     def __neg__(self):
-        return _scalar(-self._a, -self._b, self._d)
+        return from_parts(-self._a, -self._b, self._d)
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
@@ -179,7 +184,7 @@ class Scalar:
 _new = object.__new__
 
 
-def _scalar(a: int, b: int, d: int) -> Scalar:
+def from_parts(a: int, b: int, d: int) -> Scalar:
     """The Scalar ``(a + b*i)/d`` for integers with ``d > 0``, in lowest terms."""
     g = gcd(a, b, d)
     if g != 1:
@@ -191,6 +196,18 @@ def _scalar(a: int, b: int, d: int) -> Scalar:
     z._b = b
     z._d = d
     return z
+
+
+def common_denominator(values) -> int:
+    """The least common multiple of the values' denominators (1 for none)."""
+    return lcm(*(z._d for z in values))
+
+
+def numerators(z: Scalar, d: int) -> tuple[int, int]:
+    """The integers ``(a, b)`` with ``z == (a + b*i)/d``, for a multiple d
+    of z's denominator."""
+    m = d // z._d
+    return z._a * m, z._b * m
 
 
 def _coerce_or_none(value):

@@ -199,3 +199,16 @@ def test_metric_block_errors_in_lie_file(tmp_path, capsys, text, want_code, want
     code, _, err = run(capsys, "classify", str(path))
     offset = structure.count("\n")
     _assert_exit(code, err, want_code, want_line and want_line + offset)
+
+
+@pytest.mark.parametrize(
+    "text,minors",
+    [("1 0 0\n0 0 0\n0 0 1\n", "[1, 0, 0]"), ("1/2 0 0\n0 -1 0\n0 0 1\n", "[1/2, -1/2, -1/2]")],
+)
+def test_non_positive_metric_message_prints_rational_minors(tmp_path, capsys, text, minors):
+    metric = tmp_path / "metric.txt"
+    metric.write_text(text)
+    want = f"precondition violation: metric is not positive definite; minors {minors}\n"
+    for argv in (["cohomology"], ["classify"], ["aeppli", "--p", "1"]):
+        code, out, err = run(capsys, *argv, "corpus:sl2c", "--metric", str(metric))
+        assert (code, out, err) == (3, "", want)

@@ -357,6 +357,17 @@ def test_hermitian_tables_match_reference_routes_without_unimodularity():
     assert_tables_match_references(parse_structure(AFFINE), seed=42)
 
 
+def test_star_matrices_build_no_gram_table():
+    # the star is assembled from the compounds; the Gram tables are for inner
+    for n in (2, 3):
+        h = random_positive_metric(n, random.Random(43 + n))
+        for p in range(n + 1):
+            for q in range(n + 1):
+                h._star_matrix(p, q)
+        assert len(h._star_cache) == (n + 1) ** 2
+        assert h._gram_cache == {}
+
+
 # -- random metric generator ----------------------------------------------------------------
 
 

@@ -385,6 +385,101 @@ def test_matmul_zero_tests_each_entry_once(monkeypatch):
     assert product == expected
 
 
+# -- the integer kernel: common denominators, cancellation, empty shapes --------
+# Matrix equality compares the canonical triples of the entries, so a product
+# entry left unreduced by the kernel fails these comparisons.
+
+
+def _distinct_primes(rng, count, low=10**5, high=10**6):
+    found: list[int] = []
+    while len(found) < count:
+        x = rng.randrange(low, high) | 1
+        if x not in found and all(x % k for k in range(3, int(x**0.5) + 1, 2)):
+            found.append(x)
+    return found
+
+
+def _coprime_scalars(rng, count):
+    # each value over its own prime up to 10^6: pairwise coprime denominators
+    big = 10**6
+    return [
+        Scalar(Fraction(rng.randint(-big, big), p), Fraction(rng.randint(-big, big), p))
+        for p in _distinct_primes(rng, count)
+    ]
+
+
+def _coprime_denominator_matrix(rng, nrows, ncols):
+    entries = [x if rng.random() < 0.8 else ZERO for x in _coprime_scalars(rng, nrows * ncols)]
+    return Matrix([entries[i : i + ncols] for i in range(0, len(entries), ncols)], ncols=ncols)
+
+
+def test_matmul_matches_reference_with_large_coprime_denominators():
+    rng = random.Random(43)
+    for _ in range(6):
+        m, k, n = rng.randint(1, 5), rng.randint(1, 6), rng.randint(1, 5)
+        a = _coprime_denominator_matrix(rng, m, k)
+        b = _coprime_denominator_matrix(rng, k, n)
+        for left, right in ((a, b), (b.transpose(), a.conjugate().transpose())):
+            product = left @ right
+            _assert_sparse_rows(product)
+            assert product == _matmul_reference(left, right)
+
+
+def test_matmul_stores_no_entry_that_cancels_to_zero():
+    u, v, w, x = _coprime_scalars(random.Random(44), 4)
+    # row 0 cancels everywhere, row 1 at column 1 only
+    a = Matrix([[x, -x, 0], [1, 0, -1]])
+    b = Matrix([[u, w], [u, w], [v, w]])
+    product = a @ b
+    assert product.rows == ({}, {0: u - v})
+    assert product == _matmul_reference(a, b)
+    # row 0 cancels across the different denominators of u, v and u + v
+    c = Matrix([[u], [v], [u + v]])
+    d = Matrix([[1, 1, -1], [1, 0, 0]])
+    assert (d @ c).rows == ({}, {0: u})
+    assert d @ c == _matmul_reference(d, c)
+
+
+def test_matmul_of_empty_shapes():
+    a = _coprime_denominator_matrix(random.Random(45), 3, 4)
+    for left, right in (
+        (Matrix.zeros(0, 3), a),
+        (Matrix.zeros(3, 0), Matrix.zeros(0, 4)),
+        (a, Matrix.zeros(4, 0)),
+    ):
+        product = left @ right
+        assert product.shape == (left.nrows, right.ncols)
+        assert product.rows == tuple({} for _ in range(left.nrows))
+        assert product == _matmul_reference(left, right)
+
+
+def test_matmul_matches_reference_on_random_metric_adjoint_and_star_matrices():
+    # dense Gaussian-rational matrices: the adjoints -S' conj(D) conj(S) and
+    # the stars of three seeded random metrics on every unimodular entry
+    from liecohom import corpus
+    from liecohom.cohomology import operator_matrix
+    from liecohom.hodge import random_positive_metric
+
+    rng = random.Random(46)
+    checked = 0
+    for name in corpus.names():
+        s = corpus.get(name).load().structure
+        if not s.flags.unimodular:
+            continue
+        for h in [random_positive_metric(s.n, rng) for _ in range(3)]:
+            for p in range(s.n + 1):
+                for q in range(s.n + 1):
+                    mats = [h._star_matrix(p, q)]
+                    mats += [
+                        operator_matrix(op, s, p, q, h).matrix for op in ("del_adj", "delbar_adj")
+                    ]
+                    for m in mats:
+                        if m.nrows and m.ncols and not m.is_zero():
+                            _assert_products_match_reference(m)
+                            checked += 1
+    assert checked > 0
+
+
 # -- the storage invariant: rows hold their nonzero entries only ----------------
 
 

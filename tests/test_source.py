@@ -119,3 +119,17 @@ def test_dense_matrix_calls_stay_at_input_boundaries():
     assert outside == []
     # an entry with no such call left is a stale exemption
     assert {(m, f) for m, f, _ in calls} == DENSE_BOUNDARIES
+
+
+def test_scalar_triple_is_read_only_inside_scalars():
+    # a Scalar's canonical triple (slots _a, _b, _d) is private to scalars.py;
+    # other program code goes through re/im and the integer-part helpers
+    outside = [
+        f"{path.relative_to(ROOT)}:{node.lineno} .{node.attr}"
+        for folder in ("src", "perfbench", "demos")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if path != ROOT / "src" / "liecohom" / "scalars.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("_a", "_b", "_d")
+    ]
+    assert outside == []
