@@ -290,6 +290,13 @@ def basis(n: int, p: int, q: int) -> tuple[BasisMonomial, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def basis_index(n: int, p: int, q: int) -> dict[BasisMonomial, int]:
+    """Each (p,q)-monomial's position in ``basis(n, p, q)``; memoized and
+    shared, so callers must not mutate it."""
+    return {m: i for i, m in enumerate(basis(n, p, q))}
+
+
 def bidegrees_of_total(n: int, k: int) -> list[tuple[int, int]]:
     """The (p, q) with p+q = k, in descending-p order."""
     return [(p, k - p) for p in range(min(k, n), max(0, k - n) - 1, -1)]

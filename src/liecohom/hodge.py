@@ -21,21 +21,45 @@ Conventions (all exact over the Gaussian rationals):
     monomial only with its complement, so the star matrix is the Gram
     matrix times vol with its rows signed and permuted by the wedge
     signs, never taken from hand-derived sign tables.
+
+Every metric table is read off one table of minors.  With D the common
+denominator of h's entries, H = D*h has Gaussian-integer entries, and each
+metric builds once the determinants det H[I, J] of all its square
+submatrices (Laplace expansion along the first row of I).  Then, for
+index sets I, J of size k (0-based, complements I^c, J^c):
+
+  * omega^k = k! (i/2)^k (-1)^(k(k-1)/2) sum_{J,L} det h[J,L] f_J ^ F_L;
+  * the k-th Gram compound is, by Jacobi's complementary-minor identity
+    with g1 = 2 (h^-1)^T,
+    2^k (-1)^(sum I + sum J) det h[I^c, J^c] / det h;
+  * vol = (-1)^(n(n-1)/2) (i/2)^n det h f_1..f_n ^ F_1..F_n.
+
+So omega powers, the volume, Gram and star entries are integer products
+over one known denominator, each built as a Scalar once.  The table's
+full minor det H / D^n must equal the last leading minor that
+``positivity`` computes by elimination; a mismatch is an engine defect.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from math import factorial
+from typing import Optional
 
+from . import linalg
 from .errors import MetricError, PreconditionError
-from .exterior import BasisMonomial, Form, basis, monomial_wedge
-from .linalg import Matrix, rref
-from .scalars import I_HALF, ONE, ZERO, I, Scalar
+from .exterior import BasisMonomial, Form, basis, basis_index, monomial_wedge
+from .linalg import Matrix
+from .scalars import I_HALF, ONE, ZERO, I, Scalar, common_denominator, from_parts, numerators
 from .structure import StructureEquations
+
+# No table here needs an elimination, but ``hodge.rref`` stays bound: the
+# benchmark's tracer test (perfbench/tests) checks that the tracer also
+# wraps ``rref`` under this second module's name.
+rref = linalg.rref
 
 
 def _det(rows: list[list[Scalar]]) -> Scalar:
@@ -65,23 +89,52 @@ def _det(rows: list[list[Scalar]]) -> Scalar:
     return det
 
 
-def _invert(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    k = len(rows)
-    aug = Matrix(
-        [list(rows[i]) + [ONE if i == j else ZERO for j in range(k)] for i in range(k)],
-        ncols=2 * k,
+@lru_cache(maxsize=None)
+def _laplace_plan(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each k-subset S of range(n), in ``combinations`` order: the pairs
+    (S[t], position of S minus S[t] among the (k-1)-subsets), t ascending.
+    Expanding det H[I, J] along row I[0] pairs the first pair of I with
+    every pair of J, with sign (-1)^t."""
+    below = {s: r for r, s in enumerate(combinations(range(n), k - 1))}
+    return tuple(
+        tuple((x, below[s[:t] + s[t + 1 :]]) for t, x in enumerate(s))
+        for s in combinations(range(n), k)
     )
-    reduced, pivots = rref(aug)
-    if pivots != list(range(k)):
-        raise MetricError("matrix is singular")
-    return [list(reduced.row(i)[k:]) for i in range(k)]
 
 
-def _compound(g: Sequence[Sequence[Scalar]], k: int) -> list[list[Scalar]]:
-    """The k-th compound matrix: k x k minors of g over k-subsets of indices,
-    in ``combinations`` order (the order ``basis`` uses)."""
-    subsets = list(combinations(range(len(g)), k))
-    return [[_det([[g[x][y] for y in b] for x in a]) for b in subsets] for a in subsets]
+def _minor_table(rows) -> tuple[int, list[list[list[tuple[int, int]]]]]:
+    """(D, table) for a square matrix of Scalars: D is the common
+    denominator of its entries and table[k][r][c] = (re, im) of
+    det H[I_r, J_c] for H = D * rows, with I_r, J_c the r-th and c-th
+    k-subsets of range(n) in ``combinations`` order (table[0] = [[(1, 0)]]).
+    Each k-minor expands along row I_r[0] over the (k-1)-minors, in
+    Gaussian-integer arithmetic: C(2n, n) entries, k multiply-adds each."""
+    n = len(rows)
+    den = common_denominator(x for row in rows for x in row)
+    hint = [[numerators(x, den) for x in row] for row in rows]
+    table = [[[(1, 0)]]]
+    for k in range(1, n + 1):
+        lower = table[-1]
+        plan = _laplace_plan(n, k)
+        level = []
+        for row_plan in plan:
+            i, r = row_plan[0]
+            hi, sub = hint[i], lower[r]
+            row = []
+            for col_plan in plan:
+                re = im = 0
+                for t, (j, c) in enumerate(col_plan):
+                    a, b = hi[j]
+                    if a or b:
+                        x, y = sub[c]
+                        if t & 1:
+                            a, b = -a, -b
+                        re += a * x - b * y
+                        im += a * y + b * x
+                row.append((re, im))
+            level.append(row)
+        table.append(level)
+    return den, table
 
 
 class HermitianMetric:
@@ -106,7 +159,8 @@ class HermitianMetric:
         self.n = n
         self.entries = tuple(tuple(row) for row in entries)
         self._hash = hash(self.entries)  # the entries never change
-        self._compounds: Optional[list[list[list[Scalar]]]] = None
+        self._table: Optional[tuple[int, int, list]] = None
+        self._compounds: Optional[list[list[list[tuple[int, int, int]]]]] = None
         self._gram_cache: dict[tuple[int, int], Matrix] = {}
         self._star_cache: dict[tuple[int, int], Matrix] = {}
         self._omega_powers: dict[int, Form] = {}
@@ -202,41 +256,89 @@ class HermitianMetric:
         return omega
 
     def omega_power(self, k: int) -> Form:
+        """omega^k = k! i^(k^2) sum_{J,L} det H[J,L] f_J ^ F_L / (2D)^k, read
+        off the k-minors ((i/2)^k (-1)^(k(k-1)/2) = i^(k^2) / 2^k); the zero
+        form for k > n."""
         if k < 0:
             raise ValueError("omega power must be non-negative")
         if k == 0:
             return Form.one(self.n)
+        if k == 1:
+            return self.fundamental_form()
         cached = self._omega_powers.get(k)
         if cached is None:
-            cached = self.omega_power(k - 1).wedge(self.fundamental_form())
+            terms = {}
+            if k <= self.n:
+                den, _, table = self._minors_of_h()
+                f, d = factorial(k), (2 * den) ** k
+                subsets = [m.holo for m in basis(self.n, k, 0)]
+                for holo, row in zip(subsets, table[k]):
+                    for anti, (a, b) in zip(subsets, row):
+                        if a or b:
+                            if k & 1:  # times i
+                                a, b = -b, a
+                            terms[BasisMonomial(holo, anti)] = from_parts(f * a, f * b, d)
+            cached = Form(self.n, terms, _validated=True)
             self._omega_powers[k] = cached
         return cached
 
     def volume_form(self) -> Form:
-        """vol = omega^n / n!; nonzero exactly when the metric is nondegenerate."""
+        """vol = omega^n / n! = i^(n^2) det h f_1..f_n ^ F_1..F_n / 2^n;
+        nonzero exactly when the metric is nondegenerate."""
         self.require_positive()
-        return self.omega_power(self.n).scale(Fraction(1, math.factorial(self.n)))
+        den, t, _ = self._minors_of_h()
+        a, b = (0, t) if self.n & 1 else (t, 0)
+        full = tuple(range(1, self.n + 1))
+        top = BasisMonomial(full, full)
+        return Form(self.n, {top: from_parts(a, b, (2 * den) ** self.n)}, _validated=True)
+
+    # -- the minor table --------------------------------------------------------
+
+    def _minors_of_h(self) -> tuple[int, int, list[list[list[tuple[int, int]]]]]:
+        """(D, det H, table): ``_minor_table`` of h, built once, with its
+        full minor checked against the last leading minor, which
+        ``positivity`` computes by elimination."""
+        if self._table is None:
+            den, table = _minor_table(self.entries)
+            t, im = table[self.n][0][0]
+            if im or Fraction(t, den**self.n) != self.positivity()[1][-1]:
+                raise RuntimeError("minor table disagrees with det h; engine defect")
+            self._table = (den, t, table)
+        return self._table
 
     # -- inner products --------------------------------------------------------
 
-    def _gram_compounds(self) -> list[list[list[Scalar]]]:
-        """The k-th compounds of the Gram matrix of f_1..f_n, k = 0..n, built
-        once: every Gram matrix is assembled from two of them."""
-        if self._compounds is None:
-            inv = _invert(self.entries)
-            # <f_j, f_k> = 2 * (h^-1)[k][j]
-            g1 = [[Scalar(2) * inv[k][j] for k in range(self.n)] for j in range(self.n)]
-            self._compounds = [_compound(g1, k) for k in range(self.n + 1)]
-        return self._compounds
+    def _gram_compounds(self) -> list[list[list[tuple[int, int, int]]]]:
+        """N with the k-th compound of the Gram matrix of f_1..f_n equal to
+        (2D)^k N[k] / det H, k = 0..n, built once; N[k] holds each row's
+        nonzero entries as (column, re, im).
 
-    def _conjugate_compound(self, q: int) -> list[list[tuple[int, Scalar]]]:
-        """The conjugate of the q-th compound as rows of (column, entry)
-        pairs over the nonzero entries: the anti-holomorphic factor of
-        every (p, q) Gram row."""
-        return [
-            [(j, x.conjugate()) for j, x in enumerate(row) if x]
-            for row in self._gram_compounds()[q]
-        ]
+        With g1 = 2 (h^-1)^T, Jacobi's complementary-minor identity gives
+        N[k][I][J] = (-1)^(sum I + sum J) det H[I^c, J^c].  Complementing
+        reverses a subset's position in ``combinations`` order, so row I is
+        row I^c of the (n-k)-minors read backwards.  A singular h raises
+        MetricError."""
+        if self._compounds is None:
+            n = self.n
+            _, t, table = self._minors_of_h()
+            if not t:
+                raise MetricError("matrix is singular")
+            compounds = []
+            for k in range(n + 1):
+                signs = [-1 if sum(s) & 1 else 1 for s in combinations(range(n), k)]
+                last = len(signs) - 1
+                rows = []
+                for r, sr in enumerate(signs):
+                    minors = table[n - k][last - r]
+                    row = []
+                    for c, sc in enumerate(signs):
+                        a, b = minors[last - c]
+                        if a or b:
+                            row.append((c, sr * sc * a, sr * sc * b))
+                    rows.append(row)
+                compounds.append(rows)
+            self._compounds = compounds
+        return self._compounds
 
     def gram(self, p: int, q: int) -> Matrix:
         """Gram matrix of <.,.> on the canonical (p,q)-monomial basis."""
@@ -246,15 +348,24 @@ class HermitianMetric:
             return cached
         dim = len(basis(self.n, p, q))  # rejects an out-of-range bidegree
         compounds = self._gram_compounds()
-        # entry ((a, b), (a', b')) is holo[a][a'] * conj(anti[b][b']), at
-        # column a' * width + b'; products of nonzeros are nonzero
-        anti = self._conjugate_compound(q)
+        den, t, _ = self._minors_of_h()
+        # entry ((a, b), (a', b')) is C_p[a][a'] * conj(C_q[b][b']) for the
+        # compounds C_k = (2D)^k N_k / t, at column a' * width + b'; products
+        # of nonzeros are nonzero
+        scale, d = (2 * den) ** (p + q), t * t
+        anti = compounds[q]
         width = len(anti)
         rows = []
         for hrow in compounds[p]:
-            hnz = [(i * width, x) for i, x in enumerate(hrow) if x]
+            hnz = [(i * width, scale * x, scale * y) for i, x, y in hrow]
             for arow in anti:
-                rows.append({i + j: x * y for i, x in hnz for j, y in arow})
+                rows.append(
+                    {
+                        i + j: from_parts(x * u + y * v, y * u - x * v, d)
+                        for i, x, y in hnz
+                        for j, u, v in arow
+                    }
+                )
         out = Matrix.sparse(rows, dim)
         self._gram_cache[key] = out
         return out
@@ -272,9 +383,8 @@ class HermitianMetric:
             cb = comps_b.get(bd)
             if cb is None:
                 continue
-            mons = basis(self.n, *bd)
             gram = self.gram(*bd)
-            idx = {m: i for i, m in enumerate(mons)}
+            idx = basis_index(self.n, *bd)
             for ma, xa in ca.terms.items():
                 row = gram.rows[idx[ma]]
                 for mb, xb in cb.terms.items():
@@ -301,34 +411,41 @@ class HermitianMetric:
         Gram row a, with m_a the complement of m'_c and sign the sign of
         m_a ^ m'_c.  That Gram row is the Kronecker product of a row of the
         p-th compound with a conjugate row of the q-th, so S is built from
-        the compounds directly: sign * vol_coeff scales the C(n, p) entries
-        of the holomorphic row, and each entry of S is one product of that
-        row with the anti-holomorphic row.  No Gram matrix is built."""
+        the compound numerators directly: with vol_coeff = i^(n^2) t / (2D)^n
+        (t = det H), each entry is sign * i^(n^2) (2D)^(p+q) times one
+        integer product over t (2D)^n.  No Gram matrix is built."""
         key = (p, q)
         cached = self._star_cache.get(key)
         if cached is not None:
             return cached
         self.require_positive()
         n = self.n
-        full = tuple(range(1, n + 1))
-        vol_coeff = self.volume_form().terms.get(BasisMonomial(full, full), ZERO)
-        holo = self._gram_compounds()[p]
-        anti = self._conjugate_compound(q)
+        compounds = self._gram_compounds()
+        den, t, _ = self._minors_of_h()  # t > 0
+        scale, d = (2 * den) ** (p + q), t * (2 * den) ** n
+        holo, anti = compounds[p], compounds[q]
         width = len(anti)
-        # Gram row a * width + b pairs holomorphic row a with anti row b
-        index = {m: i for i, m in enumerate(basis(n, p, q))}
+        src = basis(n, p, q)
+        last = len(src) - 1
         rows = []
-        for mc in basis(n, n - p, n - q):
-            ma = BasisMonomial(
-                tuple(j for j in full if j not in mc.holo),
-                tuple(j for j in full if j not in mc.anti),
-            )
+        for c, mc in enumerate(basis(n, n - p, n - q)):
+            # complementing both blocks reverses the position in the basis
+            ma = src[last - c]
             sign, _ = monomial_wedge(ma, mc)
-            c = Scalar(sign) * vol_coeff
-            a, b = divmod(index[ma], width)
-            hnz = [(i * width, c * x) for i, x in enumerate(holo[a]) if x]
-            rows.append({i + j: x * y for i, x in hnz for j, y in anti[b]})
-        out = Matrix.sparse(rows, len(index))
+            a, b = divmod(last - c, width)
+            u = sign * scale
+            if n & 1:  # i^(n^2) = i
+                hnz = [(i * width, -u * y, u * x) for i, x, y in holo[a]]
+            else:
+                hnz = [(i * width, u * x, u * y) for i, x, y in holo[a]]
+            rows.append(
+                {
+                    i + j: from_parts(x * w + y * v, y * w - x * v, d)
+                    for i, x, y in hnz
+                    for j, w, v in anti[b]
+                }
+            )
+        out = Matrix.sparse(rows, len(src))
         self._star_cache[key] = out
         return out
 

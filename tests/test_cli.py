@@ -203,12 +203,19 @@ def test_metric_block_errors_in_lie_file(tmp_path, capsys, text, want_code, want
 
 @pytest.mark.parametrize(
     "text,minors",
-    [("1 0 0\n0 0 0\n0 0 1\n", "[1, 0, 0]"), ("1/2 0 0\n0 -1 0\n0 0 1\n", "[1/2, -1/2, -1/2]")],
+    [
+        ("1 0 0\n0 0 0\n0 0 1\n", "[1, 0, 0]"),
+        ("1/2 0 0\n0 -1 0\n0 0 1\n", "[1/2, -1/2, -1/2]"),
+        # singular, and indefinite with det h < 0
+        ("1 0\n0 0\n", "[1, 0]"),
+        ("1 0\n0 -1\n", "[1, -1]"),
+    ],
 )
 def test_non_positive_metric_message_prints_rational_minors(tmp_path, capsys, text, minors):
     metric = tmp_path / "metric.txt"
     metric.write_text(text)
+    algebra = {2: "kodaira-secondary", 3: "sl2c"}[text.count("\n")]
     want = f"precondition violation: metric is not positive definite; minors {minors}\n"
     for argv in (["cohomology"], ["classify"], ["aeppli", "--p", "1"]):
-        code, out, err = run(capsys, *argv, "corpus:sl2c", "--metric", str(metric))
+        code, out, err = run(capsys, *argv, f"corpus:{algebra}", "--metric", str(metric))
         assert (code, out, err) == (3, "", want)

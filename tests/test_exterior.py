@@ -6,7 +6,7 @@ import pytest
 from liecohom import corpus
 from liecohom.cohomology import bc_cohomology, row_to_form, vector_to_form
 from liecohom.errors import DimensionMismatch
-from liecohom.exterior import BasisMonomial, Form, basis, total_basis
+from liecohom.exterior import BasisMonomial, Form, basis, basis_index, total_basis
 from liecohom.scalars import HALF, I, ONE, ZERO, Scalar
 
 
@@ -63,6 +63,23 @@ def test_basis_is_one_shared_tuple_and_still_rejects_out_of_range():
     for _ in range(2):  # a failed call is not remembered
         with pytest.raises(ValueError):
             basis(3, 4, 0)
+
+
+def test_basis_index_is_shared_and_complements_reverse_the_basis():
+    for n in range(1, 6):
+        full = set(range(1, n + 1))
+        for p in range(n + 1):
+            for q in range(n + 1):
+                mons = basis(n, p, q)
+                index = basis_index(n, p, q)
+                assert index is basis_index(n, p, q)
+                assert [index[m] for m in mons] == list(range(len(mons)))
+                # the Hodge star and the Gram compounds rely on this order
+                dual = basis(n, n - p, n - q)
+                for i, m in enumerate(mons):
+                    c = dual[len(mons) - 1 - i]
+                    assert set(m.holo) | set(c.holo) == full == set(m.anti) | set(c.anti)
+                    assert not set(m.holo) & set(c.holo) and not set(m.anti) & set(c.anti)
 
 
 def test_total_basis_partition():

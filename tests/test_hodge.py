@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -7,7 +9,7 @@ from liecohom import corpus
 from liecohom.cohomology import _OP_SHIFT, _clip, _matrix_for, _single_matrix
 from liecohom.errors import MetricError
 from liecohom.exterior import BasisMonomial, Form, basis, monomial_wedge
-from liecohom.hodge import HermitianMetric, _det, _invert, random_positive_metric
+from liecohom.hodge import HermitianMetric, _det, _minor_table, random_positive_metric
 from liecohom.linalg import Matrix
 from liecohom.scalars import HALF, I, ONE, ZERO, Scalar
 from liecohom.structure import parse_structure
@@ -285,9 +287,30 @@ def test_lefschetz_injective_on_generators():
 # -- matrix constructions against their reference routes ---------------------------
 
 
+def invert(rows):
+    """Gauss-Jordan inverse in plain Scalar arithmetic (None if singular)."""
+    k = len(rows)
+    aug = [list(row) + [ONE if i == j else ZERO for j in range(k)] for i, row in enumerate(rows)]
+    for c in range(k):
+        pivot = next((r for r in range(c, k) if aug[r][c]), None)
+        if pivot is None:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = ONE / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
+        for r in range(k):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[k:] for row in aug]
+
+
 def reference_gram(h, p, q):
     """Two determinants per entry: holomorphic minor times conjugate minor."""
-    g1 = h._gram_compounds()[1]  # the Gram matrix of f_1..f_n
+    inv = invert(h.entries)
+    n = h.n
+    # the Gram matrix of f_1..f_n: <f_j, f_k> = 2 (h^-1)[k][j]
+    g1 = [[Scalar(2) * inv[k][j] for k in range(n)] for j in range(n)]
     g1bar = [[x.conjugate() for x in row] for row in g1]
 
     def minor(g, rows, cols):
@@ -318,7 +341,7 @@ def reference_star_matrix(h, p, q):
             row.append(Scalar(hit[0]) if hit and hit[1] == top else ZERO)
         w.append(row)
     vol_coeff = h.volume_form().terms[top]
-    return Matrix(_invert(w), ncols=len(dst)) @ h.gram(p, q).scale(vol_coeff)
+    return Matrix(invert(w), ncols=len(dst)) @ h.gram(p, q).scale(vol_coeff)
 
 
 def reference_adjoint_matrix(name, s, h, p, q):
@@ -366,6 +389,115 @@ def test_star_matrices_build_no_gram_table():
                 h._star_matrix(p, q)
         assert len(h._star_cache) == (n + 1) ** 2
         assert h._gram_cache == {}
+
+
+# -- the minor table and the closed forms read off it ----------------------------
+
+
+def _gaussian(rng):
+    return Scalar(
+        Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+        Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+    )
+
+
+def _oracle_matrices():
+    """Seeded n x n Gaussian-rational matrices, n = 1..5: non-Hermitian,
+    Hermitian positive, and singular (a row a multiple of another)."""
+    rng = random.Random(51)
+    for n in range(1, 6):
+        for _ in range(2):
+            yield [[_gaussian(rng) for _ in range(n)] for _ in range(n)]
+        yield [list(row) for row in random_positive_metric(n, rng).entries]
+        rows = [[_gaussian(rng) for _ in range(n)] for _ in range(n)]
+        z = _gaussian(rng)
+        rows[-1] = [z * x for x in rows[0]] if n > 1 else [ZERO]
+        yield rows
+
+
+def test_minor_table_matches_elimination_and_sympy():
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    def to_sympy(z):
+        return QQ_I(QQ(z.re.numerator, z.re.denominator), QQ(z.im.numerator, z.im.denominator))
+
+    seen_singular = False
+    for rows in _oracle_matrices():
+        n = len(rows)
+        den, table = _minor_table(rows)
+        for k in range(n + 1):
+            subsets = list(combinations(range(n), k))
+            assert len(table[k]) == len(subsets)
+            for rset, row in zip(subsets, table[k]):
+                assert len(row) == len(subsets)
+                for cset, (a, b) in zip(subsets, row):
+                    got = Scalar(Fraction(a, den**k), Fraction(b, den**k))
+                    sub = [[rows[i][j] for j in cset] for i in rset]
+                    assert got == _det(sub)
+                    theirs = DomainMatrix([[to_sympy(x) for x in r] for r in sub], (k, k), QQ_I)
+                    assert to_sympy(got) == theirs.det()
+        seen_singular |= table[n][0][0] == (0, 0)
+    assert seen_singular
+
+
+def test_minor_table_is_checked_against_the_leading_minors():
+    h = random_positive_metric(3, random.Random(53))
+    ok, minors = h.positivity()
+    h._minors = minors[:-1] + [minors[-1] + 1]  # a corrupted elimination
+    with pytest.raises(RuntimeError, match="engine defect"):
+        h.omega_power(2)
+
+
+def test_omega_powers_match_the_wedge_chain(monkeypatch):
+    rng = random.Random(52)
+    cases = []
+    for n in range(1, 6):
+        metrics = [HermitianMetric.identity(n)] + [random_positive_metric(n, rng) for _ in range(3)]
+        for h in metrics:
+            chain = [Form.one(n)]
+            for _ in range(n + 1):  # the old route: omega^k = omega^(k-1) ^ omega
+                chain.append(chain[-1].wedge(h.fundamental_form()))
+            cases.append((HermitianMetric([list(row) for row in h.entries]), chain))
+    # the powers are read off the minors: no wedge at all
+    monkeypatch.setattr(Form, "wedge", None)
+    for h, chain in cases:
+        for k, expected in enumerate(chain):
+            assert h.omega_power(k) == expected
+        assert h.omega_power(h.n + 1).is_zero()
+        with pytest.raises(ValueError):
+            h.omega_power(-1)
+
+
+def test_volume_is_the_top_power_over_n_factorial():
+    rng = random.Random(54)
+    for n in range(1, 6):
+        h = random_positive_metric(n, rng)
+        top = HermitianMetric([list(row) for row in h.entries]).omega_power(n)
+        assert h.volume_form() == top.scale(Fraction(1, factorial(n)))
+
+
+def test_gram_of_a_singular_matrix_raises():
+    h = HermitianMetric([[1, 0], [0, 0]])
+    with pytest.raises(MetricError, match="matrix is singular"):
+        h.gram(1, 0)
+
+
+@pytest.mark.parametrize(
+    "rows", [[[1, 0], [0, -1]], [[1, Scalar(2, 1)], [Scalar(2, -1), 1]]], ids=["real", "complex"]
+)
+def test_gram_of_an_indefinite_matrix(rows):
+    # det h < 0, so the common denominator of the Gram entries must be
+    # taken positive; <f_j, f_k> = 2 (h^-1)[k][j] = 2 conj(h^-1)[j][k]
+    h = HermitianMetric(rows)
+    assert not h.is_positive() and h.positivity()[1][-1] < 0
+    inv = invert(h.entries)
+    expected = [[Scalar(2) * x.conjugate() for x in row] for row in inv]
+    assert h.gram(1, 0) == Matrix(expected, ncols=2)
+    for p in range(3):
+        for q in range(3):
+            assert h.gram(p, q) == reference_gram(h, p, q)
 
 
 # -- random metric generator ----------------------------------------------------------------

@@ -89,7 +89,6 @@ def test_every_definition_is_referenced():
 # accessor belong where dense input enters; everything else stays in sparse
 # rows.  Each entry is (module, innermost enclosing function).
 DENSE_BOUNDARIES = {
-    ("hodge.py", "_invert"),
     ("cohomology.py", "harmonic_projection"),
 }
 
