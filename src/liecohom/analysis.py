@@ -18,10 +18,9 @@ from typing import Optional, Sequence
 from .cohomology import (
     _matrix_for,
     chain_matrix,
-    form_to_vector,
+    form_to_row,
     harmonic_forms,
     row_to_form,
-    vector_to_form,
 )
 from .errors import PreconditionError
 from .exterior import Form, basis, total_basis
@@ -117,10 +116,10 @@ def aeppli_class_vanishes(
     del_m = chain_matrix(["del"], s, m - 1, m)
     delbar_m = chain_matrix(["delbar"], s, m, m - 1)
     system = hstack([del_m, delbar_m])
-    sol = solve(system, form_to_vector(w, mons))
+    sol = solve(system, form_to_row(w, mons))
     if sol is not None:
-        mu = vector_to_form(n, sol[: len(mu_src)], mu_src)
-        lam = vector_to_form(n, sol[len(mu_src) :], lam_src)
+        pair = row_to_form(n, sol, mu_src + lam_src)
+        mu, lam = pair.project(m - 1, m), pair.project(m, m - 1)
         if s.del_(mu) + s.delbar(lam) != w:
             raise RuntimeError("Aeppli witness does not reconstruct; engine defect")
         return AeppliDecision(p=p, vanishes=True, mu=mu, lam=lam)

@@ -26,26 +26,17 @@ from .linalg import (
     Matrix,
     Row,
     Subspace,
-    Vector,
     hstack,
     kernel_basis,
     quotient_representatives,
     solve,
     vstack,
 )
-from .scalars import ZERO, Scalar
+from .scalars import Scalar
 from .structure import StructureEquations, render_form
 
 
 # -- coordinates -------------------------------------------------------------
-
-
-def form_to_vector(form: Form, mons) -> Vector:
-    return tuple(form.terms.get(m, ZERO) for m in mons)
-
-
-def vector_to_form(n: int, v: Vector, mons) -> Form:
-    return Form(n, {m: c for m, c in zip(mons, v) if c}, _validated=True)
 
 
 def form_to_row(form: Form, mons) -> Row:
@@ -414,16 +405,16 @@ def harmonic_projection(
     if not reps:
         return Form.zero(s.n)
     k = len(reps)
-    gram = Matrix(
-        [[h.pairing(reps[i], reps[j]) for i in range(k)] for j in range(k)], ncols=k
+    gram = Matrix.sparse(
+        [{i: g for i in range(k) if (g := h.pairing(reps[i], reps[j]))} for j in range(k)], k
     )
-    rhs = tuple(h.pairing(a, reps[j]) for j in range(k))
+    rhs = {j: c for j in range(k) if (c := h.pairing(a, reps[j]))}
     coeffs = solve(gram, rhs)
     if coeffs is None:
         raise RuntimeError("harmonic Gram system unsolvable; engine defect")
     out = Form.zero(s.n)
-    for c, rep in zip(coeffs, reps):
-        out = out + rep.scale(c)
+    for i, c in coeffs.items():
+        out = out + reps[i].scale(c)
     return out
 
 
@@ -466,17 +457,18 @@ def _decompose(
     sources = [(p - dp, q - dq) for dp, dq in (_chain_shift(ops) for _, ops in blocks)]
     mats = [chain_matrix(ops, s, *src, h) for (_, ops), src in zip(blocks, sources)]
     system = hstack(mats)
-    sol = solve(system, form_to_vector(rest, mons))
+    sol = solve(system, form_to_row(rest, mons))
     if sol is None:
         raise RuntimeError("decomposition system unsolvable; engine defect")
     offset = 0
     witnesses: dict[str, Form] = {}
     parts: list[Form] = []
     for (name, _), mat, src in zip(blocks, mats, sources):
-        piece_coords = sol[offset : offset + mat.ncols]
-        offset += mat.ncols
-        witnesses[name] = vector_to_form(n, piece_coords, _clip(n, *src))
-        parts.append(vector_to_form(n, mat.apply(piece_coords), mons))
+        end = offset + mat.ncols
+        piece = {j - offset: x for j, x in sol.items() if offset <= j < end}
+        offset = end
+        witnesses[name] = row_to_form(n, piece, _clip(n, *src))
+        parts.append(row_to_form(n, mat.apply(piece), mons))
     out = Decomposition(kind, harm, parts[0], parts[1], parts[2], witnesses)
     if out.total() != a:
         raise RuntimeError("decomposition does not reassemble; engine defect")

@@ -52,7 +52,7 @@ from typing import Optional
 from . import linalg
 from .errors import MetricError, PreconditionError
 from .exterior import BasisMonomial, Form, basis, basis_index, monomial_wedge
-from .linalg import Matrix
+from .linalg import Matrix, Row
 from .scalars import I_HALF, ONE, ZERO, I, Scalar, common_denominator, from_parts, numerators
 from .structure import StructureEquations
 
@@ -135,6 +135,15 @@ def _minor_table(rows) -> tuple[int, list[list[list[tuple[int, int]]]]]:
             level.append(row)
         table.append(level)
     return den, table
+
+
+def _kronecker_row(hnz, arow, d: int) -> Row:
+    """The row {i + j: (x + yi)(u - vi)/d} over the entries (i, x, y) of
+    hnz and (j, u, v) of arow: a compound row times the conjugate of
+    another, with integer parts; products of nonzeros are nonzero."""
+    return {
+        i + j: from_parts(x * u + y * v, y * u - x * v, d) for i, x, y in hnz for j, u, v in arow
+    }
 
 
 class HermitianMetric:
@@ -350,22 +359,14 @@ class HermitianMetric:
         compounds = self._gram_compounds()
         den, t, _ = self._minors_of_h()
         # entry ((a, b), (a', b')) is C_p[a][a'] * conj(C_q[b][b']) for the
-        # compounds C_k = (2D)^k N_k / t, at column a' * width + b'; products
-        # of nonzeros are nonzero
+        # compounds C_k = (2D)^k N_k / t, at column a' * width + b'
         scale, d = (2 * den) ** (p + q), t * t
         anti = compounds[q]
         width = len(anti)
         rows = []
         for hrow in compounds[p]:
             hnz = [(i * width, scale * x, scale * y) for i, x, y in hrow]
-            for arow in anti:
-                rows.append(
-                    {
-                        i + j: from_parts(x * u + y * v, y * u - x * v, d)
-                        for i, x, y in hnz
-                        for j, u, v in arow
-                    }
-                )
+            rows.extend(_kronecker_row(hnz, arow, d) for arow in anti)
         out = Matrix.sparse(rows, dim)
         self._gram_cache[key] = out
         return out
@@ -438,13 +439,7 @@ class HermitianMetric:
                 hnz = [(i * width, -u * y, u * x) for i, x, y in holo[a]]
             else:
                 hnz = [(i * width, u * x, u * y) for i, x, y in holo[a]]
-            rows.append(
-                {
-                    i + j: from_parts(x * w + y * v, y * w - x * v, d)
-                    for i, x, y in hnz
-                    for j, w, v in anti[b]
-                }
-            )
+            rows.append(_kronecker_row(hnz, anti[b], d))
         out = Matrix.sparse(rows, len(src))
         self._star_cache[key] = out
         return out
@@ -453,15 +448,15 @@ class HermitianMetric:
         """The conjugate-linear Hodge star, componentwise over bidegrees."""
         if a.n != self.n:
             raise MetricError("form coframe size does not match the metric")
-        out = Form.zero(self.n)
+        n = self.n
+        out = Form.zero(n)
         for (p, q), comp in a.components().items():
-            mat = self._star_matrix(p, q)
-            src = basis(self.n, p, q)
-            dst = basis(self.n, self.n - p, self.n - q)
-            coords = [comp.terms.get(m, ZERO).conjugate() for m in src]
-            image = mat.apply(tuple(coords))
-            terms = {m: c for m, c in zip(dst, image) if c}
-            out = out + Form(self.n, terms, _validated=True)
+            idx = basis_index(n, p, q)
+            coords = {idx[m]: c.conjugate() for m, c in comp.terms.items()}
+            image = self._star_matrix(p, q).apply(coords)
+            dst = basis(n, n - p, n - q)
+            # apply keys its result in row order, so the terms come in basis order
+            out = out + Form(n, {dst[j]: c for j, c in image.items()}, _validated=True)
         return out
 
     # -- adjoints and Lefschetz ---------------------------------------------------

@@ -32,8 +32,9 @@ Null spaces, subspaces and quotients stay in sparse rows from end to end:
 ``Subspace`` reduces its rows once with ``rref`` and keeps the echelon
 rows, and ``Subspace.reduce`` and ``quotient_representatives`` walk the
 entries of those rows.  Since ``x - f*0 == x`` and ``x + 0 == x`` exactly
-and RREF is unique, the results are those of dense arithmetic.  Dense
-tuples (``Vector``) remain only at the ``apply``/``solve`` boundary.
+and RREF is unique, the results are those of dense arithmetic.  Vectors
+are sparse rows everywhere: ``Matrix.apply`` and ``solve`` take and return
+a ``Row`` holding the nonzero coordinates only.
 
 ``rref`` is the only elimination.  An echelon row is zero at every other
 pivot, so the entries of a span vector at the pivots are its coordinates:
@@ -46,14 +47,14 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Sequence
 
-from .scalars import ONE, ZERO, Scalar, common_denominator, from_parts, numerators
+from .scalars import ONE, ZERO, Scalar, common_denominator, format_scalar, from_parts, numerators
 
-Vector = tuple[Scalar, ...]
 Row = dict[int, Scalar]
 
 
-def vec(values) -> Vector:
-    return tuple(Scalar.coerce(v) for v in values)
+def _require_keys(v: Row, size: int, what: str):
+    if v and not (0 <= min(v) and max(v) < size):
+        raise ValueError(f"{what} has a key outside range({size})")
 
 
 class Matrix:
@@ -97,7 +98,7 @@ class Matrix:
     def identity(k: int) -> "Matrix":
         return Matrix.sparse([{i: ONE} for i in range(k)], k)
 
-    def row(self, i: int) -> Vector:
+    def row(self, i: int) -> tuple[Scalar, ...]:
         """Row i as a dense vector."""
         row = self.rows[i]
         return tuple(row.get(j, ZERO) for j in range(self.ncols))
@@ -169,14 +170,15 @@ class Matrix:
             self.ncols,
         )
 
-    def apply(self, v: Vector) -> Vector:
-        if len(v) != self.ncols:
-            raise ValueError("vector length does not match ncols")
-        support = {k: x for k, x in enumerate(v) if x}
-        return tuple(
-            sum((y * support[k] for k, y in row.items() if k in support), ZERO)
-            for row in self.rows
-        )
+    def apply(self, v: Row) -> Row:
+        """The product M v of the sparse column vector v, as a Row."""
+        _require_keys(v, self.ncols, "vector")
+        out = {}
+        for i, row in enumerate(self.rows):
+            x = sum((y * z for k, z in v.items() if (y := row.get(k)) is not None), ZERO)
+            if x:
+                out[i] = x
+        return out
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -278,21 +280,18 @@ def kernel_basis(matrix: Matrix) -> Matrix:
     return Matrix.sparse(list(out.values()), matrix.ncols)
 
 
-def solve(matrix: Matrix, b: Vector):
-    """One exact solution of M x = b with free variables set to 0, or None."""
-    if len(b) != matrix.nrows:
-        raise ValueError("right-hand side has wrong length")
+def solve(matrix: Matrix, b: Row) -> Row | None:
+    """One exact solution of M x = b with free variables set to 0, as a
+    Row, or None."""
+    _require_keys(b, matrix.nrows, "right-hand side")
     n = matrix.ncols
     aug = Matrix.sparse(
-        [{**row, n: x} if x else row for row, x in zip(matrix.rows, b)], n + 1
+        [{**row, n: b[i]} if i in b else row for i, row in enumerate(matrix.rows)], n + 1
     )
     reduced, pivots = rref(aug)
     if pivots and pivots[-1] == n:
         return None  # pivot in the augmented column: inconsistent
-    x = [ZERO] * n
-    for row, c in zip(reduced.rows, pivots):
-        x[c] = row.get(n, ZERO)
-    return tuple(x)
+    return {c: x for row, c in zip(reduced.rows, pivots) if (x := row.get(n)) is not None}
 
 
 class Subspace:
@@ -360,9 +359,9 @@ def quotient_representatives(numerator: Subspace, denominator: Subspace) -> list
 
     ok, witness = numerator.contains_subspace(denominator)
     if not ok:
-        dense = tuple(witness.get(j, ZERO) for j in range(numerator.ambient))
+        entries = ", ".join(f"{j}: {format_scalar(x)}" for j, x in sorted(witness.items()))
         raise PreconditionError(
-            f"denominator is not contained in numerator; witness {dense}"
+            f"denominator is not contained in numerator; witness {{{entries}}}"
         )
     # numerator row k is in the span of the denominator and rows 0..k-1
     # exactly when some denominator vector's last nonzero coordinate is at

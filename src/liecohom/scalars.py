@@ -169,7 +169,8 @@ class Scalar:
         return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value equals its int or Fraction, so it hashes like one
+        return hash(self.re) if self._b == 0 else hash((self.re, self.im))
 
     def __bool__(self):
         return self._a != 0 or self._b != 0

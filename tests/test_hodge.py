@@ -391,6 +391,26 @@ def test_star_matrices_build_no_gram_table():
         assert h._gram_cache == {}
 
 
+def test_star_conjugates_only_the_terms_of_its_argument(monkeypatch):
+    # the star places a form's own terms by basis index: a one-term
+    # (2,2)-form on n = 4 costs one conjugation, not one per basis monomial
+    h = random_positive_metric(4, random.Random(44))
+    c = Scalar(Fraction(2, 3), -1)
+    a = mono(4, (1, 3), (2, 4), c)
+    expected = h.star(a)  # builds and caches the (2,2) star matrix
+    assert len(expected.terms) > 1
+    calls = []
+    conjugate = Scalar.conjugate
+
+    def counting(self):
+        calls.append(self)
+        return conjugate(self)
+
+    monkeypatch.setattr(Scalar, "conjugate", counting)
+    assert h.star(a) == expected
+    assert calls == [c]
+
+
 # -- the minor table and the closed forms read off it ----------------------------
 
 

@@ -13,7 +13,6 @@ from liecohom.linalg import (
     rank,
     rref,
     solve,
-    vec,
     vstack,
 )
 from liecohom.scalars import I, ONE, ZERO, Scalar
@@ -21,7 +20,7 @@ from liecohom.scalars import I, ONE, ZERO, Scalar
 
 def _row(values):
     """A sparse row from dense values."""
-    return {j: x for j, x in enumerate(vec(values)) if x}
+    return {j: y for j, x in enumerate(values) if (y := Scalar.coerce(x))}
 
 
 def test_rref_canonical():
@@ -54,10 +53,26 @@ def test_kernel_of_empty_shapes():
 
 def test_solve_consistent_and_inconsistent():
     m = Matrix([[1, 1], [0, 1]])
-    x = solve(m, vec([3, 2]))
-    assert m.apply(x) == vec([3, 2])
+    x = solve(m, _row([3, 2]))
+    assert x == _row([1, 2])
+    assert m.apply(x) == _row([3, 2])
     m2 = Matrix([[1, 1], [2, 2]])
-    assert solve(m2, vec([1, 3])) is None
+    assert solve(m2, _row([1, 3])) is None
+    # free variables are 0, so absent from the solution row
+    assert solve(m2, _row([0, 0])) == {}
+    assert solve(Matrix([[1, 1], [0, 0]]), _row([2, 0])) == {0: Scalar(2)}
+
+
+def test_apply_and_solve_reject_keys_outside_the_shape():
+    m = Matrix([[1, 1, 0], [0, 1, 1]])
+    for bad in ({3: ONE}, {-1: ONE}, {0: ONE, 5: ONE}):
+        with pytest.raises(ValueError):
+            m.apply(bad)
+    for bad in ({2: ONE}, {-1: ONE}):
+        with pytest.raises(ValueError):
+            solve(m, bad)
+    assert m.apply({2: ONE}) == {1: ONE}
+    assert solve(m, {1: ONE}) == {0: -ONE, 1: ONE}
 
 
 def test_solve_random_roundtrip():
@@ -68,10 +83,12 @@ def test_solve_random_roundtrip():
             for _ in range(3)
         ]
         m = Matrix(rows)
-        x = vec([Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(4)])
+        x = _row([Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(4)])
         b = m.apply(x)
+        assert b == _dense_apply(m, x)
         sol = solve(m, b)
         assert sol is not None and m.apply(sol) == b
+        assert all(sol.values())  # the nonzero entries only
 
 
 def test_subspace_membership_and_equality():
@@ -105,9 +122,14 @@ def test_quotient_containment_enforced():
     denominator = Subspace(2, [_row([0, 1])])
     with pytest.raises(PreconditionError) as info:
         quotient_representatives(numerator, denominator)
-    # the witness is printed as the dense tuple of its entries
+    # the witness prints its nonzero entries in .lie scalar syntax
+    assert str(info.value) == "denominator is not contained in numerator; witness {1: 1}"
+    numerator = Subspace(3, [_row([1, 0, 0])])
+    denominator = Subspace(3, [_row([0, 2, Scalar(1, 2)])])
+    with pytest.raises(PreconditionError) as info:
+        quotient_representatives(numerator, denominator)
     assert str(info.value) == (
-        f"denominator is not contained in numerator; witness {(ZERO, ONE)}"
+        "denominator is not contained in numerator; witness {1: 1, 2: (1/2+1i)}"
     )
 
 
@@ -160,7 +182,7 @@ def test_quotient_matches_rebuild_reference_on_random_pairs():
     for trial in range(60):
         ambient = rng.randint(1, 7)
         gens = [
-            vec([_random_scalar(rng, 0.6) for _ in range(ambient)])
+            [_random_scalar(rng, 0.6) for _ in range(ambient)]
             for _ in range(rng.randint(1, ambient + 1))
         ]
         numerator = Subspace(ambient, [_row(g) for g in gens])
@@ -338,13 +360,20 @@ def _matmul_reference(a, b):
     return Matrix(out, ncols=b.ncols)
 
 
+def _dense_apply(m, v):
+    """Reference for ``m.apply(v)``: the column v through the dense triple
+    loop, with its zero entries dropped."""
+    column = Matrix([[v.get(j, ZERO)] for j in range(m.ncols)], ncols=1)
+    product = _matmul_reference(m, column).transpose()
+    return {i: x for i, x in enumerate(product.row(0)) if x}
+
+
 def _assert_products_match_reference(m):
     for other in (m.transpose(), m.conjugate().transpose()):
         for left, right in ((m, other), (other, m)):
             assert left @ right == _matmul_reference(left, right)
-    v = tuple(ONE if j % 2 else ZERO for j in range(m.ncols))
-    column = _matmul_reference(m, Matrix([[x] for x in v], ncols=1)).transpose()
-    assert m.apply(v) == column.row(0)
+    v = {j: ONE for j in range(1, m.ncols, 2)}
+    assert m.apply(v) == _dense_apply(m, v)
 
 
 def test_matmul_matches_dense_reference_on_sparse_random_matrices():
@@ -533,9 +562,9 @@ def test_every_result_keeps_only_nonzero_entries_in_range():
     assert product.row(1) == (I, 2 * I)
     assert Matrix([[0, 0, 5]]).rows == ({2: Scalar(5)},)
     # solve on empty shapes: no equations, no unknowns
-    assert solve(Matrix.zeros(0, 2), ()) == (ZERO, ZERO)
-    assert solve(Matrix.zeros(2, 0), vec([1, 0])) is None
-    assert solve(Matrix.zeros(2, 0), vec([0, 0])) == ()
+    assert solve(Matrix.zeros(0, 2), {}) == {}
+    assert solve(Matrix.zeros(2, 0), _row([1, 0])) is None
+    assert solve(Matrix.zeros(2, 0), _row([0, 0])) == {}
 
 
 def test_rref_is_canonical_under_row_permutations():

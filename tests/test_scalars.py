@@ -37,6 +37,16 @@ def test_coercion_and_equality():
     assert hash(Scalar(2)) == hash(Scalar(2, 0))
 
 
+def test_equal_values_share_one_hash_slot():
+    # equal objects must hash alike, so a set holds each value once
+    for value in (0, 1, -7, Fraction(1, 2), Fraction(-5, 3)):
+        assert Scalar(value) == value and hash(Scalar(value)) == hash(value)
+        assert len({Scalar(value), value}) == 1
+    assert len({1, Fraction(1), Scalar(1), Scalar(Fraction(2, 2))}) == 1
+    assert len({Scalar(1), Scalar(1, 1), I}) == 3
+    assert {Scalar(Fraction(1, 2)): "half"}[Fraction(1, 2)] == "half"
+
+
 def test_powers():
     assert Scalar(0, -1) ** 2 == Scalar(-1)
     assert Scalar(0, -1) ** 3 == I
@@ -124,7 +134,7 @@ class _PairReference:
         return bool(self.re) or bool(self.im)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash(self.re) if not self.im else hash((self.re, self.im))
 
     def __repr__(self):
         return f"Scalar({self.re!r}, {self.im!r})"

@@ -86,13 +86,8 @@ def test_every_definition_is_referenced():
 
 
 # The coercing ``Matrix(dense_rows)`` constructor and the dense ``Matrix.row``
-# accessor belong where dense input enters; everything else stays in sparse
-# rows.  Each entry is (module, innermost enclosing function).
-DENSE_BOUNDARIES = {
-    ("cohomology.py", "harmonic_projection"),
-}
-
-
+# accessor serve input from outside the engine (tests, scripts); the engine
+# itself builds its matrices and vectors as sparse rows throughout.
 def _dense_calls(node, function=None):
     """(innermost enclosing function, line) of each ``Matrix(...)`` or
     ``.row(...)`` call in the tree."""
@@ -110,14 +105,11 @@ def _dense_calls(node, function=None):
 
 def test_dense_matrix_calls_stay_at_input_boundaries():
     calls = [
-        (path.name, function, line)
+        f"{path.name}:{line} in {function}"
         for path in MODULES
         for function, line in _dense_calls(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    outside = [f"{m}:{line} in {f}" for m, f, line in calls if (m, f) not in DENSE_BOUNDARIES]
-    assert outside == []
-    # an entry with no such call left is a stale exemption
-    assert {(m, f) for m, f, _ in calls} == DENSE_BOUNDARIES
+    assert calls == []
 
 
 def test_scalar_triple_is_read_only_inside_scalars():
