@@ -98,9 +98,14 @@ def _single_matrix(
     blocks of that d entry (sharing its rows), which is all of d on an
     integrable structure; on any other structure they raise
     IntegrabilityError unless the source space is empty.  deldelbar is
-    the cached del at (p, q+1) times the cached delbar at (p, q), and the
-    adjoints are composed from the star matrices and the conjugate d
-    blocks.  No Form is built here: ``analysis.closed_p0_space`` assembles
+    the cached del at (p, q+1) times the cached delbar at (p, q).  The
+    adjoint of P = del or delbar, a -> -*(P *a), is
+    -N' conj(M) conj(N) / (t^2 (2D)^(2n) e): N and N' are the integer star
+    numerators of (p, q) and of the complement of the target, t (2D)^n
+    their common denominator (``HermitianMetric._star_numerators``), and
+    M / e is the cached P out of (n-p, n-q) over the common denominator e
+    of its entries; ``HermitianMetric.adjoint_matrix`` sums it in Gaussian
+    integers.  No Form is built here: ``analysis.closed_p0_space`` assembles
     its d matrix through the Form-level ``s.d`` on purpose, as the
     independent route that checks H_BC^(p,0) against this one."""
     needs_metric = name in ("del_adj", "delbar_adj")
@@ -132,15 +137,14 @@ def _single_matrix(
             else:
                 out = Matrix.zeros(len(dst), 0)
         else:
-            # a -> -*(D *a) with the conjugate-linear star: -S' conj(D) conj(S)
+            # a -> -*(D *a) with the conjugate-linear star
             if src:
                 h.require_positive()  # as the star of each source monomial would
             d = _single_matrix(name[: -len("_adj")], s, n - p, n - q, None)
             if d.is_zero():
                 out = Matrix.zeros(len(dst), len(src))
             else:
-                star_back = h._star_matrix(n - p - dp, n - q - dq)
-                out = -(star_back @ d.conjugate() @ h._star_matrix(p, q).conjugate())
+                out = h.adjoint_matrix(d, (p, q), (p + dp, q + dq))
     s._op_matrix_cache[key] = out
     return out
 

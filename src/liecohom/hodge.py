@@ -35,8 +35,21 @@ index sets I, J of size k (0-based, complements I^c, J^c):
   * vol = (-1)^(n(n-1)/2) (i/2)^n det h f_1..f_n ^ F_1..F_n.
 
 So omega powers, the volume, Gram and star entries are integer products
-over one known denominator, each built as a Scalar once.  The table's
-full minor det H / D^n must equal the last leading minor that
+over one known denominator, each built as a Scalar once.  The star matrix
+of the (p,q) space is S = N / (t (2D)^n), t = det H, and each metric keeps
+its integer numerators N per (p,q).  The matrix of the adjoint
+a -> -*(P *a) out of the (p,q) space, for P = del or delbar with matrix
+M / e from the (n-p, n-q) space (e the common denominator of its
+entries), is
+
+    -S' conj(P) conj(S) = -N' conj(M) conj(N) / (t^2 (2D)^(2n) e),
+
+with N' the numerators of the star back from P's target; the star is
+conjugate-linear, hence the conjugates.  It is summed in Gaussian
+integers and each entry built once, with no star matrix and no Scalar
+product.
+
+The table's full minor det H / D^n must equal the last leading minor that
 ``positivity`` computes by elimination; a mismatch is an engine defect.
 """
 
@@ -52,7 +65,7 @@ from typing import Optional
 from . import linalg
 from .errors import MetricError, PreconditionError
 from .exterior import BasisMonomial, Form, basis, basis_index, monomial_wedge
-from .linalg import Matrix, Row
+from .linalg import IntRow, Matrix, _gaussian_sums
 from .scalars import I_HALF, ONE, ZERO, I, Scalar, common_denominator, from_parts, numerators
 from .structure import StructureEquations
 
@@ -137,13 +150,11 @@ def _minor_table(rows) -> tuple[int, list[list[list[tuple[int, int]]]]]:
     return den, table
 
 
-def _kronecker_row(hnz, arow, d: int) -> Row:
-    """The row {i + j: (x + yi)(u - vi)/d} over the entries (i, x, y) of
-    hnz and (j, u, v) of arow: a compound row times the conjugate of
-    another, with integer parts; products of nonzeros are nonzero."""
-    return {
-        i + j: from_parts(x * u + y * v, y * u - x * v, d) for i, x, y in hnz for j, u, v in arow
-    }
+def _kronecker_row(hnz, arow) -> IntRow:
+    """The integer row (i + j, (x + yi)(u - vi)) over the entries (i, x, y)
+    of hnz and (j, u, v) of arow: a compound row times the conjugate of
+    another; products of nonzeros are nonzero."""
+    return [(i + j, x * u + y * v, y * u - x * v) for i, x, y in hnz for j, u, v in arow]
 
 
 class HermitianMetric:
@@ -171,6 +182,7 @@ class HermitianMetric:
         self._table: Optional[tuple[int, int, list]] = None
         self._compounds: Optional[list[list[list[tuple[int, int, int]]]]] = None
         self._gram_cache: dict[tuple[int, int], Matrix] = {}
+        self._star_rows: dict[tuple[int, int], list[IntRow]] = {}
         self._star_cache: dict[tuple[int, int], Matrix] = {}
         self._omega_powers: dict[int, Form] = {}
         self._positive: Optional[bool] = None
@@ -366,7 +378,8 @@ class HermitianMetric:
         rows = []
         for hrow in compounds[p]:
             hnz = [(i * width, scale * x, scale * y) for i, x, y in hrow]
-            rows.extend(_kronecker_row(hnz, arow, d) for arow in anti)
+            for arow in anti:
+                rows.append({j: from_parts(a, b, d) for j, a, b in _kronecker_row(hnz, arow)})
         out = Matrix.sparse(rows, dim)
         self._gram_cache[key] = out
         return out
@@ -401,9 +414,11 @@ class HermitianMetric:
 
     # -- Hodge star -------------------------------------------------------------
 
-    def _star_matrix(self, p: int, q: int) -> Matrix:
-        """Matrix S with S[:, b] = coordinates of *(m_b) over the (n-p, n-q)
-        basis.
+    def _star_numerators(self, p: int, q: int) -> list[IntRow]:
+        """N with the star matrix S of the (p, q) space equal to N / (t (2D)^n),
+        t = det H, built once per (p, q); S[:, b] holds the coordinates of
+        *(m_b) over the (n-p, n-q) basis, and each row of N its nonzero
+        entries as (column, re, im).
 
         The defining relation on monomials reads  W @ S = vol_coeff * Gram
         with W[a][c] f_top = m_a ^ m'_c.  m_a ^ m'_c vanishes unless m_a is
@@ -411,19 +426,19 @@ class HermitianMetric:
         S = W^T @ (vol_coeff * Gram): row c of S is sign * vol_coeff times
         Gram row a, with m_a the complement of m'_c and sign the sign of
         m_a ^ m'_c.  That Gram row is the Kronecker product of a row of the
-        p-th compound with a conjugate row of the q-th, so S is built from
-        the compound numerators directly: with vol_coeff = i^(n^2) t / (2D)^n
-        (t = det H), each entry is sign * i^(n^2) (2D)^(p+q) times one
-        integer product over t (2D)^n.  No Gram matrix is built."""
+        p-th compound with a conjugate row of the q-th, so N is built from
+        the compound numerators directly: with vol_coeff = i^(n^2) t / (2D)^n,
+        each entry is sign * i^(n^2) (2D)^(p+q) times one integer product.
+        No Gram matrix is built."""
         key = (p, q)
-        cached = self._star_cache.get(key)
+        cached = self._star_rows.get(key)
         if cached is not None:
             return cached
         self.require_positive()
         n = self.n
         compounds = self._gram_compounds()
-        den, t, _ = self._minors_of_h()  # t > 0
-        scale, d = (2 * den) ** (p + q), t * (2 * den) ** n
+        den, _, _ = self._minors_of_h()
+        scale = (2 * den) ** (p + q)
         holo, anti = compounds[p], compounds[q]
         width = len(anti)
         src = basis(n, p, q)
@@ -439,10 +454,29 @@ class HermitianMetric:
                 hnz = [(i * width, -u * y, u * x) for i, x, y in holo[a]]
             else:
                 hnz = [(i * width, u * x, u * y) for i, x, y in holo[a]]
-            rows.append(_kronecker_row(hnz, anti[b], d))
-        out = Matrix.sparse(rows, len(src))
-        self._star_cache[key] = out
-        return out
+            rows.append(_kronecker_row(hnz, anti[b]))
+        self._star_rows[key] = rows
+        return rows
+
+    def _star_denominator(self) -> int:
+        """t (2D)^n, the denominator of every star numerator; positive once
+        ``_star_numerators`` has required a positive metric."""
+        den, t, _ = self._minors_of_h()
+        return t * (2 * den) ** self.n
+
+    def _star_matrix(self, p: int, q: int) -> Matrix:
+        """The star matrix S = N / (t (2D)^n) of the (p, q) space, one
+        ``from_parts`` per entry of the numerators N; built once, for
+        ``star``."""
+        key = (p, q)
+        cached = self._star_cache.get(key)
+        if cached is None:
+            d = self._star_denominator()
+            ints = self._star_numerators(p, q)
+            rows = [{j: from_parts(a, b, d) for j, a, b in row} for row in ints]
+            cached = Matrix.sparse(rows, len(basis(self.n, p, q)))
+            self._star_cache[key] = cached
+        return cached
 
     def star(self, a: Form) -> Form:
         """The conjugate-linear Hodge star, componentwise over bidegrees."""
@@ -468,6 +502,27 @@ class HermitianMetric:
     def delbar_adjoint(self, a: Form, s: StructureEquations) -> Form:
         """-star delbar star; drops the anti-holomorphic degree by one."""
         return -self.star(s.delbar(self.star(a)))
+
+    def adjoint_matrix(
+        self, op: Matrix, source: tuple[int, int], target: tuple[int, int]
+    ) -> Matrix:
+        """The matrix of a -> -*(op *a) from the `source` space (p, q) to the
+        `target` space (p', q'), for op the matrix of del or delbar from the
+        (n-p, n-q) space: -N' conj(M) conj(N) / (t^2 (2D)^(2n) e), as in the
+        module docstring.  It is summed as conj(conj(N') M N), left to right,
+        by the matrix product's row kernel ``linalg._gaussian_sums``, so no
+        conjugate copy of N is made; then one ``from_parts`` per entry."""
+        n = self.n
+        back = self._star_numerators(n - target[0], n - target[1])
+        forth = self._star_numerators(*source)
+        e = common_denominator(x for row in op.rows for x in row.values())
+        m = [[(j, *numerators(x, e)) for j, x in row.items()] for row in op.rows]
+        d = self._star_denominator() ** 2 * e
+        rows = []
+        for row in back:
+            y = _gaussian_sums(_gaussian_sums([(k, a, -b) for k, a, b in row], m), forth)
+            rows.append({j: from_parts(-a, b, d) for j, a, b in y})
+        return Matrix.sparse(rows, len(basis(n, *source)))
 
     def lefschetz(self, a: Form, k: int) -> Form:
         """Wedge with omega^k."""

@@ -12,20 +12,22 @@ dropping any entry that cancels to zero, so the sparse operator matrices
 cost in proportion to their nonzeros.  ``rref`` keeps an index from each
 column to the rows holding an entry there: at column c it picks the
 shortest free row holding c as the pivot row, scales it once and updates
-only the other rows that hold c, and only at the pivot row's columns.  The
-public constructor takes dense rows, coerces and drops zeros; the engine's
-own results go through the trusted ``Matrix.sparse``.
+only the other rows that hold c, and only at the pivot row's columns.  Every
+Matrix is built by the trusted ``Matrix.sparse``: the engine's rows hold
+nonzero Scalars only, so there is nothing to coerce or check.
 
 The product ``A @ B`` sums Gaussian integers.  A row of A with one entry
 x at k has nothing to sum: its product row is x times row k of B.  For the
 rows with two or more entries, it puts the rows of B they meet over one
 common denominator e and row i of A over its own d, meets each nonzero
 ``A[i][k]`` with the stored entries of row k of B, and accumulates the real
-and imaginary parts of row i as plain ``int`` sums in two dicts.  Each
-nonzero sum then becomes one entry ``(re + im*i)/(d*e)``, reduced to lowest
-terms once; a Scalar is canonical, so the entries are those of Scalar
-arithmetic.  The sparse operator products are mostly one-entry rows, and
-the dense products of the metric layer (stars, adjoints) are all sums.
+and imaginary parts of row i as plain ``int`` sums (``_gaussian_sums``).
+Each nonzero sum then becomes one entry ``(re + im*i)/(d*e)``, reduced to
+lowest terms once; a Scalar is canonical, so the entries are those of Scalar
+arithmetic.  The sparse operator products are mostly one-entry rows.  The
+metric layer composes its adjoint matrices from integer rows it already
+holds (``hodge.HermitianMetric.adjoint_matrix``) with the same
+``_gaussian_sums``, so there is one product kernel.
 
 Null spaces, subspaces and quotients stay in sparse rows from end to end:
 ``kernel_basis`` returns a Matrix with one kernel vector per row,
@@ -50,11 +52,27 @@ from typing import Sequence
 from .scalars import ONE, ZERO, Scalar, common_denominator, format_scalar, from_parts, numerators
 
 Row = dict[int, Scalar]
+# a row of Gaussian integers over a denominator kept elsewhere: (column, re, im)
+IntRow = list[tuple[int, int, int]]
 
 
 def _require_keys(v: Row, size: int, what: str):
     if v and not (0 <= min(v) and max(v) < size):
         raise ValueError(f"{what} has a key outside range({size})")
+
+
+def _gaussian_sums(left: IntRow, right) -> IntRow:
+    """The row sum over (k, a, b) in ``left`` of (a + bi) times the integer
+    row ``right[k]``, accumulated as plain ints; the nonzero sums only, keyed
+    in order of first product."""
+    re: dict[int, int] = {}
+    im: dict[int, int] = {}
+    for k, a, b in left:
+        for j, c, f in right[k]:
+            re[j] = re.get(j, 0) + a * c - b * f
+            im[j] = im.get(j, 0) + a * f + b * c
+    # re and im share their keys, in the same order
+    return [(j, x, y) for (j, x), y in zip(re.items(), im.values()) if x or y]
 
 
 class Matrix:
@@ -64,23 +82,6 @@ class Matrix:
     them."""
 
     __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, rows: Sequence[Sequence], ncols: int | None = None):
-        rows = [tuple(row) for row in rows]
-        if rows:
-            ncols_found = len(rows[0])
-            if any(len(r) != ncols_found for r in rows):
-                raise ValueError("ragged rows")
-            if ncols is not None and ncols != ncols_found:
-                raise ValueError("ncols does not match row length")
-            ncols = ncols_found
-        elif ncols is None:
-            raise ValueError("empty matrix needs an explicit ncols")
-        self.rows = tuple(
-            {j: y for j, x in enumerate(row) if (y := Scalar.coerce(x))} for row in rows
-        )
-        self.nrows = len(rows)
-        self.ncols = ncols
 
     @staticmethod
     def sparse(rows: Sequence[Row], ncols: int) -> "Matrix":
@@ -94,26 +95,12 @@ class Matrix:
     def zeros(nrows: int, ncols: int) -> "Matrix":
         return Matrix.sparse([{} for _ in range(nrows)], ncols)
 
-    @staticmethod
-    def identity(k: int) -> "Matrix":
-        return Matrix.sparse([{i: ONE} for i in range(k)], k)
-
-    def row(self, i: int) -> tuple[Scalar, ...]:
-        """Row i as a dense vector."""
-        row = self.rows[i]
-        return tuple(row.get(j, ZERO) for j in range(self.ncols))
-
     def transpose(self) -> "Matrix":
         cols: list[dict[int, Scalar]] = [{} for _ in range(self.ncols)]
         for i, row in enumerate(self.rows):
             for j, x in row.items():
                 cols[j][i] = x
         return Matrix.sparse(cols, self.nrows)
-
-    def conjugate(self) -> "Matrix":
-        return Matrix.sparse(
-            [{j: x.conjugate() for j, x in row.items()} for row in self.rows], self.ncols
-        )
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -132,19 +119,10 @@ class Matrix:
                 e = common_denominator(y for k in used for y in brows[k].values())
                 right = {k: [(j, *numerators(y, e)) for j, y in brows[k].items()] for k in used}
             d = common_denominator(left.values())
-            re: dict[int, int] = {}
-            im: dict[int, int] = {}
-            for k, x in left.items():
-                a, b = numerators(x, d)
-                for j, c, f in right[k]:
-                    re[j] = re.get(j, 0) + a * c - b * f
-                    im[j] = im.get(j, 0) + a * f + b * c
-            # entry j is (re[j] + im[j]*i)/(d*e); re and im share their keys,
-            # in order of first product
+            sums = _gaussian_sums([(k, *numerators(x, d)) for k, x in left.items()], right)
+            # entry j is (x + y*i)/(d*e)
             de = d * e
-            out.append(
-                {j: from_parts(x, y, de) for (j, x), y in zip(re.items(), im.values()) if x or y}
-            )
+            out.append({j: from_parts(x, y, de) for j, x, y in sums})
         return Matrix.sparse(out, other.ncols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -159,16 +137,6 @@ class Matrix:
                     row[j] = z
             out.append(row)
         return Matrix.sparse(out, self.ncols)
-
-    def __neg__(self) -> "Matrix":
-        return self.scale(-1)
-
-    def scale(self, c) -> "Matrix":
-        c = Scalar.coerce(c)
-        return Matrix.sparse(
-            [{j: y for j, x in row.items() if (y := c * x)} for row in self.rows],
-            self.ncols,
-        )
 
     def apply(self, v: Row) -> Row:
         """The product M v of the sparse column vector v, as a Row."""

@@ -317,12 +317,16 @@ def reference_gram(h, p, q):
         return _det([[g[x - 1][y - 1] for y in cols] for x in rows])
 
     mons = basis(h.n, p, q)
-    return Matrix(
+    return Matrix.sparse(
         [
-            [minor(g1, a.holo, b.holo) * minor(g1bar, a.anti, b.anti) for b in mons]
+            {
+                j: x
+                for j, b in enumerate(mons)
+                if (x := minor(g1, a.holo, b.holo) * minor(g1bar, a.anti, b.anti))
+            }
             for a in mons
         ],
-        ncols=len(mons),
+        len(mons),
     )
 
 
@@ -341,7 +345,8 @@ def reference_star_matrix(h, p, q):
             row.append(Scalar(hit[0]) if hit and hit[1] == top else ZERO)
         w.append(row)
     vol_coeff = h.volume_form().terms[top]
-    return Matrix(invert(w), ncols=len(dst)) @ h.gram(p, q).scale(vol_coeff)
+    scaled = [{j: y for j, x in enumerate(row) if (y := vol_coeff * x)} for row in invert(w)]
+    return Matrix.sparse(scaled, len(dst)) @ h.gram(p, q)
 
 
 def reference_adjoint_matrix(name, s, h, p, q):
@@ -355,12 +360,12 @@ def reference_adjoint_matrix(name, s, h, p, q):
     )
 
 
-def assert_tables_match_references(s, seed):
+def assert_tables_match_references(s, seed, count=3):
     n = s.n
     rng = random.Random(seed)
     # the random metrics have non-real entries, so a dropped conjugation shows
     metrics = [HermitianMetric.identity(n)]
-    metrics += [random_positive_metric(n, rng) for _ in range(3)]
+    metrics += [random_positive_metric(n, rng) for _ in range(count)]
     for h in metrics:
         for p in range(n + 1):
             for q in range(n + 1):
@@ -378,6 +383,41 @@ def test_hermitian_tables_match_reference_routes_on_corpus(name):
 
 def test_hermitian_tables_match_reference_routes_without_unimodularity():
     assert_tables_match_references(parse_structure(AFFINE), seed=42)
+
+
+def test_hermitian_tables_match_reference_routes_on_the_n4_ladder():
+    # the benchmark's metric-sweep structure d f4 = f1^f2, where the adjoint
+    # products are largest: the identity and one seeded non-real metric
+    s = parse_structure("algebra heisenberg-4\ndim 4\nd f4 = f1^f2\n")
+    h = random_positive_metric(4, random.Random(47))
+    assert not all(x.is_real() for row in h.entries for x in row)
+    assert_tables_match_references(s, seed=47, count=1)
+
+
+def test_adjoint_matrices_need_no_matrix_product_or_star_matrix(monkeypatch):
+    # the adjoints are composed from the star numerators in integers: on a
+    # fresh n = 4 metric no Matrix product and no star matrix is built
+    s = parse_structure("algebra heisenberg-4\ndim 4\nd f4 = f1^f2\n")
+    h = random_positive_metric(4, random.Random(48))
+    calls = []
+    matmul, star_matrix = Matrix.__matmul__, HermitianMetric._star_matrix
+
+    def counting_matmul(a, b):
+        calls.append("matmul")
+        return matmul(a, b)
+
+    def counting_star_matrix(self, p, q):
+        calls.append("star matrix")
+        return star_matrix(self, p, q)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
+    monkeypatch.setattr(HermitianMetric, "_star_matrix", counting_star_matrix)
+    built = 0
+    for p in range(5):
+        for q in range(5):
+            for name in ("del_adj", "delbar_adj"):
+                built += not _single_matrix(name, s, p, q, h).is_zero()
+    assert calls == [] and built > 0
 
 
 def test_star_matrices_build_no_gram_table():
@@ -513,8 +553,8 @@ def test_gram_of_an_indefinite_matrix(rows):
     h = HermitianMetric(rows)
     assert not h.is_positive() and h.positivity()[1][-1] < 0
     inv = invert(h.entries)
-    expected = [[Scalar(2) * x.conjugate() for x in row] for row in inv]
-    assert h.gram(1, 0) == Matrix(expected, ncols=2)
+    expected = [{j: Scalar(2) * x.conjugate() for j, x in enumerate(row) if x} for row in inv]
+    assert h.gram(1, 0) == Matrix.sparse(expected, 2)
     for p in range(3):
         for q in range(3):
             assert h.gram(p, q) == reference_gram(h, p, q)

@@ -23,23 +23,33 @@ def _row(values):
     return {j: y for j, x in enumerate(values) if (y := Scalar.coerce(x))}
 
 
+def dense(rows, ncols=None):
+    """A Matrix from dense rows of values ``Scalar.coerce`` takes, zeros
+    dropped; ``ncols`` is needed only when there are no rows."""
+    return Matrix.sparse([_row(r) for r in rows], len(rows[0]) if ncols is None else ncols)
+
+
+def _conjugate(m):
+    return Matrix.sparse([{j: x.conjugate() for j, x in row.items()} for row in m.rows], m.ncols)
+
+
 def test_rref_canonical():
-    m = Matrix([[0, 2], [1, 1]])
+    m = dense([[0, 2], [1, 1]])
     reduced, pivots = rref(m)
     assert pivots == [0, 1]
-    assert reduced == Matrix.identity(2)
+    assert reduced == dense([[1, 0], [0, 1]])
 
 
 def test_rref_over_gaussian_rationals():
-    m = Matrix([[I, 1], [1, -I]])  # second row = -i * first
+    m = dense([[I, 1], [1, -I]])  # second row = -i * first
     reduced, pivots = rref(m)
     assert pivots == [0]
-    assert reduced.row(0) == (ONE, Scalar(0, -1))
-    assert reduced.row(1) == (ZERO, ZERO)
+    assert reduced.rows[0] == {0: ONE, 1: Scalar(0, -1)}
+    assert reduced.rows[1] == {}
 
 
 def test_kernel_and_rank():
-    m = Matrix([[1, 2, 3], [2, 4, 6]])
+    m = dense([[1, 2, 3], [2, 4, 6]])
     assert rank(m) == 1
     kb = kernel_basis(m)
     assert kb.shape == (2, 3)
@@ -48,23 +58,23 @@ def test_kernel_and_rank():
 
 def test_kernel_of_empty_shapes():
     assert kernel_basis(Matrix.zeros(3, 0)) == Matrix.zeros(0, 0)
-    assert kernel_basis(Matrix.zeros(0, 2)) == Matrix.identity(2)
+    assert kernel_basis(Matrix.zeros(0, 2)) == dense([[1, 0], [0, 1]])
 
 
 def test_solve_consistent_and_inconsistent():
-    m = Matrix([[1, 1], [0, 1]])
+    m = dense([[1, 1], [0, 1]])
     x = solve(m, _row([3, 2]))
     assert x == _row([1, 2])
     assert m.apply(x) == _row([3, 2])
-    m2 = Matrix([[1, 1], [2, 2]])
+    m2 = dense([[1, 1], [2, 2]])
     assert solve(m2, _row([1, 3])) is None
     # free variables are 0, so absent from the solution row
     assert solve(m2, _row([0, 0])) == {}
-    assert solve(Matrix([[1, 1], [0, 0]]), _row([2, 0])) == {0: Scalar(2)}
+    assert solve(dense([[1, 1], [0, 0]]), _row([2, 0])) == {0: Scalar(2)}
 
 
 def test_apply_and_solve_reject_keys_outside_the_shape():
-    m = Matrix([[1, 1, 0], [0, 1, 1]])
+    m = dense([[1, 1, 0], [0, 1, 1]])
     for bad in ({3: ONE}, {-1: ONE}, {0: ONE, 5: ONE}):
         with pytest.raises(ValueError):
             m.apply(bad)
@@ -82,7 +92,7 @@ def test_solve_random_roundtrip():
             [Scalar(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(4)]
             for _ in range(3)
         ]
-        m = Matrix(rows)
+        m = dense(rows)
         x = _row([Scalar(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(4)])
         b = m.apply(x)
         assert b == _dense_apply(m, x)
@@ -134,11 +144,11 @@ def test_quotient_containment_enforced():
 
 
 def test_matmul_and_shapes():
-    a = Matrix([[1, I], [0, 1]])
-    b = Matrix([[1], [Fraction(1, 2)]])
+    a = dense([[1, I], [0, 1]])
+    b = dense([[1], [Fraction(1, 2)]])
     prod = a @ b
     assert prod.shape == (2, 1)
-    assert prod.row(0)[0] == Scalar(1, Fraction(1, 2))
+    assert prod.rows[0][0] == Scalar(1, Fraction(1, 2))
     with pytest.raises(ValueError):
         b @ a
 
@@ -281,7 +291,7 @@ def _to_sympy(sympy, m):
         )
 
     return sympy.Matrix(
-        m.nrows, m.ncols, [entry(x) for i in range(m.nrows) for x in m.row(i)]
+        m.nrows, m.ncols, [entry(row.get(j, ZERO)) for row in m.rows for j in range(m.ncols)]
     )
 
 
@@ -294,7 +304,7 @@ def _assert_rref_matches_sympy(sympy, m):
     reduced, pivots = rref(m)
     theirs, their_pivots = _to_sympy(sympy, m).rref()
     assert pivots == list(their_pivots)
-    assert reduced == Matrix(
+    assert reduced == dense(
         [[_from_sympy(sympy, theirs[i, j]) for j in range(m.ncols)] for i in range(m.nrows)],
         ncols=m.ncols,
     )
@@ -323,7 +333,7 @@ def _sparse_random_matrices():
         zero_col = rng.randrange(ncols)
         for row in rows:
             row[zero_col] = ZERO
-        yield Matrix(rows, ncols=ncols)
+        yield dense(rows, ncols)
 
 
 def _corpus_operator_matrices(ops):
@@ -346,8 +356,8 @@ def _corpus_operator_matrices(ops):
 
 def _matmul_reference(a, b):
     """Reference: the dense triple loop, accumulating over k in order."""
-    a_rows = [a.row(i) for i in range(a.nrows)]
-    b_rows = [b.row(k) for k in range(b.nrows)]
+    a_rows = [[row.get(k, ZERO) for k in range(a.ncols)] for row in a.rows]
+    b_rows = [[row.get(j, ZERO) for j in range(b.ncols)] for row in b.rows]
     out = []
     for i in range(a.nrows):
         row = []
@@ -357,19 +367,19 @@ def _matmul_reference(a, b):
                 acc = acc + a_rows[i][k] * b_rows[k][j]
             row.append(acc)
         out.append(row)
-    return Matrix(out, ncols=b.ncols)
+    return dense(out, b.ncols)
 
 
 def _dense_apply(m, v):
     """Reference for ``m.apply(v)``: the column v through the dense triple
     loop, with its zero entries dropped."""
-    column = Matrix([[v.get(j, ZERO)] for j in range(m.ncols)], ncols=1)
+    column = dense([[v.get(j, ZERO)] for j in range(m.ncols)], 1)
     product = _matmul_reference(m, column).transpose()
-    return {i: x for i, x in enumerate(product.row(0)) if x}
+    return dict(sorted(product.rows[0].items()))
 
 
 def _assert_products_match_reference(m):
-    for other in (m.transpose(), m.conjugate().transpose()):
+    for other in (m.transpose(), _conjugate(m).transpose()):
         for left, right in ((m, other), (other, m)):
             assert left @ right == _matmul_reference(left, right)
     v = {j: ONE for j in range(1, m.ncols, 2)}
@@ -396,7 +406,7 @@ def test_matmul_matches_dense_reference_on_corpus_operator_matrices():
 def test_matmul_zero_tests_each_entry_once(monkeypatch):
     rng = random.Random(40)
     a, b = (
-        Matrix([[_random_scalar(rng, 0.1) for _ in range(40)] for _ in range(40)])
+        dense([[_random_scalar(rng, 0.1) for _ in range(40)] for _ in range(40)])
         for _ in range(2)
     )
     expected = _matmul_reference(a, b)
@@ -439,7 +449,7 @@ def _coprime_scalars(rng, count):
 
 def _coprime_denominator_matrix(rng, nrows, ncols):
     entries = [x if rng.random() < 0.8 else ZERO for x in _coprime_scalars(rng, nrows * ncols)]
-    return Matrix([entries[i : i + ncols] for i in range(0, len(entries), ncols)], ncols=ncols)
+    return dense([entries[i : i + ncols] for i in range(0, len(entries), ncols)], ncols)
 
 
 def test_matmul_matches_reference_with_large_coprime_denominators():
@@ -448,7 +458,7 @@ def test_matmul_matches_reference_with_large_coprime_denominators():
         m, k, n = rng.randint(1, 5), rng.randint(1, 6), rng.randint(1, 5)
         a = _coprime_denominator_matrix(rng, m, k)
         b = _coprime_denominator_matrix(rng, k, n)
-        for left, right in ((a, b), (b.transpose(), a.conjugate().transpose())):
+        for left, right in ((a, b), (b.transpose(), _conjugate(a).transpose())):
             product = left @ right
             _assert_sparse_rows(product)
             assert product == _matmul_reference(left, right)
@@ -457,14 +467,14 @@ def test_matmul_matches_reference_with_large_coprime_denominators():
 def test_matmul_stores_no_entry_that_cancels_to_zero():
     u, v, w, x = _coprime_scalars(random.Random(44), 4)
     # row 0 cancels everywhere, row 1 at column 1 only
-    a = Matrix([[x, -x, 0], [1, 0, -1]])
-    b = Matrix([[u, w], [u, w], [v, w]])
+    a = dense([[x, -x, 0], [1, 0, -1]])
+    b = dense([[u, w], [u, w], [v, w]])
     product = a @ b
     assert product.rows == ({}, {0: u - v})
     assert product == _matmul_reference(a, b)
     # row 0 cancels across the different denominators of u, v and u + v
-    c = Matrix([[u], [v], [u + v]])
-    d = Matrix([[1, 1, -1], [1, 0, 0]])
+    c = dense([[u], [v], [u + v]])
+    d = dense([[1, 1, -1], [1, 0, 0]])
     assert (d @ c).rows == ({}, {0: u})
     assert d @ c == _matmul_reference(d, c)
 
@@ -541,9 +551,10 @@ def test_every_result_keeps_only_nonzero_entries_in_range():
     matrices += _corpus_operator_matrices(("del", "delbar"))
     for m in matrices:
         t = m.transpose()
+        minus = Matrix.sparse([{j: -x for j, x in row.items()} for row in m.rows], m.ncols)
         results = [
-            m, t, m @ t, t @ m, m + m, -m, m + (-m), m.scale(0), m.scale(I),
-            m.conjugate(), vstack([m, m.conjugate()]), hstack([m, m]), rref(m)[0],
+            m, t, m @ t, t @ m, m + m, m + minus, vstack([m, _conjugate(m)]), hstack([m, m]),
+            rref(m)[0],
         ]
         for result in results:
             _assert_sparse_rows(result)
@@ -551,16 +562,16 @@ def test_every_result_keeps_only_nonzero_entries_in_range():
         _assert_kernel_rows(kb)
         for ambient, rows in ((m.ncols, m.rows), (m.nrows, t.rows), (m.ncols, kb.rows)):
             _assert_echelon_rows(Subspace(ambient, rows))
-        assert (m + (-m)).is_zero()
-        assert (m + (-m)).rows == m.scale(0).rows == tuple({} for _ in range(m.nrows))
+        assert (m + minus).is_zero()
+        assert (m + minus).rows == tuple({} for _ in range(m.nrows))
     # dense rows that cancel in the product leave empty rows behind
-    a = Matrix([[1, 1], [I, 0]])
-    b = Matrix([[1, 2], [-1, -2]])
+    a = dense([[1, 1], [I, 0]])
+    b = dense([[1, 2], [-1, -2]])
     product = a @ b
     _assert_sparse_rows(product)
     assert product.rows[0] == {}
-    assert product.row(1) == (I, 2 * I)
-    assert Matrix([[0, 0, 5]]).rows == ({2: Scalar(5)},)
+    assert product.rows[1] == {0: I, 1: 2 * I}
+    assert dense([[0, 0, 5]]).rows == ({2: Scalar(5)},)
     # solve on empty shapes: no equations, no unknowns
     assert solve(Matrix.zeros(0, 2), {}) == {}
     assert solve(Matrix.zeros(2, 0), _row([1, 0])) is None

@@ -85,9 +85,9 @@ def test_every_definition_is_referenced():
     assert unused == []
 
 
-# The coercing ``Matrix(dense_rows)`` constructor and the dense ``Matrix.row``
-# accessor serve input from outside the engine (tests, scripts); the engine
-# itself builds its matrices and vectors as sparse rows throughout.
+# Matrix has no coercing ``Matrix(dense_rows)`` constructor and no dense
+# ``Matrix.row`` accessor: the engine builds its matrices and vectors as
+# sparse rows throughout, and a call of either form would bring them back.
 def _dense_calls(node, function=None):
     """(innermost enclosing function, line) of each ``Matrix(...)`` or
     ``.row(...)`` call in the tree."""
@@ -110,6 +110,54 @@ def test_dense_matrix_calls_stay_at_input_boundaries():
         for function, line in _dense_calls(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert calls == []
+
+
+def _attribute_reads(node, enclosing=()):
+    """(attribute, enclosing definitions, name it is read through or None)
+    for each ``x.attribute`` in the tree."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing = enclosing + (node,)
+    if isinstance(node, ast.Attribute):
+        owner = node.value.id if isinstance(node.value, ast.Name) else None
+        yield node.attr, enclosing, owner
+    for child in ast.iter_child_nodes(node):
+        yield from _attribute_reads(child, enclosing)
+
+
+def test_every_matrix_attribute_is_used_by_the_engine():
+    # linalg.Matrix carries no surface the engine does not call: each
+    # non-dunder method, property and slot is read as ``x.name`` somewhere
+    # in src/liecohom outside its own definition.  A read through another
+    # class's name (``HermitianMetric.identity``) does not count.
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    linalg = trees[ROOT / "src" / "liecohom" / "linalg.py"]
+    matrix = next(
+        node for node in linalg.body if isinstance(node, ast.ClassDef) and node.name == "Matrix"
+    )
+    attributes = {}
+    for item in matrix.body:
+        if isinstance(item, ast.FunctionDef):
+            attributes[item.name] = item
+        elif isinstance(item, ast.Assign) and item.targets[0].id == "__slots__":
+            attributes.update((slot.value, None) for slot in item.value.elts)
+    other_classes = {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node is not matrix
+    }
+    used = {
+        name
+        for tree in trees.values()
+        for name, enclosing, owner in _attribute_reads(tree)
+        if attributes.get(name) not in enclosing and owner not in other_classes
+    }
+    unused = [
+        name
+        for name in attributes
+        if not (name.startswith("__") and name.endswith("__")) and name not in used
+    ]
+    assert unused == []
 
 
 def test_scalar_triple_is_read_only_inside_scalars():
