@@ -156,7 +156,7 @@ def closed_p0_space(s: StructureEquations, p: int) -> Subspace:
     mat = _matrix_for(
         lambda m: s.d(Form(n, {m: ONE}, _validated=True)), n, mons, total_basis(n, p + 1)
     )
-    return Subspace(len(mons), kernel_basis(mat).rows)
+    return kernel_basis(mat)
 
 
 def closed_p0_forms(s: StructureEquations, p: int) -> list[Form]:
@@ -173,8 +173,12 @@ def verify_vanishing_theorem(
     A COUNTEREXAMPLE-AT-INVARIANT-LEVEL can only mean an engine defect (or
     an invariant/manifold gap) and is treated as a hard failure by the
     verification suite.  A false hypothesis is vacuously consistent; the
-    condition is sufficient, not necessary; a wrong-size metric is refused.
+    condition is sufficient, not necessary; a wrong-size metric and a p
+    outside 1..n-1 (where the class of omega^(n-p) is not defined) are
+    refused.
     """
+    if not (1 <= p <= s.n - 1):
+        raise PreconditionError(f"p must be in 1..{s.n - 1}")
     h.require_size(s.n)
     closed_dim = closed_p0_space(s, p).dim
     try:

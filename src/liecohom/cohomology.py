@@ -109,8 +109,10 @@ def _single_matrix(
     its d matrix through the Form-level ``s.d`` on purpose, as the
     independent route that checks H_BC^(p,0) against this one."""
     needs_metric = name in ("del_adj", "delbar_adj")
-    if needs_metric and h is None:
-        raise PreconditionError(f"operator {name} needs a metric")
+    if needs_metric:
+        if h is None:
+            raise PreconditionError(f"operator {name} needs a metric")
+        h.require_size(s.n)
     key = (name, p, q, h if needs_metric else None)
     cached = s._op_matrix_cache.get(key)
     if cached is not None:
@@ -258,10 +260,10 @@ def operator_matrix(
 
     Names: d, del, delbar, del_adj, delbar_adj, deldelbar, lap_bc, lap_a.
     d targets the full space of total degree p+q+1 (``target`` is that
-    degree).  Starred and Laplacian operators need a metric; bigraded
-    operators need an integrable structure (d does not).  All but the
-    Laplacians are cached: per structure for the metric-free names, per
-    metric for the adjoints.
+    degree).  Starred and Laplacian operators need a metric over the
+    structure's n; bigraded operators need an integrable structure (d does
+    not).  All but the Laplacians are cached: per structure for the
+    metric-free names, per metric for the adjoints.
     """
     if name in ("lap_bc", "lap_a"):
         if h is None:
@@ -302,7 +304,7 @@ def _quotient(
     kernel_of: list[Matrix], image_of: list[Matrix],
 ) -> CohomologyGroup:
     """(common kernel of `kernel_of`) / (span of the columns of `image_of`)."""
-    numerator = Subspace(len(mons), kernel_basis(vstack(kernel_of)).rows)
+    numerator = kernel_basis(vstack(kernel_of))
     images = vstack([m.transpose() for m in image_of]).rows if image_of else ()
     denominator = Subspace(len(mons), images)
     try:
@@ -341,6 +343,8 @@ def dolbeault_cohomology(s: StructureEquations, p: int, q: int) -> CohomologyGro
 
 def de_rham_cohomology(s: StructureEquations, k: int) -> CohomologyGroup:
     """ker d / im d on complex invariant k-forms (works without integrability)."""
+    if not 0 <= k <= 2 * s.n:
+        raise ValueError(f"degree {k} out of range for n={s.n}")
     image_of = [d_matrix_total(s, k - 1)] if k else []
     return _quotient(
         "derham", s.n, k, -1, total_basis(s.n, k), [d_matrix_total(s, k)], image_of
@@ -376,11 +380,10 @@ def harmonic_space(
     """
     _require_harmonic_preconditions(s, h)
     theory = _theory(kind)
-    dim_pq = len(basis(s.n, p, q))
+    basis(s.n, p, q)  # refuses a bidegree out of range
     stack = vstack([chain_matrix(ops, s, p, q, h) for ops in theory["kernel"]])
-    lap = operator_matrix(f"lap_{kind}", s, p, q, h).matrix
-    primary = Subspace(dim_pq, kernel_basis(stack).rows)
-    check = Subspace(dim_pq, kernel_basis(lap).rows)
+    primary = kernel_basis(stack)
+    check = kernel_basis(operator_matrix(f"lap_{kind}", s, p, q, h).matrix)
     if primary != check:
         raise RuntimeError(
             f"harmonic characterization mismatch at ({p},{q}) for {kind}; engine defect"

@@ -29,9 +29,13 @@ metric layer composes its adjoint matrices from integer rows it already
 holds (``hodge.HermitianMetric.adjoint_matrix``) with the same
 ``_gaussian_sums``, so there is one product kernel.
 
-Null spaces, subspaces and quotients stay in sparse rows from end to end:
-``kernel_basis`` returns a Matrix with one kernel vector per row,
-``Subspace`` reduces its rows once with ``rref`` and keeps the echelon
+Null spaces, subspaces and quotients stay in sparse rows from end to end.
+``kernel_basis`` returns the null space as its canonical ``Subspace`` from
+one ``rref``: it reduces M with its columns reversed, so that each free
+column's kernel vector has that column as its smallest key, with value 1,
+and no other vector holds it.  Those vectors, by free column, are already
+the echelon rows of the null space, and nothing reduces them again.
+``Subspace`` reduces any other rows once with ``rref`` and keeps the echelon
 rows, and ``Subspace.reduce`` and ``quotient_representatives`` walk the
 entries of those rows.  Since ``x - f*0 == x`` and ``x + 0 == x`` exactly
 and RREF is unique, the results are those of dense arithmetic.  Vectors
@@ -231,21 +235,29 @@ def rank(matrix: Matrix) -> int:
     return len(rref(matrix)[1])
 
 
-def kernel_basis(matrix: Matrix) -> Matrix:
-    """Deterministic basis of the null space, one row per free column f:
-    1 at f, minus the RREF's column f at the pivots, keyed in order."""
-    reduced, pivots = rref(matrix)
+def kernel_basis(matrix: Matrix) -> "Subspace":
+    """The null space, as its canonical ``Subspace``, from one ``rref``.
+
+    The rref runs on M with its columns reversed (column j at ncols-1-j).
+    There a reduced row holds its pivot and free columns to the right of
+    it, so the kernel vector of a free column f (1 at f, minus the reduced
+    column f at the pivots) holds f and pivots to the left of f only.
+    Mapped back, f is that vector's smallest key, with value 1, and no other
+    vector holds f: the vectors, by f ascending, are the canonical echelon
+    rows of ker M, with the free columns as pivots."""
+    last = matrix.ncols - 1
+    # zero rows leave the kernel as it is, and most rows of the stacked
+    # operator matrices are zero
+    flipped = [{last - j: x for j, x in row.items()} for row in matrix.rows if row]
+    reduced, pivots = rref(Matrix.sparse(flipped, matrix.ncols))
     pivot_set = set(pivots)
-    out = {f: {} for f in range(matrix.ncols) if f not in pivot_set}
-    # a reduced row holds its pivot and free columns only; rows come in
-    # pivot order, so each vector is keyed pivots ascending, then f
-    for row, c in zip(reduced.rows, pivots):
-        for f, x in row.items():
-            if f != c:
-                out[f][c] = -x
-    for f, v in out.items():
-        v[f] = ONE
-    return Matrix.sparse(list(out.values()), matrix.ncols)
+    out = {f: {f: ONE} for f in range(matrix.ncols) if last - f not in pivot_set}
+    # the reduced rows backwards, so each vector is keyed ascending
+    for row, c in zip(reversed(reduced.rows[: len(pivots)]), reversed(pivots)):
+        for j, x in row.items():
+            if j != c:
+                out[last - j][last - c] = -x
+    return Subspace._echelon(matrix.ncols, list(out.values()), list(out))
 
 
 def solve(matrix: Matrix, b: Row) -> Row | None:
@@ -265,7 +277,9 @@ def solve(matrix: Matrix, b: Row) -> Row | None:
 class Subspace:
     """A subspace of Scalar^ambient held as its canonical echelon rows:
     sparse rows, each 1 at its pivot (its smallest key) and zero at every
-    other pivot."""
+    other pivot.  A null space is built as one by ``kernel_basis``, whose
+    reversed-column reduction yields these rows directly; any other span
+    is reduced here."""
 
     __slots__ = ("ambient", "rows", "_index")
 
@@ -278,6 +292,15 @@ class Subspace:
             reduced, pivots = rref(Matrix.sparse(rows, ambient))
             self.rows = reduced.rows[: len(pivots)]
         self._index = {c: k for k, c in enumerate(pivots)}  # pivot -> row
+
+    @classmethod
+    def _echelon(cls, ambient: int, rows: Sequence[Row], pivots: Sequence[int]) -> "Subspace":
+        """Trusted constructor: rows that are already the canonical echelon
+        rows of their span, with their pivots in order, taken as they are."""
+        space = cls.__new__(cls)
+        space.ambient, space.rows = ambient, tuple(rows)
+        space._index = {c: k for k, c in enumerate(pivots)}
+        return space
 
     @property
     def dim(self) -> int:

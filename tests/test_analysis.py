@@ -18,6 +18,7 @@ from liecohom.cohomology import (
     decompose_bc,
     harmonic_projection,
     harmonic_space,
+    operator_matrix,
 )
 from liecohom.errors import PreconditionError
 from liecohom.exterior import Form, basis
@@ -124,6 +125,10 @@ def test_p_range_validated():
         aeppli_class_vanishes(s, h, 0)
     with pytest.raises(PreconditionError):
         aeppli_class_vanishes(s, h, 3)
+    # never a vacuous "hypothesis undefined" verdict for a p out of range
+    for p in (-1, 0, 3, 4):
+        with pytest.raises(PreconditionError, match=r"p must be in 1\.\.2"):
+            verify_vanishing_theorem(s, h, p)
 
 
 @pytest.mark.parametrize(
@@ -137,11 +142,14 @@ def test_p_range_validated():
         lambda s, h: harmonic_projection("bc", s, h, mono(s.n, [1], [1])),
         lambda s, h: decompose_bc(s, h, mono(s.n, [1], [1])),
         lambda s, h: decompose_aeppli(s, h, mono(s.n, [1], [1])),
+        lambda s, h: operator_matrix("del_adj", s, 1, 1, h),
+        lambda s, h: operator_matrix("lap_bc", s, 1, 1, h),
     ],
     ids=[
         "classify_metric", "aeppli_class_vanishes", "verify_vanishing_theorem",
         "harmonic_space-bc", "harmonic_space-a", "harmonic_projection",
-        "decompose_bc", "decompose_aeppli",
+        "decompose_bc", "decompose_aeppli", "operator_matrix-del_adj",
+        "operator_matrix-lap_bc",
     ],
 )
 def test_metric_of_the_wrong_size_is_refused(call):
@@ -195,6 +203,20 @@ def test_closed_p0_sl2c():
     assert closed_p0_space(s, 0).dim == 1
     # every invariant (2,0)-form is closed here
     assert closed_p0_space(s, 2).dim == 3
+
+
+def test_closed_p0_space_makes_one_elimination(monkeypatch):
+    # the kernel comes out canonical, so nothing re-reduces it
+    from liecohom import linalg
+
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m.shape) or rref(m))
+    s = parse_structure(IWASAWA)
+    for p, dim in ((0, 1), (1, 2), (2, 3), (3, 1)):
+        calls.clear()
+        assert closed_p0_space(s, p).dim == dim
+        assert len(calls) == 1
 
 
 def test_closed_p0_skt_family():

@@ -228,6 +228,14 @@ def test_derham_works_without_integrability():
     assert de_rham_cohomology(s, 0).dim == 1
 
 
+def test_derham_degree_out_of_range_is_refused():
+    s = parse_structure(SL2C)
+    assert de_rham_cohomology(s, 6).dim == 1
+    for k in (-1, 7):
+        with pytest.raises(ValueError, match=f"degree {k} out of range for n=3"):
+            de_rham_cohomology(s, k)
+
+
 def test_bc_p0_equals_closed_space():
     from liecohom.analysis import closed_p0_space
 
@@ -277,6 +285,14 @@ def test_quotient_vs_harmonic_dims():
         for q in range(4):
             assert harmonic_space("bc", s, h, p, q).dim == bc_cohomology(s, p, q).dim
             assert harmonic_space("a", s, h, p, q).dim == aeppli_cohomology(s, p, q).dim
+
+
+def test_harmonic_bidegree_out_of_range_is_refused():
+    s = parse_structure(SL2C)
+    h = HermitianMetric.identity(3)
+    for p, q in ((-1, 0), (0, -1), (4, 1), (1, 4)):
+        with pytest.raises(ValueError, match=rf"bidegree \({p},{q}\) out of range"):
+            harmonic_space("bc", s, h, p, q)
 
 
 def test_harmonic_refused_on_non_unimodular():

@@ -52,13 +52,18 @@ def test_kernel_and_rank():
     m = dense([[1, 2, 3], [2, 4, 6]])
     assert rank(m) == 1
     kb = kernel_basis(m)
-    assert kb.shape == (2, 3)
-    assert (m @ kb.transpose()).is_zero()
+    assert (kb.ambient, kb.dim) == (3, 2)
+    assert kb.rows == (_row([1, 0, Fraction(-1, 3)]), _row([0, 1, Fraction(-2, 3)]))
+    assert all(m.apply(row) == {} for row in kb.rows)
 
 
 def test_kernel_of_empty_shapes():
-    assert kernel_basis(Matrix.zeros(3, 0)) == Matrix.zeros(0, 0)
-    assert kernel_basis(Matrix.zeros(0, 2)) == dense([[1, 0], [0, 1]])
+    nothing = kernel_basis(Matrix.zeros(3, 0))
+    assert (nothing.ambient, nothing.dim, nothing.rows) == (0, 0, ())
+    everything = kernel_basis(Matrix.zeros(0, 2))
+    assert (everything.ambient, everything.dim) == (2, 2)
+    assert everything.rows == (_row([1, 0]), _row([0, 1]))
+    assert all(Matrix.zeros(0, 2).apply(row) == {} for row in everything.rows)
 
 
 def test_solve_consistent_and_inconsistent():
@@ -313,14 +318,17 @@ def _assert_rref_matches_sympy(sympy, m):
 def _assert_kernel_matches_sympy(sympy, m):
     ours = kernel_basis(m)
     theirs = _to_sympy(sympy, m)
-    assert ours.shape == (m.ncols - theirs.rank(), m.ncols)
-    assert (m @ ours.transpose()).is_zero()
-    # same span: the two row sets have the same canonical RREF
+    assert (ours.ambient, ours.dim) == (m.ncols, m.ncols - theirs.rank())
+    assert all(m.apply(row) == {} for row in ours.rows)
+    # same span, and ours is already canonical: our rows are the RREF of
+    # sympy's null space basis
     nullspace = theirs.nullspace()
-    assert len(nullspace) == ours.nrows
-    if ours.nrows:
-        ours_rref = _to_sympy(sympy, ours).rref()[0]
-        assert ours_rref == sympy.Matrix.hstack(*nullspace).T.rref()[0]
+    assert len(nullspace) == ours.dim
+    if ours.dim:
+        their_rref = sympy.Matrix.hstack(*nullspace).T.rref()[0]
+        assert ours.rows == dense(
+            [[_from_sympy(sympy, their_rref[i, j]) for j in range(m.ncols)] for i in range(ours.dim)]
+        ).rows
 
 
 def _sparse_random_matrices():
@@ -529,19 +537,12 @@ def _assert_sparse_rows(m):
         assert all(j in range(m.ncols) for j in row)
 
 
-def _assert_kernel_rows(kb):
-    # row k is 1 at its free column (its largest key) and 0 at the others
-    _assert_sparse_rows(kb)
-    free = [max(row) for row in kb.rows]
-    for row, f in zip(kb.rows, free):
-        assert row[f] == ONE and not any(g in row for g in free if g != f)
-
-
 def _assert_echelon_rows(space):
     # row k is 1 at its pivot (its smallest key) and 0 at every other pivot
     _assert_sparse_rows(Matrix.sparse(space.rows, space.ambient))
     pivots = [min(row) for row in space.rows]
     assert pivots == sorted(set(pivots))
+    assert space._index == {c: k for k, c in enumerate(pivots)}
     for row, c in zip(space.rows, pivots):
         assert row[c] == ONE and not any(d in row for d in pivots if d != c)
 
@@ -558,9 +559,8 @@ def test_every_result_keeps_only_nonzero_entries_in_range():
         ]
         for result in results:
             _assert_sparse_rows(result)
-        kb = kernel_basis(m)
-        _assert_kernel_rows(kb)
-        for ambient, rows in ((m.ncols, m.rows), (m.nrows, t.rows), (m.ncols, kb.rows)):
+        _assert_echelon_rows(kernel_basis(m))
+        for ambient, rows in ((m.ncols, m.rows), (m.nrows, t.rows)):
             _assert_echelon_rows(Subspace(ambient, rows))
         assert (m + minus).is_zero()
         assert (m + minus).rows == tuple({} for _ in range(m.nrows))
@@ -622,3 +622,25 @@ def test_kernel_basis_matches_sympy_on_corpus_operator_matrices():
         _assert_kernel_matches_sympy(sympy, m)
         checked += 1
     assert checked > 0
+
+
+def _dense_gaussian_matrices():
+    # a few seeded dense matrices of Gaussian rationals, some rank-deficient
+    rng = random.Random(23)
+    for nrows, ncols in ((3, 5), (4, 4), (2, 6), (5, 3)):
+        rows = [[_random_scalar(rng) for _ in range(ncols)] for _ in range(nrows)]
+        rows.append([x + I * y for x, y in zip(rows[0], rows[-1])])
+        yield dense(rows)
+
+
+def test_kernel_basis_is_already_the_canonical_subspace():
+    # re-reducing the kernel rows changes nothing: not the rows, not the
+    # pivot index
+    matrices = list(_sparse_random_matrices()) + list(_dense_gaussian_matrices())
+    matrices += _corpus_operator_matrices(("d", "del", "delbar", "deldelbar"))
+    for m in matrices:
+        kb = kernel_basis(m)
+        rebuilt = Subspace(m.ncols, kb.rows)
+        assert kb == rebuilt
+        assert kb._index == rebuilt._index
+        assert kb.ambient == m.ncols

@@ -112,6 +112,48 @@ def test_dense_matrix_calls_stay_at_input_boundaries():
     assert calls == []
 
 
+# ``kernel_basis`` returns the null space as its canonical Subspace, from one
+# rref: re-reducing its rows in ``Subspace(...)`` would be a second
+# elimination of the same null space.
+def _calls(node, name):
+    """Whether the node is a call of ``name(...)`` or ``x.name(...)``."""
+    f = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(f, ast.Name) and f.id == name) or (
+        isinstance(f, ast.Attribute) and f.attr == name
+    )
+
+
+def _rereduced_kernels(tree):
+    """Line of each ``Subspace(...)`` call given a ``kernel_basis(...)``
+    result, directly or through a name its function assigned one to."""
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        kernels = {
+            target.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign) and _calls(node.value, "kernel_basis")
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(function):
+            if _calls(node, "Subspace") and any(
+                _calls(sub, "kernel_basis") or (isinstance(sub, ast.Name) and sub.id in kernels)
+                for arg in node.args + node.keywords
+                for sub in ast.walk(arg)
+            ):
+                yield node.lineno
+
+
+def test_no_kernel_is_reduced_twice():
+    found = sorted({
+        f"{path.name}:{line}"
+        for path in MODULES
+        for line in _rereduced_kernels(ast.parse(path.read_text(encoding="utf-8")))
+    })
+    assert found == []
+
+
 def _attribute_reads(node, enclosing=()):
     """(attribute, enclosing definitions, name it is read through or None)
     for each ``x.attribute`` in the tree."""
