@@ -38,13 +38,26 @@ def _corpus_entry(name: str) -> corpus.CorpusEntry:
         raise ParseError(exc.args[0]) from None
 
 
+def _read_text(source: str, what: str) -> str:
+    """The UTF-8 text of the file `source`; a missing, unreadable (a
+    directory, say) or undecodable file is a ParseError naming `what`."""
+    path = Path(source)
+    if not path.exists():
+        raise ParseError(f"no such {what}: {source}")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{what} {source} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from None
+    except OSError as exc:
+        raise ParseError(f"{what} {source} cannot be read: {exc.strerror or exc}") from None
+
+
 def _load_input(source: str) -> LieFile:
     if source.startswith("corpus:"):
         return _corpus_entry(source.split(":", 1)[1]).load()
-    path = Path(source)
-    if not path.exists():
-        raise ParseError(f"no such file: {source}")
-    return parse_lie(path.read_text(encoding="utf-8"), name=path.stem)
+    return parse_lie(_read_text(source, "file"), name=Path(source).stem)
 
 
 def _resolve_metric(choice: Optional[str], lie: LieFile) -> HermitianMetric:
@@ -53,10 +66,7 @@ def _resolve_metric(choice: Optional[str], lie: LieFile) -> HermitianMetric:
         return lie.metric or HermitianMetric.identity(n)
     if choice == "identity":
         return HermitianMetric.identity(n)
-    path = Path(choice)
-    if not path.exists():
-        raise ParseError(f"no such metric file: {choice}")
-    return parse_metric(path.read_text(encoding="utf-8"), n)
+    return parse_metric(_read_text(choice, "metric file"), n)
 
 
 def _emit(data: dict, as_json: bool, text_renderer) -> None:

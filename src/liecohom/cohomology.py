@@ -17,7 +17,8 @@ Everything refers to the invariant (Lie-algebra level) complex.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional
+from functools import cached_property, lru_cache
+from typing import Callable, Optional, Sequence
 
 from .errors import IntegrabilityError, PreconditionError
 from .exterior import BasisMonomial, Form, basis, bidegrees_of_total, total_basis
@@ -33,7 +34,7 @@ from .linalg import (
     vstack,
 )
 from .scalars import Scalar
-from .structure import StructureEquations, render_form
+from .structure import StructureEquations, render_monomial, render_row
 
 
 # -- coordinates -------------------------------------------------------------
@@ -290,32 +291,46 @@ def d_matrix_total(s: StructureEquations, k: int) -> Matrix:
 
 @dataclass
 class CohomologyGroup:
+    """A quotient numerator / (span of the image rows) in the coordinates
+    of `mons`, the (p, q) basis (or the degree-p total basis for de Rham,
+    where q is -1).  `rows` are the numerator's echelon rows that represent
+    the quotient, one per dimension.  The representatives as Forms and the
+    denominator as a ``Subspace`` are built from them on first access only;
+    a report renders the rows themselves."""
+
     kind: str
     p: int
     q: int
     dim: int
-    representatives: list[Form]
     numerator: Subspace
-    denominator: Subspace
+    rows: list[Row]
+    mons: Sequence[BasisMonomial]
+    images: Sequence[Row]
+    n: int
+
+    @cached_property
+    def representatives(self) -> list[Form]:
+        return [row_to_form(self.n, v, self.mons) for v in self.rows]
+
+    @cached_property
+    def denominator(self) -> Subspace:
+        return Subspace(len(self.mons), self.images)
 
 
 def _quotient(
     kind: str, n: int, p: int, q: int, mons,
     kernel_of: list[Matrix], image_of: list[Matrix],
 ) -> CohomologyGroup:
-    """(common kernel of `kernel_of`) / (span of the columns of `image_of`)."""
+    """(common kernel of `kernel_of`) / (span of the columns of `image_of`),
+    from two eliminations: the kernel's and the images' coordinates'."""
     numerator = kernel_basis(vstack(kernel_of))
-    images = vstack([m.transpose() for m in image_of]).rows if image_of else ()
-    denominator = Subspace(len(mons), images)
+    images = [row for m in image_of for row in m.transpose().rows]
     try:
-        reps = quotient_representatives(numerator, denominator)
+        reps = quotient_representatives(numerator, images)
     except PreconditionError as exc:
         where = f"({p},{q})" if q >= 0 else f"degree {p}"
         raise PreconditionError(f"{kind} cohomology at {where}: {exc}") from None
-    return CohomologyGroup(
-        kind, p, q, numerator.dim - denominator.dim,
-        [row_to_form(n, v, mons) for v in reps], numerator, denominator,
-    )
+    return CohomologyGroup(kind, p, q, len(reps), numerator, reps, mons, images, n)
 
 
 def bc_cohomology(s: StructureEquations, p: int, q: int) -> CohomologyGroup:
@@ -345,7 +360,8 @@ def de_rham_cohomology(s: StructureEquations, k: int) -> CohomologyGroup:
     """ker d / im d on complex invariant k-forms (works without integrability)."""
     if not 0 <= k <= 2 * s.n:
         raise ValueError(f"degree {k} out of range for n={s.n}")
-    image_of = [d_matrix_total(s, k - 1)] if k else []
+    # the columns of d on degree k-1 are those of its (p, q) blocks in turn
+    image_of = [_single_matrix("d", s, p, q, None) for p, q in bidegrees_of_total(s.n, k - 1)]
     return _quotient(
         "derham", s.n, k, -1, total_basis(s.n, k), [d_matrix_total(s, k)], image_of
     )
@@ -600,5 +616,16 @@ def full_report(
     )
 
 
+@lru_cache(maxsize=None)
+def _monomial_names(n: int, p: int, q: int) -> tuple[str, ...]:
+    """The rendered monomials of the (p, q) basis, or of the degree-p total
+    basis (its bidegree blocks in turn) when q is -1, in basis order, which
+    is render order."""
+    if q < 0:
+        return tuple(name for b, c in bidegrees_of_total(n, p) for name in _monomial_names(n, b, c))
+    return tuple(map(render_monomial, basis(n, p, q)))
+
+
 def _cell(group: CohomologyGroup):
-    return (group.dim, [render_form(f) for f in group.representatives])
+    names = _monomial_names(group.n, group.p, group.q)
+    return (group.dim, [render_row(v, names) for v in group.rows])

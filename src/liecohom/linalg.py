@@ -44,8 +44,10 @@ a ``Row`` holding the nonzero coordinates only.
 
 ``rref`` is the only elimination.  An echelon row is zero at every other
 pivot, so the entries of a span vector at the pivots are its coordinates:
-``Subspace.reduce`` subtracts those multiples of the rows, and
-``quotient_representatives`` row-reduces the denominator's coordinates once.
+``Subspace.reduce`` subtracts those multiples of the rows.
+``quotient_representatives`` takes the raw image rows of a quotient, checks
+each one against the numerator with ``reduce`` and row-reduces their
+coordinates once; the span of the images is never reduced on its own.
 """
 
 from __future__ import annotations
@@ -324,13 +326,6 @@ class Subspace:
     def contains(self, v: Row) -> bool:
         return not self.reduce(v)
 
-    def contains_subspace(self, other: "Subspace"):
-        """(True, None) or (False, witness row in other but not self)."""
-        for v in other.rows:
-            if not self.contains(v):
-                return False, v
-        return True, None
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -340,26 +335,32 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
 
-def quotient_representatives(numerator: Subspace, denominator: Subspace) -> list[Row]:
-    """Rows of the numerator's echelon basis completing the denominator.
+def quotient_representatives(numerator: Subspace, images: Sequence[Row]) -> list[Row]:
+    """Rows of the numerator's echelon basis completing the span of the
+    image rows (sparse rows keyed in range(numerator.ambient)), from one
+    ``rref``; the quotient's dimension is the length of the list.
 
-    Raises PreconditionError (with a witness) if the denominator is not
-    contained in the numerator.
+    Each nonzero image is reduced against the numerator: an image with a
+    residue raises PreconditionError with that image as the witness.  An
+    image in the numerator is the sum of its entries at the numerator's
+    pivots times the matching rows, so those entries are its coordinates,
+    and one ``rref`` of the coordinates picks the rows it does not reach.
     """
     from .errors import PreconditionError
 
-    ok, witness = numerator.contains_subspace(denominator)
-    if not ok:
-        entries = ", ".join(f"{j}: {format_scalar(x)}" for j, x in sorted(witness.items()))
-        raise PreconditionError(
-            f"denominator is not contained in numerator; witness {{{entries}}}"
-        )
-    # numerator row k is in the span of the denominator and rows 0..k-1
-    # exactly when some denominator vector's last nonzero coordinate is at
-    # k; with coordinate k in column m-1-k that is a pivot of one RREF
     m, index = numerator.dim, numerator._index
-    coords = [
-        {m - 1 - index[c]: x for c, x in d.items() if c in index} for d in denominator.rows
-    ]
+    coords = []
+    for d in images:
+        if not d:
+            continue
+        if numerator.reduce(d):
+            entries = ", ".join(f"{j}: {format_scalar(x)}" for j, x in sorted(d.items()))
+            raise PreconditionError(
+                f"denominator is not contained in numerator; witness {{{entries}}}"
+            )
+        coords.append({m - 1 - index[c]: x for c, x in d.items() if c in index})
+    # numerator row k is in the span of the images and rows 0..k-1 exactly
+    # when some image's last nonzero coordinate is at k; with coordinate k
+    # in column m-1-k that is a pivot of one RREF
     taken = {m - 1 - p for p in rref(Matrix.sparse(coords, m))[1]}
     return [v for k, v in enumerate(numerator.rows) if k not in taken]

@@ -83,40 +83,38 @@ class StructureEquations:
     # -- differential -----------------------------------------------------
 
     def _d_monomial(self, mono: BasisMonomial) -> Form:
-        """d of one basis monomial, cached: the Leibniz sum over its factors
-        x_k of (-1)^k prefix ^ d(x_k) ^ suffix, each term of d(x_k) placed
-        between prefix and suffix by ``monomial_wedge``."""
+        """d of one basis monomial, cached.  With x its first factor and m
+        the rest, mono = x^m, and d(x^m) = dx^m - x^dm over the cached d of
+        m; ``monomial_wedge`` places each term of both products."""
         cached = self._d_mono.get(mono)
         if cached is not None:
             return cached
-        p = len(mono.holo)
+        if mono.holo:
+            x = BasisMonomial(mono.holo[:1], ())
+            rest = BasisMonomial(mono.holo[1:], mono.anti)
+            dx = self.dgen[mono.holo[0] - 1]
+        elif mono.anti:
+            x = BasisMonomial((), mono.anti[:1])
+            rest = BasisMonomial((), mono.anti[1:])
+            dx = self.dgen_conj[mono.anti[0] - 1]
+        else:
+            out = self._d_mono[mono] = Form.zero(self.n)  # d of a constant
+            return out
+        # (placement, sign of the product, coefficient)
+        placed = [(monomial_wedge(m, rest), 1, c) for m, c in dx.terms.items()]
+        placed += [(monomial_wedge(x, m), -1, c) for m, c in self._d_monomial(rest).terms.items()]
         terms: dict[BasisMonomial, Scalar] = {}
-        for k, idx in enumerate(mono.holo + mono.anti):
-            odd = k % 2 == 1
-            if k < p:
-                dfac = self.dgen[idx - 1]
-                prefix = BasisMonomial(mono.holo[:k], ())
-                suffix = BasisMonomial(mono.holo[k + 1 :], mono.anti)
+        for hit, sign, c in placed:
+            if hit is None:
+                continue
+            key = hit[1]
+            coeff = c if hit[0] == sign else -c
+            acc = terms.get(key)
+            acc = coeff if acc is None else acc + coeff
+            if acc:
+                terms[key] = acc
             else:
-                y = k - p
-                dfac = self.dgen_conj[idx - 1]
-                prefix = BasisMonomial(mono.holo, mono.anti[:y])
-                suffix = BasisMonomial((), mono.anti[y + 1 :])
-            for m, c in dfac.terms.items():
-                left = monomial_wedge(prefix, m)
-                if left is None:
-                    continue
-                hit = monomial_wedge(left[1], suffix)
-                if hit is None:
-                    continue
-                key = hit[1]
-                coeff = -c if (left[0] * hit[0] < 0) != odd else c
-                acc = terms.get(key)
-                acc = coeff if acc is None else acc + coeff
-                if acc:
-                    terms[key] = acc
-                else:
-                    del terms[key]
+                del terms[key]
         out = Form(self.n, terms, _validated=True)
         self._d_mono[mono] = out
         return out
@@ -618,14 +616,12 @@ def render_monomial(mono: BasisMonomial) -> str:
     return "^".join(parts)
 
 
-def render_form(form: Form) -> str:
-    """Deterministic DSL text for a form; parses back to the same form."""
-    if form.is_zero():
-        return "0"
+def _render_terms(terms) -> str:
+    """DSL text for (monomial text, nonzero coefficient) pairs in render
+    order; the degree-0 monomial renders as the empty text."""
     chunks = []
-    for mono, coeff in form.sorted_terms():
-        mono_txt = render_monomial(mono)
-        if mono.degree == 0:
+    for mono_txt, coeff in terms:
+        if not mono_txt:
             txt = format_scalar(coeff)
         elif coeff == ONE:
             txt = mono_txt
@@ -633,14 +629,21 @@ def render_form(form: Form) -> str:
             txt = "-" + mono_txt
         else:
             txt = format_scalar(coeff) + "*" + mono_txt
+        if chunks:
+            txt = " - " + txt[1:] if txt.startswith("-") else " + " + txt
         chunks.append(txt)
-    out = chunks[0]
-    for txt in chunks[1:]:
-        if txt.startswith("-"):
-            out += " - " + txt[1:]
-        else:
-            out += " + " + txt
-    return out
+    return "".join(chunks) or "0"
+
+
+def render_form(form: Form) -> str:
+    """Deterministic DSL text for a form; parses back to the same form."""
+    return _render_terms((render_monomial(m), c) for m, c in form.sorted_terms())
+
+
+def render_row(row: Row, names: Sequence[str]) -> str:
+    """The text ``render_form`` gives the form with coefficients `row` over
+    a basis in render order whose rendered monomials are `names`."""
+    return _render_terms((names[j], x) for j, x in sorted(row.items()))
 
 
 def render_structure(s: StructureEquations) -> str:

@@ -219,3 +219,32 @@ def test_non_positive_metric_message_prints_rational_minors(tmp_path, capsys, te
     for argv in (["cohomology"], ["classify"], ["aeppli", "--p", "1"]):
         code, out, err = run(capsys, *argv, f"corpus:{algebra}", "--metric", str(metric))
         assert (code, out, err) == (3, "", want)
+
+
+def _unreadable(tmp_path, kind):
+    """A path whose text cannot be read: a directory, or bytes that are not UTF-8."""
+    if kind == "directory":
+        path = tmp_path / "folder.lie"
+        path.mkdir()
+        return path, "cannot be read: "
+    path = tmp_path / "latin.lie"
+    path.write_bytes(b"\xff\xfe")
+    return path, "not UTF-8 text"
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_input_exit_2(tmp_path, capsys, kind):
+    path, reason = _unreadable(tmp_path, kind)
+    for argv in (["parse"], ["cohomology"], ["classify"], ["aeppli", "--p", "1"]):
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, ""), err
+        assert err.startswith("parse error: ") and reason in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_metric_exit_2(tmp_path, capsys, kind):
+    path, reason = _unreadable(tmp_path, kind)
+    for argv in (["cohomology"], ["classify"], ["aeppli", "--p", "1"]):
+        code, out, err = run(capsys, *argv, "corpus:sl2c", "--metric", str(path))
+        assert (code, out) == (2, ""), err
+        assert err.startswith("parse error: metric file ") and reason in err

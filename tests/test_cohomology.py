@@ -25,7 +25,7 @@ from liecohom.cohomology import (
 from liecohom.errors import IntegrabilityError, PreconditionError
 from liecohom.exterior import Form, basis, total_basis
 from liecohom.hodge import HermitianMetric, random_positive_metric
-from liecohom.scalars import I, ONE, Scalar
+from liecohom.scalars import I, ONE, ZERO, Scalar
 from liecohom.structure import StructureEquations, parse_structure
 
 SL2C = "algebra sl2c\ndim 3\nd f1 = f2^f3\nd f2 = -1*f1^f3\nd f3 = f1^f2\n"
@@ -405,3 +405,185 @@ def test_quotient_containment_failure_names_kind_bidegree_and_witness():
     one = Matrix.sparse([{0: ONE}], 1)
     with pytest.raises(PreconditionError, match=r"^bc cohomology at \(1,1\): .*witness"):
         _quotient("bc", 1, 1, 1, basis(1, 1, 1), [one], [one])
+
+
+# -- one pass per report cell ---------------------------------------------------------
+
+_GROUPS = (bc_cohomology, aeppli_cohomology, dolbeault_cohomology)
+
+
+def _ladder(n):
+    return parse_structure(f"algebra heisenberg-{n}\ndim {n}\nd f{n} = f1^f2\n")
+
+
+def _groups_of(s):
+    """Every quotient group of s with its basis; the bigraded ones only on
+    integrable structures."""
+    n = s.n
+    for k in range(2 * n + 1):
+        yield de_rham_cohomology(s, k), total_basis(n, k)
+    if s.flags.integrable:
+        for group in _GROUPS:
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    yield group(s, p, q), basis(n, p, q)
+
+
+def _image_columns(s, kind, p, q):
+    """The columns spanning the denominator, read off the operator matrices."""
+    if kind == "derham":
+        mats = [d_matrix_total(s, p - 1)] if p else []
+    elif kind == "bc":
+        mats = [operator_matrix("deldelbar", s, p - 1, q - 1).matrix] if p and q else []
+    elif kind == "a":
+        mats = [operator_matrix("del", s, p - 1, q).matrix] if p else []
+        mats += [operator_matrix("delbar", s, p, q - 1).matrix] if q else []
+    else:
+        mats = [operator_matrix("delbar", s, p, q - 1).matrix] if q else []
+    return [row for m in mats for row in m.transpose().rows]
+
+
+def test_each_quotient_makes_two_eliminations_and_builds_no_subspace(monkeypatch):
+    import liecohom.linalg as linalg
+
+    structures = [_ladder(4), parse_structure(CALABI_ECKMANN)]
+    structures.append(parse_structure("algebra nonint\ndim 3\nd f1 = F2^F3\n"))
+    for s in structures:
+        list(_groups_of(s))  # the operator matrices, cached
+    rrefs, builds = [], []
+    rref, init = linalg.rref, linalg.Subspace.__init__
+
+    def counting_rref(matrix):
+        rrefs.append(matrix.shape)
+        return rref(matrix)
+
+    def counting_init(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    monkeypatch.setattr(linalg.Subspace, "__init__", counting_init)
+    for s in structures:
+        n = s.n
+        calls = [(de_rham_cohomology, (k,)) for k in range(2 * n + 1)]
+        if s.flags.integrable:
+            calls += [
+                (group, (p, q))
+                for group in _GROUPS
+                for p in range(n + 1)
+                for q in range(n + 1)
+            ]
+        for group, args in calls:
+            rrefs.clear()
+            g = group(s, *args)
+            # the kernel, and the images' coordinates in its basis
+            assert len(rrefs) == 2, (s.name, group.__name__, args)
+            assert builds == []
+            g.denominator
+            assert len(builds) == 1
+            builds.clear()
+
+
+def test_full_report_renders_without_forms(monkeypatch):
+    import liecohom.cohomology as cohomology
+    import liecohom.structure as structure
+
+    calls = []
+    for module, name in ((cohomology, "row_to_form"), (structure, "render_form")):
+        def counting(*args, _name=name, _f=getattr(module, name)):
+            calls.append(_name)
+            return _f(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    for s in (_ladder(4), corpus.get("iwasawa").load().structure):
+        full_report(s)
+    assert calls == []
+    # the Forms are there when asked for
+    assert bc_cohomology(_ladder(3), 1, 1).representatives
+    assert calls
+
+
+def test_report_cells_match_the_form_route():
+    from test_structure import _random_valid_structures
+
+    from liecohom.cohomology import _cell, row_to_form
+    from liecohom.linalg import Subspace
+    from liecohom.structure import render_form
+
+    structures = [corpus.get(name).load().structure for name in corpus.names()]
+    structures += [_ladder(n) for n in (3, 4, 5)]
+    structures += _random_valid_structures(60, 11)
+    seen = set()
+    for s in structures:
+        for group, mons in _groups_of(s):
+            want = [render_form(row_to_form(s.n, v, mons)) for v in group.rows]
+            assert _cell(group) == (group.dim, want), (s.name, group.kind, group.p, group.q)
+            assert [render_form(f) for f in group.representatives] == want
+            images = _image_columns(s, group.kind, group.p, group.q)
+            assert group.denominator == Subspace(len(mons), images)
+            assert group.dim == group.numerator.dim - group.denominator.dim
+            for v in group.rows:
+                for j, x in v.items():
+                    seen.add("degree-0" if not mons[j].degree else None)
+                    seen.add("non-real" if x.im else None)
+                    seen.add("non-unit" if x not in (ONE, -ONE, I, -I) else None)
+    assert {"degree-0", "non-real", "non-unit"} <= seen
+
+
+def _change_coframe(s, seed):
+    """The structure s in the coframe g = A f for a seeded invertible
+    Gaussian-rational A, unit lower triangular times unit upper triangular,
+    so that every g_i involves every f_j."""
+    from liecohom.linalg import Matrix, solve
+
+    n = s.n
+    rng = random.Random(seed)
+
+    def entry():
+        return Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-2, 2))
+
+    lower = [[ONE if i == j else entry() if j < i else ZERO for j in range(n)] for i in range(n)]
+    upper = [[ONE if i == j else entry() if j > i else ZERO for j in range(n)] for i in range(n)]
+    a = [
+        [sum((lower[i][k] * upper[k][j] for k in range(n)), ZERO) for j in range(n)]
+        for i in range(n)
+    ]
+    rows = Matrix.sparse([{j: x for j, x in enumerate(r) if x} for r in a], n)
+    # column k of B = A^-1 solves A x = e_k
+    b = [solve(rows, {k: ONE}) for k in range(n)]
+    # f_j = sum_k B[j][k] g_k, and F_j the conjugate
+    holo = [
+        sum((mono(n, [k + 1], [], b[k].get(j, ZERO)) for k in range(n)), Form.zero(n))
+        for j in range(n)
+    ]
+    anti = [h.conjugate() for h in holo]
+
+    def substitute(form):
+        out = Form.zero(n)
+        for m, c in form.terms.items():
+            piece = Form.one(n).scale(c)
+            for i in m.holo:
+                piece = piece.wedge(holo[i - 1])
+            for i in m.anti:
+                piece = piece.wedge(anti[i - 1])
+            out = out + piece
+        return out
+
+    dgen = [
+        substitute(sum((s.dgen[j].scale(a[i][j]) for j in range(n)), Form.zero(n)))
+        for i in range(n)
+    ]
+    return StructureEquations(n, dgen, name=f"{s.name}-dense")
+
+
+def test_dense_coframe_keeps_every_table_dimension():
+    for s in (_ladder(4), corpus.get("iwasawa").load().structure):
+        dense = _change_coframe(s, 20261018)
+        # the equations are dense: each d g_i holds several terms
+        assert sum(len(g.terms) for g in dense.dgen) > 3 * sum(len(g.terms) for g in s.dgen)
+        assert dense.flags == s.flags
+        want, got = full_report(s), full_report(dense)
+        for kind, table in want.groups.items():
+            assert {k: d for k, (d, _) in table.items()} == {
+                k: d for k, (d, _) in got.groups[kind].items()
+            }, (s.name, kind)

@@ -115,34 +115,47 @@ def test_subspace_membership_and_equality():
     assert s == t  # same span, same canonical echelon rows
 
 
-def test_subspace_containment_witness():
-    big = Subspace(2, [_row([1, 0]), _row([0, 1])])
-    small = Subspace(2, [_row([1, 1])])
-    ok, witness = big.contains_subspace(small)
-    assert ok and witness is None
-    ok, witness = small.contains_subspace(big)
-    assert not ok and witness is not None
-
-
 def test_quotient_representatives():
     numerator = Subspace(3, [_row([1, 0, 0]), _row([0, 1, 0]), _row([0, 0, 1])])
     denominator = Subspace(3, [_row([1, 0, 0]), _row([0, 1, 0])])
-    reps = quotient_representatives(numerator, denominator)
+    reps = quotient_representatives(numerator, denominator.rows)
     assert reps == [_row([0, 0, 1])]
-    assert quotient_representatives(numerator, numerator) == []
+    assert quotient_representatives(numerator, numerator.rows) == []
+
+
+def test_quotient_skips_zero_image_rows():
+    numerator = Subspace(3, [_row([1, 0, 0]), _row([0, 1, 0]), _row([0, 0, 1])])
+    assert quotient_representatives(numerator, []) == list(numerator.rows)
+    assert quotient_representatives(numerator, [{}, {}]) == list(numerator.rows)
+    reps = quotient_representatives(numerator, [{}, _row([0, 1, 0]), {}])
+    assert reps == [_row([1, 0, 0]), _row([0, 0, 1])]
+    # zero rows are in every subspace, the zero one too
+    assert quotient_representatives(Subspace(3), [{}, {}]) == []
+
+
+def test_quotient_of_dependent_image_columns():
+    # five images spanning a plane of the 3-dimensional numerator: the
+    # repeated, scaled and summed columns leave one representative
+    numerator = Subspace(4, [_row([1, 0, 0, 1]), _row([0, 1, 0, 0]), _row([0, 0, 1, I])])
+    a, b = _row([1, 2, 0, 1]), _row([0, 1, 1, I])
+    images = [a, _row([2, 4, 0, 2]), b, _row([1, 3, 1, 1 + I]), a]
+    reps = quotient_representatives(numerator, images)
+    assert reps == [_row([1, 0, 0, 1])]
+    assert reps == _quotient_reference(numerator, Subspace(4, images))
+    assert len(reps) == numerator.dim - Subspace(4, images).dim
 
 
 def test_quotient_containment_enforced():
     numerator = Subspace(2, [_row([1, 0])])
     denominator = Subspace(2, [_row([0, 1])])
     with pytest.raises(PreconditionError) as info:
-        quotient_representatives(numerator, denominator)
+        quotient_representatives(numerator, denominator.rows)
     # the witness prints its nonzero entries in .lie scalar syntax
     assert str(info.value) == "denominator is not contained in numerator; witness {1: 1}"
     numerator = Subspace(3, [_row([1, 0, 0])])
     denominator = Subspace(3, [_row([0, 2, Scalar(1, 2)])])
     with pytest.raises(PreconditionError) as info:
-        quotient_representatives(numerator, denominator)
+        quotient_representatives(numerator, denominator.rows)
     assert str(info.value) == (
         "denominator is not contained in numerator; witness {1: 1, 2: (1/2+1i)}"
     )
@@ -186,7 +199,7 @@ def test_quotient_scales_residues_with_non_unit_leading_entry():
     numerator = Subspace(3, [_row([1, 0, 0]), _row([0, 1, 0]), _row([0, 0, 1])])
     denominator = Subspace(3, [_row([1, 2, 0])])
     assert denominator.reduce(numerator.rows[0]) == _row([0, -2, 0])
-    reps = quotient_representatives(numerator, denominator)
+    reps = quotient_representatives(numerator, denominator.rows)
     assert reps == [_row([1, 0, 0]), _row([0, 0, 1])]
     assert reps == _quotient_reference(numerator, denominator)
 
@@ -203,6 +216,7 @@ def test_quotient_matches_rebuild_reference_on_random_pairs():
         numerator = Subspace(ambient, [_row(g) for g in gens])
         if trial % 10 == 0:
             denominator = numerator
+            images = list(numerator.rows)
         else:
             combos = []
             for _ in range(rng.randint(0, len(gens))):
@@ -211,8 +225,11 @@ def test_quotient_matches_rebuild_reference_on_random_pairs():
                     _row(sum((c * x for c, x in zip(coeffs, col)), ZERO) for col in zip(*gens))
                 )
             denominator = Subspace(ambient, combos)
+            images = combos
         expected = _quotient_reference(numerator, denominator)
-        assert quotient_representatives(numerator, denominator) == expected
+        assert quotient_representatives(numerator, denominator.rows) == expected
+        # the raw, possibly dependent or zero, image rows give the same rows
+        assert quotient_representatives(numerator, images) == expected
         assert len(expected) == numerator.dim - denominator.dim
         seen_zero_denominator |= denominator.dim == 0
         seen_equal |= denominator == numerator
@@ -238,7 +255,7 @@ def test_quotient_builds_no_echelon_per_representative(monkeypatch):
     monkeypatch.setattr(linalg, "rref", counting_rref)
     for d, denominator in enumerate(denominators):
         calls.clear()
-        reps = quotient_representatives(numerator, denominator)
+        reps = quotient_representatives(numerator, denominator.rows)
         assert len(reps) == 3 - d
         # one RREF, of the denominator's coordinates in the numerator basis
         assert calls == [(d, 3)]

@@ -18,6 +18,8 @@ from liecohom.structure import (
     parse_scalar,
     parse_structure,
     render_form,
+    render_monomial,
+    render_row,
     render_structure,
 )
 from liecohom.verification import DEFAULT_SEED, _skt_tuples
@@ -155,6 +157,27 @@ def test_render_form_round_trip_random():
         }
         f = Form(n, terms)
         assert parse_form_expr(render_form(f), n) == f
+
+
+def test_render_row_matches_render_form_random():
+    # rows over bases in render order, with degree-0, non-real, non-unit
+    # and +-1 entries, render as the forms they are the coordinates of
+    from liecohom.cohomology import row_to_form
+
+    rng = random.Random(10)
+    pool = [ONE, -ONE, I, -I, HALF, -HALF, Scalar(2), Scalar(1, 1), Scalar(-1, 2), Scalar(0, -3)]
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        everything = [m for k in range(2 * n + 1) for m in total_basis(n, k)]
+        mons = rng.sample(everything, rng.randint(1, len(everything)))
+        mons.sort(key=lambda m: m.sort_key())
+        names = tuple(render_monomial(m) for m in mons)
+        keys = rng.sample(range(len(mons)), rng.randint(0, min(len(mons), 5)))
+        row = {j: rng.choice(pool) for j in keys}
+        if mons[0].degree == 0 and rng.random() < 0.5:
+            row[0] = rng.choice(pool)
+        assert render_row(row, names) == render_form(row_to_form(n, row, mons)), (row, names)
+    assert render_row({}, ("f1",)) == "0"
 
 
 # -- the differential ---------------------------------------------------------------
