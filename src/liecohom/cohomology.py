@@ -83,12 +83,39 @@ def _clip(n: int, p: int, q: int):
     return () if not (0 <= p <= n and 0 <= q <= n) else basis(n, p, q)
 
 
+_ADJOINTS = ("del_adj", "delbar_adj")
+
+
+def _require_buildable(
+    name: str, s: StructureEquations, p: int, q: int, h: Optional[HermitianMetric]
+) -> None:
+    """Raise what building the `name` matrix out of (p, q) would refuse, in
+    the order the build meets it: for an adjoint a missing metric, a metric
+    over another n, and on a nonempty source a metric that is not positive;
+    then, for every operator but d, a structure that is not integrable when
+    a del or delbar it is made of has a nonempty source (the adjoint's del
+    or delbar out of (n-p, n-q), deldelbar's del out of (p, q+1) and delbar
+    out of (p, q))."""
+    n = s.n
+    src = 0 <= p <= n and 0 <= q <= n  # a nonempty source space
+    if name in _ADJOINTS:
+        if h is None:
+            raise PreconditionError(f"operator {name} needs a metric")
+        h.require_size(n)
+        if src:
+            h.require_positive()  # as the star of each source monomial would
+    if not s.flags.integrable and name != "d":
+        if src or name == "deldelbar" and 0 <= p <= n and 0 <= q + 1 <= n:
+            s._require_integrable()
+
+
 def _single_matrix(
     name: str,
     s: StructureEquations,
     p: int,
     q: int,
     h: Optional[HermitianMetric],
+    rows: Optional[Sequence[int]] = None,
 ) -> Matrix:
     """The one builder and cache (``s._op_matrix_cache``) of the matrices of
     d, del, delbar, deldelbar and the adjoints out of the (p, q) space.
@@ -108,16 +135,21 @@ def _single_matrix(
     of its entries; ``HermitianMetric.adjoint_matrix`` sums it in Gaussian
     integers.  No Form is built here: ``analysis.closed_p0_space`` assembles
     its d matrix through the Form-level ``s.d`` on purpose, as the
-    independent route that checks H_BC^(p,0) against this one."""
-    needs_metric = name in ("del_adj", "delbar_adj")
-    if needs_metric:
-        if h is None:
-            raise PreconditionError(f"operator {name} needs a metric")
-        h.require_size(s.n)
-    key = (name, p, q, h if needs_metric else None)
+    independent route that checks H_BC^(p,0) against this one.
+
+    Rows on demand: for an adjoint, `rows` names the target rows a caller
+    reads (every row when None).  Row i of the adjoint is read off row i of
+    N' alone, so each row is built once per (name, p, q, metric): the cache
+    holds the {row: Row} built so far until every row is, and then the
+    whole Matrix, as it holds every other operator.  The returned Matrix
+    has every row built so far and the others empty; a product whose left
+    factor is zero at the other rows' columns reads only the rows asked
+    for, so it is the product with the full adjoint."""
+    key = (name, p, q, h if name in _ADJOINTS else None)
     cached = s._op_matrix_cache.get(key)
-    if cached is not None:
-        return cached
+    if isinstance(cached, Matrix):
+        return cached  # built, so its guards held
+    _require_buildable(name, s, p, q, h)
     n = s.n
     src = _clip(n, p, q)
     if name == "d":
@@ -129,7 +161,6 @@ def _single_matrix(
         dst = _clip(n, p + dp, q + dq)
         if name in ("del", "delbar"):
             if src:
-                s._require_integrable()
                 # the rows of d are in total_basis order: bidegrees by descending p
                 k = p + q + 1
                 start = sum(
@@ -141,13 +172,20 @@ def _single_matrix(
                 out = Matrix.zeros(len(dst), 0)
         else:
             # a -> -*(D *a) with the conjugate-linear star
-            if src:
-                h.require_positive()  # as the star of each source monomial would
             d = _single_matrix(name[: -len("_adj")], s, n - p, n - q, None)
             if d.is_zero():
                 out = Matrix.zeros(len(dst), len(src))
             else:
-                out = h.adjoint_matrix(d, (p, q), (p + dp, q + dq))
+                built = cached or {}
+                wanted = range(len(dst)) if rows is None else rows
+                missing = [i for i in wanted if i not in built]
+                if missing:
+                    part = h.adjoint_matrix(d, (p, q), (p + dp, q + dq), missing)
+                    built.update(zip(missing, part.rows))
+                out = Matrix.sparse([built.get(i, {}) for i in range(len(dst))], len(src))
+                if len(built) < len(dst):
+                    s._op_matrix_cache[key] = built
+                    return out
     s._op_matrix_cache[key] = out
     return out
 
@@ -160,15 +198,40 @@ def chain_matrix(
     h: Optional[HermitianMetric] = None,
 ) -> Matrix:
     """Matrix of a composite written left-to-right (applied right-to-left),
-    as an endo/exo-morphism out of the (p, q) space."""
+    as an endo/exo-morphism out of the (p, q) space.
+
+    Two shortcuts, neither of which changes the product:
+      * rows on demand: an adjoint whose left neighbour is metric-free
+        (del, delbar, deldelbar) is built only on the rows at that
+        neighbour's nonzero columns.  Row k of the running product is row k
+        of the adjoint times the product so far, and the neighbour's
+        product reads row k only where it has a nonzero in column k;
+      * the zero stop: once the running product is zero, every factor to
+        its left keeps it zero, so the chain's zero matrix is returned and
+        no further factor is built.
+    Every factor's guards run first, right to left as the factors would be
+    built, so a refusal is raised as it is without the shortcuts, never
+    turned into a zero matrix."""
+    sources = []
     cur_p, cur_q = p, q
-    total: Optional[Matrix] = None
     for name in reversed(ops):
-        m = _single_matrix(name, s, cur_p, cur_q, h)
         dp, dq = _OP_SHIFT[name]
+        _require_buildable(name, s, cur_p, cur_q, h)
+        sources.append((cur_p, cur_q))
         cur_p += dp
         cur_q += dq
-        total = m if total is None else m @ total
+    sources.reverse()  # sources[i] is the source of ops[i]
+    total: Optional[Matrix] = None
+    for i in reversed(range(len(ops))):
+        name, rows = ops[i], None
+        if name in _ADJOINTS and i and ops[i - 1] not in _ADJOINTS:
+            left = _single_matrix(ops[i - 1], s, *sources[i - 1], None)
+            rows = sorted(set().union(*left.rows))
+        if rows != []:  # no row read: the neighbour's product is zero
+            m = _single_matrix(name, s, *sources[i], h, rows)
+            total = m if total is None else m @ total
+        if rows == [] or total.is_zero():
+            return Matrix.zeros(len(_clip(s.n, cur_p, cur_q)), len(_clip(s.n, p, q)))
     assert total is not None
     return total
 

@@ -47,7 +47,11 @@ entries), is
 with N' the numerators of the star back from P's target; the star is
 conjugate-linear, hence the conjugates.  It is summed in Gaussian
 integers and each entry built once, with no star matrix and no Scalar
-product.
+product.  Row i of the adjoint is read off row i of N' alone, so it can be
+built on some of its rows only: ``cohomology.chain_matrix`` asks only for
+the rows that a metric-free operator to its left reads, and the operator
+cache keeps each row built once per metric, so the Laplacians are the same
+matrices.
 
 The table's full minor det H / D^n must equal the last leading minor that
 ``positivity`` computes by elimination; a mismatch is an engine defect.
@@ -60,7 +64,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import linalg
 from .errors import MetricError, PreconditionError
@@ -504,25 +508,34 @@ class HermitianMetric:
         return -self.star(s.delbar(self.star(a)))
 
     def adjoint_matrix(
-        self, op: Matrix, source: tuple[int, int], target: tuple[int, int]
+        self,
+        op: Matrix,
+        source: tuple[int, int],
+        target: tuple[int, int],
+        rows: Optional[Sequence[int]] = None,
     ) -> Matrix:
         """The matrix of a -> -*(op *a) from the `source` space (p, q) to the
         `target` space (p', q'), for op the matrix of del or delbar from the
         (n-p, n-q) space: -N' conj(M) conj(N) / (t^2 (2D)^(2n) e), as in the
-        module docstring.  It is summed as conj(conj(N') M N), left to right,
-        by the matrix product's row kernel ``linalg._gaussian_sums``, so no
-        conjugate copy of N is made; then one ``from_parts`` per entry."""
+        module docstring.  Only the target rows `rows` are built, in that
+        order (all of them when None): row i is read off row i of N' alone,
+        so a selection of rows is the same selection of the full matrix.  It
+        is summed as conj(conj(N') M N), left to right, by the matrix
+        product's row kernel ``linalg._gaussian_sums``, so no conjugate copy
+        of N is made; then one ``from_parts`` per entry."""
         n = self.n
         back = self._star_numerators(n - target[0], n - target[1])
+        if rows is not None:
+            back = [back[i] for i in rows]
         forth = self._star_numerators(*source)
         e = common_denominator(x for row in op.rows for x in row.values())
         m = [[(j, *numerators(x, e)) for j, x in row.items()] for row in op.rows]
         d = self._star_denominator() ** 2 * e
-        rows = []
+        out = []
         for row in back:
             y = _gaussian_sums(_gaussian_sums([(k, a, -b) for k, a, b in row], m), forth)
-            rows.append({j: from_parts(-a, b, d) for j, a, b in y})
-        return Matrix.sparse(rows, len(basis(n, *source)))
+            out.append({j: from_parts(-a, b, d) for j, a, b in y})
+        return Matrix.sparse(out, len(basis(n, *source)))
 
     def lefschetz(self, a: Form, k: int) -> Form:
         """Wedge with omega^k."""

@@ -178,10 +178,19 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
+    """The blocks side by side: row i joins the i-th rows of the blocks,
+    each block's columns shifted by the widths of the blocks before it."""
     nrows = mats[0].nrows
     if any(m.nrows != nrows for m in mats):
         raise ValueError("hstack needs equal nrows")
-    return vstack([m.transpose() for m in mats]).transpose()
+    rows: list[Row] = [{} for _ in range(nrows)]
+    offset = 0
+    for m in mats:
+        for row, block_row in zip(rows, m.rows):
+            for j, x in block_row.items():
+                row[offset + j] = x
+        offset += m.ncols
+    return Matrix.sparse(rows, offset)
 
 
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:

@@ -5,11 +5,14 @@ import pytest
 
 from liecohom import corpus
 from liecohom.cohomology import (
+    _OP_SHIFT,
+    _THEORIES,
     _clip,
     _matrix_for,
     _single_matrix,
     aeppli_cohomology,
     bc_cohomology,
+    chain_matrix,
     d_matrix_total,
     de_rham_cohomology,
     decompose_aeppli,
@@ -22,9 +25,10 @@ from liecohom.cohomology import (
     harmonic_space,
     operator_matrix,
 )
-from liecohom.errors import IntegrabilityError, PreconditionError
+from liecohom.errors import IntegrabilityError, MetricError, PreconditionError
 from liecohom.exterior import Form, basis, total_basis
 from liecohom.hodge import HermitianMetric, random_positive_metric
+from liecohom.linalg import Matrix
 from liecohom.scalars import I, ONE, ZERO, Scalar
 from liecohom.structure import StructureEquations, parse_structure
 
@@ -587,3 +591,99 @@ def test_dense_coframe_keeps_every_table_dimension():
             assert {k: d for k, (d, _) in table.items()} == {
                 k: d for k, (d, _) in got.groups[kind].items()
             }, (s.name, kind)
+
+
+# -- chains: rows on demand and the zero stop ------------------------------------------
+
+
+def _fresh(s, h):
+    """An equal structure and metric with empty caches."""
+    return StructureEquations(s.n, s.dgen, name=s.name), HermitianMetric(h.entries)
+
+
+def _reference_chain(ops, s, h, p, q):
+    """The chain as a left-to-right product of its full factor matrices."""
+    sources, cur = [], (p, q)
+    for name in reversed(ops):
+        sources.append(cur)
+        cur = (cur[0] + _OP_SHIFT[name][0], cur[1] + _OP_SHIFT[name][1])
+    factors = [operator_matrix(name, s, *src, h).matrix for name, src in zip(ops, sources[::-1])]
+    out = factors[0]
+    for m in factors[1:]:
+        out = out @ m
+    return out
+
+
+def _assert_same_rows(got, want, where):
+    assert got.shape == want.shape, where
+    for i, (a, b) in enumerate(zip(got.rows, want.rows)):
+        assert a == b, (where, i)
+
+
+_ORACLE_STRUCTURES = {
+    name: (lambda e=name: corpus.get(e).load().structure) for name in corpus.names()
+}
+_ORACLE_STRUCTURES.update({f"ladder-{n}": (lambda n=n: _ladder(n)) for n in (3, 4, 5)})
+_ORACLE_STRUCTURES["dense-ladder-4"] = lambda: _change_coframe(_ladder(4), 20261019)
+_ORACLE_STRUCTURES["dense-iwasawa"] = lambda: _change_coframe(
+    corpus.get("iwasawa").load().structure, 20261019
+)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_STRUCTURES))
+def test_chains_and_laplacians_match_products_of_full_factors(name):
+    # every chain of both theories and both Laplacians, with the caches the
+    # engine fills as it goes (some adjoints built on a few rows first),
+    # against full factors built on an equal structure and metric
+    s = _ORACLE_STRUCTURES[name]()
+    n = s.n
+    rng = random.Random(f"chain-oracle:{name}")
+    metrics = [HermitianMetric.identity(n)] + [random_positive_metric(n, rng) for _ in range(2)]
+    chains = [
+        ops
+        for theory in _THEORIES.values()
+        for ops in theory["kernel"] + theory["laplacian"] + [ops for _, ops in theory["blocks"]]
+    ]
+    for h in metrics:
+        ref_s, ref_h = _fresh(s, h)
+        for p in range(n + 1):
+            for q in range(n + 1):
+                want = {tuple(o): _reference_chain(o, ref_s, ref_h, p, q) for o in chains}
+                for kind in ("bc", "a"):
+                    got = operator_matrix(f"lap_{kind}", s, p, q, h).matrix
+                    terms = [want[tuple(o)] for o in _THEORIES[kind]["laplacian"]]
+                    lap = terms[0]
+                    for t in terms[1:]:
+                        lap = lap + t
+                    _assert_same_rows(got, lap, (name, kind, p, q))
+                for ops in chains:
+                    got = chain_matrix(ops, s, p, q, h)
+                    _assert_same_rows(got, want[tuple(ops)], (name, ops, p, q))
+
+
+@pytest.mark.parametrize(
+    "h, error",
+    [
+        (None, PreconditionError),
+        (HermitianMetric.identity(3), PreconditionError),
+        (HermitianMetric([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), MetricError),
+    ],
+    ids=["no-metric", "wrong-size", "not-positive"],
+)
+def test_chain_refusals_hold_when_the_product_to_their_right_is_zero(h, error):
+    # deldelbar is zero on functions, so the zero stop would end this chain
+    # before its adjoint; the adjoint's guards must still refuse first
+    s = _ladder(4)
+    assert chain_matrix(["deldelbar"], s, 0, 0).is_zero()
+    with pytest.raises(error):
+        chain_matrix(["del_adj", "deldelbar"], s, 0, 0, h)
+
+
+def test_zero_stop_returns_the_chain_shape_and_builds_no_further_factor():
+    s = _ladder(4)
+    h = random_positive_metric(4, random.Random(49))
+    got = chain_matrix(["del_adj", "deldelbar"], s, 0, 0, h)
+    assert got == Matrix.zeros(len(basis(4, 0, 1)), 1)
+    assert not any(key[0] == "del_adj" for key in s._op_matrix_cache)
+    ref_s, ref_h = _fresh(s, h)
+    assert got == _reference_chain(["del_adj", "deldelbar"], ref_s, ref_h, 0, 0)

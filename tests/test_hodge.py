@@ -6,7 +6,14 @@ from math import factorial
 import pytest
 
 from liecohom import corpus
-from liecohom.cohomology import _OP_SHIFT, _clip, _matrix_for, _single_matrix
+from liecohom.cohomology import (
+    _OP_SHIFT,
+    _clip,
+    _matrix_for,
+    _single_matrix,
+    harmonic_space,
+    operator_matrix,
+)
 from liecohom.errors import MetricError
 from liecohom.exterior import BasisMonomial, Form, basis, monomial_wedge
 from liecohom.hodge import HermitianMetric, _det, _minor_table, random_positive_metric
@@ -418,6 +425,45 @@ def test_adjoint_matrices_need_no_matrix_product_or_star_matrix(monkeypatch):
             for name in ("del_adj", "delbar_adj"):
                 built += not _single_matrix(name, s, p, q, h).is_zero()
     assert calls == [] and built > 0
+
+
+LADDER_4 = "algebra heisenberg-4\ndim 4\nd f4 = f1^f2\n"
+
+
+def test_adjoints_completed_after_a_harmonic_space_equal_fresh_ones():
+    # the Laplacian builds some adjoints on a few rows only; full requests
+    # afterwards complete them, and must give the matrices of a fresh build
+    s = parse_structure(LADDER_4)
+    h = random_positive_metric(4, random.Random(50))
+    harmonic_space("a", s, h, 2, 2)
+    assert any(not isinstance(m, Matrix) for m in s._op_matrix_cache.values())
+    fresh_s, fresh_h = parse_structure(LADDER_4), HermitianMetric(h.entries)
+    for p in range(5):
+        for q in range(5):
+            for name in ("del_adj", "delbar_adj"):
+                got = operator_matrix(name, s, p, q, h).matrix
+                assert got == operator_matrix(name, fresh_s, p, q, fresh_h).matrix
+    assert all(isinstance(m, Matrix) for m in s._op_matrix_cache.values())
+
+
+def test_harmonic_space_builds_each_adjoint_row_at_most_once_and_not_all(monkeypatch):
+    s = parse_structure(LADDER_4)
+    h = random_positive_metric(4, random.Random(51))
+    built = []
+    adjoint_matrix = HermitianMetric.adjoint_matrix
+
+    def counting(self, op, source, target, rows=None):
+        out = adjoint_matrix(self, op, source, target, rows)
+        every = range(len(basis(4, *target)))
+        built.extend((source, target, i) for i in (every if rows is None else rows))
+        return out
+
+    monkeypatch.setattr(HermitianMetric, "adjoint_matrix", counting)
+    harmonic_space("a", s, h, 2, 2)
+    assert len(built) == len(set(built))
+    # the full matrices of the adjoints built hold more rows
+    full = sum(len(basis(4, *target)) for _, target in {(a, b) for a, b, _ in built})
+    assert 0 < len(built) < full
 
 
 def test_star_matrices_build_no_gram_table():

@@ -171,6 +171,23 @@ def test_matmul_and_shapes():
         b @ a
 
 
+def test_hstack_matches_the_transposed_vstack():
+    # blocks of every width, zero-width ones included, against stacking the
+    # transposes and transposing back
+    rng = random.Random(5)
+    blocks = [m for m in _sparse_random_matrices() if m.nrows == 3]
+    assert len(blocks) >= 4
+    blocks.insert(1, Matrix.zeros(3, 0))
+    for k in range(1, len(blocks) + 1):
+        mats = rng.sample(blocks, min(k, 4))
+        want = vstack([m.transpose() for m in mats]).transpose()
+        got = hstack(mats)
+        assert got == want
+    assert hstack([Matrix.zeros(0, 2), Matrix.zeros(0, 3)]).shape == (0, 5)
+    with pytest.raises(ValueError):
+        hstack([Matrix.zeros(2, 1), Matrix.zeros(3, 1)])
+
+
 # -- quotient representatives against the rebuild-per-acceptance reference ----
 
 
