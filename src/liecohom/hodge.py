@@ -37,7 +37,12 @@ index sets I, J of size k (0-based, complements I^c, J^c):
 So omega powers, the volume, Gram and star entries are integer products
 over one known denominator, each built as a Scalar once.  The star matrix
 of the (p,q) space is S = N / (t (2D)^n), t = det H, and each metric keeps
-its integer numerators N per (p,q).  The matrix of the adjoint
+its integer numerators N per (p,q), and no other copy of its stars.  The
+Form-level ``star`` and the adjoint matrices both read N: ``star`` sums a
+form's conjugated coordinates against the rows of N in Gaussian integers.
+``_star_matrix``, the Scalar matrix S built from N on each call, is used by
+no engine code; it is kept as a view for the tests' reference routes and
+for the benchmark's tracer, which binds it.  The matrix of the adjoint
 a -> -*(P *a) out of the (p,q) space, for P = del or delbar with matrix
 M / e from the (n-p, n-q) space (e the common denominator of its
 entries), is
@@ -164,7 +169,7 @@ def _kronecker_row(hnz, arow) -> IntRow:
 class HermitianMetric:
     """A Hermitian matrix in the declared coframe plus its derived geometry.
 
-    Derived tables (Gram matrices, volume form, star matrices) are built
+    Derived tables (Gram matrices, volume form, star numerators) are built
     lazily and cached; construction of each table is idempotent, so lazy
     initialization is safe under concurrent first access.
     """
@@ -187,7 +192,6 @@ class HermitianMetric:
         self._compounds: Optional[list[list[list[tuple[int, int, int]]]]] = None
         self._gram_cache: dict[tuple[int, int], Matrix] = {}
         self._star_rows: dict[tuple[int, int], list[IntRow]] = {}
-        self._star_cache: dict[tuple[int, int], Matrix] = {}
         self._omega_powers: dict[int, Form] = {}
         self._positive: Optional[bool] = None
         self._minors: Optional[list[Fraction]] = None
@@ -470,32 +474,47 @@ class HermitianMetric:
 
     def _star_matrix(self, p: int, q: int) -> Matrix:
         """The star matrix S = N / (t (2D)^n) of the (p, q) space, one
-        ``from_parts`` per entry of the numerators N; built once, for
-        ``star``."""
-        key = (p, q)
-        cached = self._star_cache.get(key)
-        if cached is None:
-            d = self._star_denominator()
-            ints = self._star_numerators(p, q)
-            rows = [{j: from_parts(a, b, d) for j, a, b in row} for row in ints]
-            cached = Matrix.sparse(rows, len(basis(self.n, p, q)))
-            self._star_cache[key] = cached
-        return cached
+        ``from_parts`` per entry of the numerators N, built anew on each
+        call.  The engine reads N itself (``star``, ``adjoint_matrix``); this
+        Scalar view of it stays for the tests, which compare it with a
+        reference route, and for the benchmark's tracer, which binds it."""
+        ints = self._star_numerators(p, q)
+        d = self._star_denominator()
+        rows = [{j: from_parts(a, b, d) for j, a, b in row} for row in ints]
+        return Matrix.sparse(rows, len(basis(self.n, p, q)))
 
     def star(self, a: Form) -> Form:
-        """The conjugate-linear Hodge star, componentwise over bidegrees."""
+        """The conjugate-linear Hodge star, componentwise over bidegrees.
+
+        Each (p,q)-component, over the common denominator e of its
+        coefficients (u + wi) / e, goes through the star numerators N of
+        ``_star_numerators``, the same integers the adjoint matrices read:
+        row c of N is summed against the conjugated coordinates as plain
+        ints, (x + yi)(u - wi) = (xu + yw) + (yu - xw)i, and each nonzero
+        term is built once over t (2D)^n e.  The terms come in basis order
+        of each component's target space."""
         if a.n != self.n:
             raise MetricError("form coframe size does not match the metric")
         n = self.n
-        out = Form.zero(n)
+        terms = {}
         for (p, q), comp in a.components().items():
+            ints = self._star_numerators(p, q)
             idx = basis_index(n, p, q)
-            coords = {idx[m]: c.conjugate() for m, c in comp.terms.items()}
-            image = self._star_matrix(p, q).apply(coords)
+            e = common_denominator(comp.terms.values())
+            coords = {idx[m]: numerators(c, e) for m, c in comp.terms.items()}
+            d = self._star_denominator() * e
             dst = basis(n, n - p, n - q)
-            # apply keys its result in row order, so the terms come in basis order
-            out = out + Form(n, {dst[j]: c for j, c in image.items()}, _validated=True)
-        return out
+            for c, row in enumerate(ints):
+                re = im = 0
+                for j, x, y in row:
+                    v = coords.get(j)
+                    if v is not None:
+                        u, w = v
+                        re += x * u + y * w
+                        im += y * u - x * w
+                if re or im:
+                    terms[dst[c]] = from_parts(re, im, d)
+        return Form(n, terms, _validated=True)
 
     # -- adjoints and Lefschetz ---------------------------------------------------
 

@@ -15,7 +15,7 @@ from liecohom.cohomology import (
     operator_matrix,
 )
 from liecohom.errors import MetricError
-from liecohom.exterior import BasisMonomial, Form, basis, monomial_wedge
+from liecohom.exterior import BasisMonomial, Form, basis, basis_index, monomial_wedge
 from liecohom.hodge import HermitianMetric, _det, _minor_table, random_positive_metric
 from liecohom.linalg import Matrix
 from liecohom.scalars import HALF, I, ONE, ZERO, Scalar
@@ -473,28 +473,86 @@ def test_star_matrices_build_no_gram_table():
         for p in range(n + 1):
             for q in range(n + 1):
                 h._star_matrix(p, q)
-        assert len(h._star_cache) == (n + 1) ** 2
+        assert len(h._star_rows) == (n + 1) ** 2
         assert h._gram_cache == {}
 
 
+def reference_star(h, a):
+    """The star through ``reference_star_matrix``: the conjugated coordinates
+    of each (p,q)-component times that matrix, summed over components."""
+    n = h.n
+    out = Form.zero(n)
+    for (p, q), comp in a.components().items():
+        idx = basis_index(n, p, q)
+        coords = {idx[m]: c.conjugate() for m, c in comp.terms.items()}
+        image = reference_star_matrix(h, p, q).apply(coords)
+        dst = basis(n, n - p, n - q)
+        out = out + Form(n, {dst[j]: c for j, c in image.items()})
+    return out
+
+
+def mixed_form(n, rng):
+    """A form over two or more random bidegrees whose coefficients within
+    each bidegree have unequal denominators."""
+    bidegrees = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+    terms = {}
+    for p, q in rng.sample(bidegrees, rng.randint(2, len(bidegrees))):
+        mons = basis(n, p, q)
+        for k, m in enumerate(rng.sample(mons, min(3, len(mons)))):
+            re = Fraction(rng.randint(1, 5), k + 1)
+            terms[m] = Scalar(re, Fraction(rng.randint(-3, 3), 2 * k + 3))
+    return Form(n, terms)
+
+
+def test_star_matches_the_reference_star_matrices():
+    # the star of mixed-bidegree forms, summed from the integer numerators,
+    # equals the reference matrices applied component by component; on a
+    # non-positive metric it still raises
+    rng = random.Random(52)
+    for n in (2, 3, 4):
+        metrics = [HermitianMetric.identity(n)]
+        while len(metrics) < 4:
+            h = random_positive_metric(n, rng)
+            if not all(x.is_real() for row in h.entries for x in row):
+                metrics.append(h)
+        for h in metrics:
+            assert h.star(Form.zero(n)) == Form.zero(n) == reference_star(h, Form.zero(n))
+            for _ in range(3):
+                a = mixed_form(n, rng)
+                assert len(a.bidegrees()) > 1
+                assert h.star(a) == reference_star(h, a)
+    with pytest.raises(MetricError):
+        HermitianMetric([[ONE, ZERO], [ZERO, -ONE]]).star(mono(2, [1], [2]))
+
+
 def test_star_conjugates_only_the_terms_of_its_argument(monkeypatch):
-    # the star places a form's own terms by basis index: a one-term
-    # (2,2)-form on n = 4 costs one conjugation, not one per basis monomial
+    # once the (2,2) numerators are built, the star of a (2,2)-form is
+    # summed in integers: no conjugation, no Scalar product, no star matrix
     h = random_positive_metric(4, random.Random(44))
     c = Scalar(Fraction(2, 3), -1)
-    a = mono(4, (1, 3), (2, 4), c)
-    expected = h.star(a)  # builds and caches the (2,2) star matrix
+    a = mono(4, (1, 3), (2, 4), c) + mono(4, (2, 3), (1, 4), Scalar(Fraction(1, 5), 2))
+    expected = reference_star(h, a)
     assert len(expected.terms) > 1
+    h._star_numerators(2, 2)
     calls = []
-    conjugate = Scalar.conjugate
 
-    def counting(self):
-        calls.append(self)
-        return conjugate(self)
+    def counting(name, method):
+        def wrapper(*args):
+            calls.append(name)
+            return method(*args)
 
-    monkeypatch.setattr(Scalar, "conjugate", counting)
+        return wrapper
+
+    for cls, name in [
+        (Scalar, "conjugate"),
+        (Scalar, "__mul__"),
+        (Scalar, "__rmul__"),
+        (Matrix, "apply"),
+        (HermitianMetric, "_star_matrix"),
+    ]:
+        monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
     assert h.star(a) == expected
-    assert calls == [c]
+    assert calls == []
 
 
 # -- the minor table and the closed forms read off it ----------------------------

@@ -214,3 +214,16 @@ def test_scalar_triple_is_read_only_inside_scalars():
         if isinstance(node, ast.Attribute) and node.attr in ("_a", "_b", "_d")
     ]
     assert outside == []
+
+
+def test_no_engine_module_calls_the_star_matrix():
+    # every star is held once, as the integer numerators the Form-level star
+    # and the adjoint matrices read; ``_star_matrix`` is a Scalar view of
+    # them for the tests and the benchmark's tracer, never an engine route
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _calls(node, "_star_matrix")
+    ]
+    assert calls == []
