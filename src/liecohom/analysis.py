@@ -207,8 +207,11 @@ def verify_vanishing_theorem(
 
 @dataclass
 class SalamonReport:
+    """The dimension of the d-closed invariant (1,0)-forms, and per metric
+    checked {"gauduchon", "consistent"} plus "aeppli_vanishes" where the
+    metric is Gauduchon."""
+
     closed_10_dim: int
-    closed_10_reps: list[Form]
     metric_checks: list[dict] = field(default_factory=list)
 
 
@@ -238,11 +241,7 @@ def salamon_h10_check(
             entry["aeppli_vanishes"] = decision.vanishes
             entry["consistent"] = not decision.vanishes
         checks.append(entry)
-    return SalamonReport(
-        closed_10_dim=space.dim,
-        closed_10_reps=closed_p0_forms(s, 1),
-        metric_checks=checks,
-    )
+    return SalamonReport(closed_10_dim=space.dim, metric_checks=checks)
 
 
 # -- the six-dimensional SKT nilmanifold family ------------------------------------

@@ -236,16 +236,6 @@ def chain_matrix(
     return total
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """An operator matrix tagged with its source/target bidegree bases."""
-
-    name: str
-    source: tuple[int, int]
-    target: tuple[int, int] | int  # total degree for d
-    matrix: Matrix
-
-
 # The Bott-Chern and Aeppli harmonic theories, one table each:
 #   kernel     -- operator chains whose common kernel is the harmonic space;
 #   laplacian  -- the terms of the fourth-order Laplacian;
@@ -319,28 +309,27 @@ def operator_matrix(
     p: int,
     q: int,
     h: Optional[HermitianMetric] = None,
-) -> OperatorMatrix:
-    """Exact matrix of a named operator out of the (p, q) space.
+) -> Matrix:
+    """The exact matrix of a named operator out of the (p, q) space: one
+    column per monomial of ``basis(n, p, q)``, one row per monomial of the
+    target, which is ``total_basis(n, p+q+1)`` for d, the (p, q) space for
+    the Laplacians and the shifted bidegree's basis for the others (empty
+    out of range).
 
-    Names: d, del, delbar, del_adj, delbar_adj, deldelbar, lap_bc, lap_a.
-    d targets the full space of total degree p+q+1 (``target`` is that
-    degree).  Starred and Laplacian operators need a metric over the
-    structure's n; bigraded operators need an integrable structure (d does
-    not).  All but the Laplacians are cached: per structure for the
-    metric-free names, per metric for the adjoints.
+    Names: d, del, delbar, del_adj, delbar_adj, deldelbar, lap_bc, lap_a;
+    any other raises ValueError.  Starred and Laplacian operators need a
+    metric over the structure's n; bigraded operators need an integrable
+    structure (d does not).  All but the Laplacians are cached: per
+    structure for the metric-free names, per metric for the adjoints.
     """
     if name in ("lap_bc", "lap_a"):
         if h is None:
             raise PreconditionError(f"{name} needs a metric")
         lap = bc_laplacian_matrix if name == "lap_bc" else aeppli_laplacian_matrix
-        return OperatorMatrix(name, (p, q), (p, q), lap(s, h, p, q))
-    if name == "d":
-        target = p + q + 1
-    elif name in _OP_SHIFT:
-        target = (p + _OP_SHIFT[name][0], q + _OP_SHIFT[name][1])
-    else:
+        return lap(s, h, p, q)
+    if name != "d" and name not in _OP_SHIFT:
         raise ValueError(f"unknown operator {name!r}")
-    return OperatorMatrix(name, (p, q), target, _single_matrix(name, s, p, q, h))
+    return _single_matrix(name, s, p, q, h)
 
 
 def d_matrix_total(s: StructureEquations, k: int) -> Matrix:
@@ -357,19 +346,23 @@ class CohomologyGroup:
     """A quotient numerator / (span of the image rows) in the coordinates
     of `mons`, the (p, q) basis (or the degree-p total basis for de Rham,
     where q is -1).  `rows` are the numerator's echelon rows that represent
-    the quotient, one per dimension.  The representatives as Forms and the
-    denominator as a ``Subspace`` are built from them on first access only;
-    a report renders the rows themselves."""
+    the quotient, one per dimension, so ``dim`` is their count.  The
+    representatives as Forms and the denominator as a ``Subspace`` are
+    built from them on first access only; a report renders the rows
+    themselves."""
 
     kind: str
     p: int
     q: int
-    dim: int
     numerator: Subspace
     rows: list[Row]
     mons: Sequence[BasisMonomial]
     images: Sequence[Row]
     n: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
 
     @cached_property
     def representatives(self) -> list[Form]:
@@ -393,7 +386,7 @@ def _quotient(
     except PreconditionError as exc:
         where = f"({p},{q})" if q >= 0 else f"degree {p}"
         raise PreconditionError(f"{kind} cohomology at {where}: {exc}") from None
-    return CohomologyGroup(kind, p, q, len(reps), numerator, reps, mons, images, n)
+    return CohomologyGroup(kind, p, q, numerator, reps, mons, images, n)
 
 
 def bc_cohomology(s: StructureEquations, p: int, q: int) -> CohomologyGroup:
@@ -462,7 +455,7 @@ def harmonic_space(
     basis(s.n, p, q)  # refuses a bidegree out of range
     stack = vstack([chain_matrix(ops, s, p, q, h) for ops in theory["kernel"]])
     primary = kernel_basis(stack)
-    check = kernel_basis(operator_matrix(f"lap_{kind}", s, p, q, h).matrix)
+    check = kernel_basis(operator_matrix(f"lap_{kind}", s, p, q, h))
     if primary != check:
         raise RuntimeError(
             f"harmonic characterization mismatch at ({p},{q}) for {kind}; engine defect"
@@ -574,54 +567,30 @@ def decompose_aeppli(s: StructureEquations, h: HermitianMetric, a: Form) -> Deco
 
 @dataclass
 class CohomologyReport:
+    """The cohomology tables of one structure, and the metric's class and
+    Aeppli decisions when a metric was given.  ``groups[kind]`` maps each
+    cell's key, "p,q" for a bigraded group and "k" for de Rham degree k, to
+    the cell as ``cohomology --json`` prints it: {"dim": d, "reps": [the
+    rendered representatives]}.  Every group is of invariant forms, which
+    ``to_dict`` writes as the level."""
+
     algebra: str
     n: int
     flags: dict
-    groups: dict  # kind -> {(p,q) or k: (dim, [rep strings])}
+    groups: dict
     metric_class: Optional[dict] = None
     aeppli_decisions: list = field(default_factory=list)
-    level: str = "invariant"
 
     def to_dict(self) -> dict:
-        cohomology = {}
-        for kind, table in self.groups.items():
-            sub = {}
-            for key, (dim, reps) in table.items():
-                name = f"{key[0]},{key[1]}" if isinstance(key, tuple) else str(key)
-                sub[name] = {"dim": dim, "reps": list(reps)}
-            cohomology[kind] = sub
         return {
             "algebra": self.algebra,
             "n": self.n,
-            "flags": dict(self.flags),
-            "metric_class": dict(self.metric_class) if self.metric_class else None,
-            "cohomology": cohomology,
-            "aeppli_decisions": [dict(d) for d in self.aeppli_decisions],
-            "level": self.level,
+            "flags": self.flags,
+            "metric_class": self.metric_class,
+            "cohomology": self.groups,
+            "aeppli_decisions": self.aeppli_decisions,
+            "level": "invariant",
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "CohomologyReport":
-        groups = {}
-        for kind, sub in data["cohomology"].items():
-            table = {}
-            for name, cell in sub.items():
-                if "," in name:
-                    p, q = name.split(",")
-                    key = (int(p), int(q))
-                else:
-                    key = int(name)
-                table[key] = (cell["dim"], list(cell["reps"]))
-            groups[kind] = table
-        return CohomologyReport(
-            algebra=data["algebra"],
-            n=data["n"],
-            flags=dict(data["flags"]),
-            groups=groups,
-            metric_class=dict(data["metric_class"]) if data.get("metric_class") else None,
-            aeppli_decisions=[dict(d) for d in data.get("aeppli_decisions", [])],
-            level=data.get("level", "invariant"),
-        )
 
 
 ALL_GROUPS = ("bc", "a", "dolbeault", "derham")
@@ -632,7 +601,9 @@ def full_report(
     h: Optional[HermitianMetric] = None,
     groups=ALL_GROUPS,
 ) -> CohomologyReport:
-    """Dimensions and representatives for the requested cohomologies.
+    """Dimensions and representatives for the requested cohomologies, one
+    ``_cell`` per bidegree (or degree, for de Rham) in the report's cell
+    format, in the order they are printed.
 
     Bigraded groups need integrability; de Rham never does.  The metric,
     when supplied, only feeds the metric classification and the Aeppli
@@ -642,9 +613,7 @@ def full_report(
     tables: dict[str, dict] = {}
     for kind in groups:
         if kind == "derham":
-            tables[kind] = {
-                k: _cell(de_rham_cohomology(s, k)) for k in range(2 * n + 1)
-            }
+            tables[kind] = {str(k): _cell(de_rham_cohomology(s, k)) for k in range(2 * n + 1)}
             continue
         if not s.flags.integrable:
             raise IntegrabilityError(
@@ -656,7 +625,7 @@ def full_report(
             "dolbeault": dolbeault_cohomology,
         }[kind]
         tables[kind] = {
-            (p, q): _cell(func(s, p, q))
+            f"{p},{q}": _cell(func(s, p, q))
             for p in range(n + 1)
             for q in range(n + 1)
         }
@@ -689,6 +658,6 @@ def _monomial_names(n: int, p: int, q: int) -> tuple[str, ...]:
     return tuple(map(render_monomial, basis(n, p, q)))
 
 
-def _cell(group: CohomologyGroup):
+def _cell(group: CohomologyGroup) -> dict:
     names = _monomial_names(group.n, group.p, group.q)
-    return (group.dim, [render_row(v, names) for v in group.rows])
+    return {"dim": group.dim, "reps": [render_row(v, names) for v in group.rows]}

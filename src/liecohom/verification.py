@@ -73,12 +73,13 @@ def _seeded_metrics(n: int, count: int, rng: random.Random) -> list[HermitianMet
     return [random_positive_metric(n, rng) for _ in range(count)]
 
 
-def _random_form(n: int, p: int, q: int, rng: random.Random, terms: int = 3) -> Form:
+def _random_form(n: int, p: int, q: int, rng: random.Random) -> Form:
+    """A seeded (p, q)-form of at most three terms."""
     mons = basis(n, p, q)
     if not mons:
         return Form.zero(n)
     out: dict = {}
-    for _ in range(min(terms, len(mons))):
+    for _ in range(min(3, len(mons))):
         m = mons[rng.randrange(len(mons))]
         out[m] = Scalar(
             Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
@@ -95,23 +96,23 @@ def _random_pure_form(n: int, rng: random.Random, max_degree: int) -> Form:
             return _random_form(n, p, q, rng)
 
 
-_CORPUS_CACHE: dict[str, tuple] = {}
+_Loaded = tuple[CorpusEntry, StructureEquations, HermitianMetric]
+_CORPUS_CACHE: dict[str, _Loaded] = {}
 
 
-def _loaded_corpus() -> list[tuple[CorpusEntry, StructureEquations, HermitianMetric]]:
-    out = []
-    for entry in CORPUS.values():
-        cached = _CORPUS_CACHE.get(entry.name)
-        if cached is None:
-            lf = entry.load()
-            cached = (
-                entry,
-                lf.structure,
-                lf.metric or HermitianMetric.identity(lf.structure.n),
-            )
-            _CORPUS_CACHE[entry.name] = cached
-        out.append(cached)
-    return out
+def _loaded(name: str) -> _Loaded:
+    """The corpus entry `name`, its structure and its metric (the identity
+    when it lists none), loaded once per process."""
+    if name not in _CORPUS_CACHE:
+        entry = CORPUS[name]
+        lf = entry.load()
+        s = lf.structure
+        _CORPUS_CACHE[name] = (entry, s, lf.metric or HermitianMetric.identity(s.n))
+    return _CORPUS_CACHE[name]
+
+
+def _loaded_corpus() -> list[_Loaded]:
+    return [_loaded(name) for name in CORPUS]
 
 
 # -- criterion 1: the star identity ------------------------------------------------
@@ -183,9 +184,7 @@ def check_adjoint_annihilation(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def check_sl2c() -> CheckResult:
-    entry = CORPUS["sl2c"]
-    lf = entry.load()
-    s, h = lf.structure, lf.metric
+    _, s, h = _loaded("sl2c")
     problems = []
     if bc_cohomology(s, 1, 0).dim != 0:
         problems.append("H_BC^(1,0) != 0")
@@ -229,9 +228,7 @@ def _ce_listed_representatives(n: int = 3) -> dict[tuple[int, int], list[Form]]:
 
 
 def check_calabi_eckmann() -> CheckResult:
-    entry = CORPUS["calabi-eckmann"]
-    lf = entry.load()
-    s, h = lf.structure, lf.metric
+    entry, s, h = _loaded("calabi-eckmann")
     n = s.n
     expected_dims = dict(entry.expected["bc_dims"].value)
     problems = []
@@ -287,9 +284,7 @@ def check_calabi_eckmann() -> CheckResult:
 
 
 def check_secondary_kodaira(seed: int = DEFAULT_SEED) -> CheckResult:
-    entry = CORPUS["kodaira-secondary"]
-    lf = entry.load()
-    s, h = lf.structure, lf.metric
+    _, s, h = _loaded("kodaira-secondary")
     n = s.n
     problems = []
     if bc_cohomology(s, 1, 0).dim != 0:
@@ -622,10 +617,8 @@ def _expected(exp: dict, key: str, n: int):
     return want
 
 
-def _check_entry_expectations(entry: CorpusEntry) -> list[CheckResult]:
-    lf = entry.load()
-    s = lf.structure
-    h = lf.metric or HermitianMetric.identity(s.n)
+def _check_entry_expectations(name: str) -> list[CheckResult]:
+    entry, s, h = _loaded(name)
     results = []
 
     def record(label: str, ok: bool, detail: str = ""):
@@ -660,10 +653,9 @@ def _check_entry_expectations(entry: CorpusEntry) -> list[CheckResult]:
 
 
 def corpus_checks(scope: str = "all") -> list[CheckResult]:
-    entries = CORPUS.values() if scope == "all" else [CORPUS[scope]]
     out: list[CheckResult] = []
-    for entry in entries:
-        out.extend(_check_entry_expectations(entry))
+    for name in CORPUS if scope == "all" else [scope]:
+        out.extend(_check_entry_expectations(name))
     return out
 
 

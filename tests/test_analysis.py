@@ -235,6 +235,19 @@ def test_salamon_iwasawa():
     assert all(c["consistent"] for c in report.metric_checks)
 
 
+def test_salamon_computes_the_closed_space_once(monkeypatch):
+    from liecohom import analysis
+
+    calls = []
+    space = analysis.closed_p0_space
+    monkeypatch.setattr(
+        analysis, "closed_p0_space", lambda s, p: calls.append(p) or space(s, p)
+    )
+    report = salamon_h10_check(parse_structure(IWASAWA), [HermitianMetric.identity(3)])
+    assert report.closed_10_dim == 2
+    assert calls == [1]
+
+
 def test_salamon_refuses_non_nilpotent():
     s = parse_structure(SL2C)
     with pytest.raises(PreconditionError):

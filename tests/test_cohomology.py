@@ -55,14 +55,15 @@ def mono(n, h, a, c=ONE):
 def test_delbar_vanishes_on_holomorphic_coframe():
     s = parse_structure(SL2C)
     m = operator_matrix("delbar", s, 1, 0)
-    assert m.matrix.is_zero()
-    assert m.target == (1, 1)
+    assert isinstance(m, Matrix)
+    assert m.is_zero()
+    assert m.shape == (9, 3)  # the (1,1) basis by the (1,0) basis
 
 
 def test_deldelbar_on_functions_is_zero():
     for text in (SL2C, CALABI_ECKMANN, KODAIRA):
         s = parse_structure(text)
-        assert operator_matrix("deldelbar", s, 0, 0).matrix.is_zero()
+        assert operator_matrix("deldelbar", s, 0, 0).is_zero()
 
 
 def test_d_matrix_rank_on_one_forms():
@@ -70,13 +71,13 @@ def test_d_matrix_rank_on_one_forms():
     from liecohom.linalg import rank
 
     m = operator_matrix("d", s, 1, 0)
-    assert rank(m.matrix) == 3
+    assert rank(m) == 3
 
 
 def test_matrix_composition_is_zero_for_del_squared():
     s = parse_structure(CALABI_ECKMANN)
-    a = operator_matrix("del", s, 2, 1).matrix
-    b = operator_matrix("del", s, 1, 1).matrix
+    a = operator_matrix("del", s, 2, 1)
+    b = operator_matrix("del", s, 1, 1)
     assert (a @ b).is_zero()
 
 
@@ -101,7 +102,7 @@ def test_deldelbar_entry_matches_form_route():
                     form_route(s.del_delbar, n), n, _clip(n, p, q), _clip(n, p + 1, q + 1)
                 )
                 assert _single_matrix("deldelbar", s, p, q, None) == want, (s.name, p, q)
-                assert operator_matrix("deldelbar", s, p, q).matrix == want
+                assert operator_matrix("deldelbar", s, p, q) == want
 
 
 def test_del_and_delbar_entries_match_form_route():
@@ -126,7 +127,7 @@ def test_del_and_delbar_entries_match_form_route():
                         continue
                     want = _matrix_for(form_route(op, n), n, src, dst)
                     assert _single_matrix(name, s, p, q, None) == want, (s.name, name, p, q)
-                    assert operator_matrix(name, s, p, q).matrix == want
+                    assert operator_matrix(name, s, p, q) == want
 
 
 def test_cohomology_groups_never_call_the_form_level_differential(monkeypatch):
@@ -193,7 +194,7 @@ def test_laplacian_self_adjoint_for_pairing():
     s = parse_structure(KODAIRA)
     h = HermitianMetric.identity(2)
     for p, q in ((1, 0), (1, 1)):
-        m = operator_matrix("lap_bc", s, p, q, h).matrix
+        m = operator_matrix("lap_bc", s, p, q, h)
         g = h.gram(p, q)
         mh = [{j: x.conjugate() for j, x in row.items()} for row in m.transpose().rows]
         assert g @ m == Matrix.sparse(mh, m.nrows) @ g
@@ -376,19 +377,6 @@ def test_harmonic_projection_of_harmonic_form():
 # -- reports ---------------------------------------------------------------------------
 
 
-def test_full_report_round_trip():
-    import json
-
-    from liecohom.cohomology import CohomologyReport
-
-    s = parse_structure(KODAIRA)
-    h = HermitianMetric.identity(2)
-    report = full_report(s, h)
-    data = json.loads(json.dumps(report.to_dict()))
-    again = CohomologyReport.from_dict(data)
-    assert again == report
-
-
 def test_report_star_duality_entries():
     s = parse_structure(CALABI_ECKMANN)
     report = full_report(s, groups=("bc", "a"))
@@ -396,8 +384,8 @@ def test_report_star_duality_entries():
     for p in range(n + 1):
         for q in range(n + 1):
             assert (
-                report.groups["bc"][(p, q)][0]
-                == report.groups["a"][(n - p, n - q)][0]
+                report.groups["bc"][f"{p},{q}"]["dim"]
+                == report.groups["a"][f"{n - p},{n - q}"]["dim"]
             )
 
 
@@ -438,12 +426,12 @@ def _image_columns(s, kind, p, q):
     if kind == "derham":
         mats = [d_matrix_total(s, p - 1)] if p else []
     elif kind == "bc":
-        mats = [operator_matrix("deldelbar", s, p - 1, q - 1).matrix] if p and q else []
+        mats = [operator_matrix("deldelbar", s, p - 1, q - 1)] if p and q else []
     elif kind == "a":
-        mats = [operator_matrix("del", s, p - 1, q).matrix] if p else []
-        mats += [operator_matrix("delbar", s, p, q - 1).matrix] if q else []
+        mats = [operator_matrix("del", s, p - 1, q)] if p else []
+        mats += [operator_matrix("delbar", s, p, q - 1)] if q else []
     else:
-        mats = [operator_matrix("delbar", s, p, q - 1).matrix] if q else []
+        mats = [operator_matrix("delbar", s, p, q - 1)] if q else []
     return [row for m in mats for row in m.transpose().rows]
 
 
@@ -521,7 +509,9 @@ def test_report_cells_match_the_form_route():
     for s in structures:
         for group, mons in _groups_of(s):
             want = [render_form(row_to_form(s.n, v, mons)) for v in group.rows]
-            assert _cell(group) == (group.dim, want), (s.name, group.kind, group.p, group.q)
+            assert _cell(group) == {"dim": group.dim, "reps": want}, (
+                s.name, group.kind, group.p, group.q
+            )
             assert [render_form(f) for f in group.representatives] == want
             images = _image_columns(s, group.kind, group.p, group.q)
             assert group.denominator == Subspace(len(mons), images)
@@ -588,8 +578,8 @@ def test_dense_coframe_keeps_every_table_dimension():
         assert dense.flags == s.flags
         want, got = full_report(s), full_report(dense)
         for kind, table in want.groups.items():
-            assert {k: d for k, (d, _) in table.items()} == {
-                k: d for k, (d, _) in got.groups[kind].items()
+            assert {k: cell["dim"] for k, cell in table.items()} == {
+                k: cell["dim"] for k, cell in got.groups[kind].items()
             }, (s.name, kind)
 
 
@@ -607,7 +597,7 @@ def _reference_chain(ops, s, h, p, q):
     for name in reversed(ops):
         sources.append(cur)
         cur = (cur[0] + _OP_SHIFT[name][0], cur[1] + _OP_SHIFT[name][1])
-    factors = [operator_matrix(name, s, *src, h).matrix for name, src in zip(ops, sources[::-1])]
+    factors = [operator_matrix(name, s, *src, h) for name, src in zip(ops, sources[::-1])]
     out = factors[0]
     for m in factors[1:]:
         out = out @ m
@@ -650,7 +640,7 @@ def test_chains_and_laplacians_match_products_of_full_factors(name):
             for q in range(n + 1):
                 want = {tuple(o): _reference_chain(o, ref_s, ref_h, p, q) for o in chains}
                 for kind in ("bc", "a"):
-                    got = operator_matrix(f"lap_{kind}", s, p, q, h).matrix
+                    got = operator_matrix(f"lap_{kind}", s, p, q, h)
                     terms = [want[tuple(o)] for o in _THEORIES[kind]["laplacian"]]
                     lap = terms[0]
                     for t in terms[1:]:

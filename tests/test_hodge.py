@@ -441,8 +441,8 @@ def test_adjoints_completed_after_a_harmonic_space_equal_fresh_ones():
     for p in range(5):
         for q in range(5):
             for name in ("del_adj", "delbar_adj"):
-                got = operator_matrix(name, s, p, q, h).matrix
-                assert got == operator_matrix(name, fresh_s, p, q, fresh_h).matrix
+                got = operator_matrix(name, s, p, q, h)
+                assert got == operator_matrix(name, fresh_s, p, q, fresh_h)
     assert all(isinstance(m, Matrix) for m in s._op_matrix_cache.values())
 
 

@@ -388,7 +388,7 @@ def _corpus_operator_matrices(ops):
         for p in range(s.n + 1):
             for q in range(s.n + 1):
                 for op in ops:
-                    m = operator_matrix(op, s, p, q).matrix
+                    m = operator_matrix(op, s, p, q)
                     if m.nrows and m.ncols and not m.is_zero():
                         yield m
 
@@ -552,7 +552,7 @@ def test_matmul_matches_reference_on_random_metric_adjoint_and_star_matrices():
                 for q in range(s.n + 1):
                     mats = [h._star_matrix(p, q)]
                     mats += [
-                        operator_matrix(op, s, p, q, h).matrix for op in ("del_adj", "delbar_adj")
+                        operator_matrix(op, s, p, q, h) for op in ("del_adj", "delbar_adj")
                     ]
                     for m in mats:
                         if m.nrows and m.ncols and not m.is_zero():
