@@ -133,9 +133,11 @@ def _single_matrix(
     their common denominator (``HermitianMetric._star_numerators``), and
     M / e is the cached P out of (n-p, n-q) over the common denominator e
     of its entries; ``HermitianMetric.adjoint_matrix`` sums it in Gaussian
-    integers.  No Form is built here: ``analysis.closed_p0_space`` assembles
-    its d matrix through the Form-level ``s.d`` on purpose, as the
-    independent route that checks H_BC^(p,0) against this one.
+    integers, reading N' as single compound products at M's nonzero rows
+    and building N on M's nonzero columns only.  No Form is built here:
+    ``analysis.closed_p0_space`` assembles its d matrix through the
+    Form-level ``s.d`` on purpose, as the independent route that checks
+    H_BC^(p,0) against this one.
 
     Rows on demand: for an adjoint, `rows` names the target rows a caller
     reads (every row when None).  Row i of the adjoint is read off row i of

@@ -37,9 +37,13 @@ index sets I, J of size k (0-based, complements I^c, J^c):
 So omega powers, the volume, Gram and star entries are integer products
 over one known denominator, each built as a Scalar once.  The star matrix
 of the (p,q) space is S = N / (t (2D)^n), t = det H, and each metric keeps
-its integer numerators N per (p,q), and no other copy of its stars.  The
-Form-level ``star`` and the adjoint matrices both read N: ``star`` sums a
-form's conjugated coordinates against the rows of N in Gaussian integers.
+its integer numerators N per (p,q), built row by row as rows are read,
+and no other copy of its stars.  Row c of N is sign * i^(n^2) (2D)^(p+q)
+times the Kronecker product of row a of the p-th compound numerators with
+the conjugate of row b of the q-th; (sign, a, b) does not depend on the
+metric and is computed once per (n, p, q) (``_star_layout``).  The
+Form-level ``star`` reads complete blocks of N: it sums a form's
+conjugated coordinates against the rows of N in Gaussian integers.
 ``_star_matrix``, the Scalar matrix S built from N on each call, is used by
 no engine code; it is kept as a view for the tests' reference routes and
 for the benchmark's tracer, which binds it.  The matrix of the adjoint
@@ -52,7 +56,11 @@ entries), is
 with N' the numerators of the star back from P's target; the star is
 conjugate-linear, hence the conjugates.  It is summed in Gaussian
 integers and each entry built once, with no star matrix and no Scalar
-product.  Row i of the adjoint is read off row i of N' alone, so it can be
+product, and N' is never built: row i of the product reads N' only at
+the rows k where M has a nonzero, and each such entry is one product of
+two compound numerators, read from the compounds kept as
+{column: (re, im)} rows.  N is built only on the rows at M's nonzero
+columns.  Row i of the adjoint is read off row i of N' alone, so it can be
 built on some of its rows only: ``cohomology.chain_matrix`` asks only for
 the rows that a metric-free operator to its left reads, and the operator
 cache keeps each row built once per metric, so the Laplacians are the same
@@ -124,6 +132,24 @@ def _laplace_plan(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _star_layout(n: int, p: int, q: int) -> tuple[tuple[int, int, int], ...]:
+    """For each monomial m'_c of the (n-p, n-q) basis, in basis order: the
+    (sign, a, b) of row c of the (p, q) star numerators.  The (p, q)
+    monomial m_a' with m_a' ^ m'_c nonzero is the complement of m'_c, at
+    a' = a * C(n, q) + b, and m_a' ^ m'_c = sign f_1..f_n ^ F_1..F_n; none of
+    it depends on the metric.  Complementing both blocks reverses the
+    position in the basis."""
+    src = basis(n, p, q)
+    width = len(basis(n, 0, q))
+    last = len(src) - 1
+    layout = []
+    for c, mc in enumerate(basis(n, n - p, n - q)):
+        sign, _ = monomial_wedge(src[last - c], mc)
+        layout.append((sign, *divmod(last - c, width)))
+    return tuple(layout)
+
+
 def _minor_table(rows) -> tuple[int, list[list[list[tuple[int, int]]]]]:
     """(D, table) for a square matrix of Scalars: D is the common
     denominator of its entries and table[k][r][c] = (re, im) of
@@ -171,7 +197,11 @@ class HermitianMetric:
 
     Derived tables (Gram matrices, volume form, star numerators) are built
     lazily and cached; construction of each table is idempotent, so lazy
-    initialization is safe under concurrent first access.
+    initialization is safe under concurrent first access.  The star
+    numerators are cached row by row: each (p, q) block is one list,
+    inserted once with ``dict.setdefault``, and a missing row is written
+    with the same value by whichever caller builds it, so a caller that has
+    asked for a row finds it built.
     """
 
     def __init__(self, rows):
@@ -190,8 +220,9 @@ class HermitianMetric:
         self._hash = hash(self.entries)  # the entries never change
         self._table: Optional[tuple[int, int, list]] = None
         self._compounds: Optional[list[list[list[tuple[int, int, int]]]]] = None
+        self._compound_dicts: Optional[list[list[dict[int, tuple[int, int]]]]] = None
         self._gram_cache: dict[tuple[int, int], Matrix] = {}
-        self._star_rows: dict[tuple[int, int], list[IntRow]] = {}
+        self._star_rows: dict[tuple[int, int], list[Optional[IntRow]]] = {}
         self._omega_powers: dict[int, Form] = {}
         self._positive: Optional[bool] = None
         self._minors: Optional[list[Fraction]] = None
@@ -369,6 +400,16 @@ class HermitianMetric:
             self._compounds = compounds
         return self._compounds
 
+    def _compound_entries(self) -> list[list[dict[int, tuple[int, int]]]]:
+        """The rows of ``_gram_compounds`` as {column: (re, im)}, built once,
+        so that the adjoints read single compound entries."""
+        if self._compound_dicts is None:
+            self._compound_dicts = [
+                [{c: (x, y) for c, x, y in row} for row in rows]
+                for rows in self._gram_compounds()
+            ]
+        return self._compound_dicts
+
     def gram(self, p: int, q: int) -> Matrix:
         """Gram matrix of <.,.> on the canonical (p,q)-monomial basis."""
         key = (p, q)
@@ -422,49 +463,55 @@ class HermitianMetric:
 
     # -- Hodge star -------------------------------------------------------------
 
-    def _star_numerators(self, p: int, q: int) -> list[IntRow]:
-        """N with the star matrix S of the (p, q) space equal to N / (t (2D)^n),
-        t = det H, built once per (p, q); S[:, b] holds the coordinates of
-        *(m_b) over the (n-p, n-q) basis, and each row of N its nonzero
-        entries as (column, re, im).
+    def _star_numerators(
+        self, p: int, q: int, rows: Optional[Sequence[int]] = None
+    ) -> list[Optional[IntRow]]:
+        """The star numerators N of the (p, q) space, the star matrix being
+        S = N / (t (2D)^n), t = det H, with at least the rows `rows` built
+        (the whole block when None) and the others None.  One block per
+        (p, q) is kept, and each row is built once per metric.  S[:, b]
+        holds the coordinates of *(m_b) over the (n-p, n-q) basis, and each
+        row of N its nonzero entries as (column, re, im).
 
         The defining relation on monomials reads  W @ S = vol_coeff * Gram
         with W[a][c] f_top = m_a ^ m'_c.  m_a ^ m'_c vanishes unless m_a is
         the complement of m'_c, so W is a signed permutation and
         S = W^T @ (vol_coeff * Gram): row c of S is sign * vol_coeff times
         Gram row a, with m_a the complement of m'_c and sign the sign of
-        m_a ^ m'_c.  That Gram row is the Kronecker product of a row of the
-        p-th compound with a conjugate row of the q-th, so N is built from
-        the compound numerators directly: with vol_coeff = i^(n^2) t / (2D)^n,
-        each entry is sign * i^(n^2) (2D)^(p+q) times one integer product.
-        No Gram matrix is built."""
-        key = (p, q)
-        cached = self._star_rows.get(key)
-        if cached is not None:
-            return cached
-        self.require_positive()
-        n = self.n
-        compounds = self._gram_compounds()
-        den, _, _ = self._minors_of_h()
-        scale = (2 * den) ** (p + q)
-        holo, anti = compounds[p], compounds[q]
-        width = len(anti)
-        src = basis(n, p, q)
-        last = len(src) - 1
-        rows = []
-        for c, mc in enumerate(basis(n, n - p, n - q)):
-            # complementing both blocks reverses the position in the basis
-            ma = src[last - c]
-            sign, _ = monomial_wedge(ma, mc)
-            a, b = divmod(last - c, width)
-            u = sign * scale
-            if n & 1:  # i^(n^2) = i
-                hnz = [(i * width, -u * y, u * x) for i, x, y in holo[a]]
-            else:
-                hnz = [(i * width, u * x, u * y) for i, x, y in holo[a]]
-            rows.append(_kronecker_row(hnz, anti[b]))
-        self._star_rows[key] = rows
-        return rows
+        m_a ^ m'_c (``_star_layout``).  That Gram row is the Kronecker
+        product of a row of the p-th compound with a conjugate row of the
+        q-th, so N is built from the compound numerators directly: with
+        vol_coeff = i^(n^2) t / (2D)^n, each entry is
+        sign * i^(n^2) (2D)^(p+q) times one integer product.  No Gram matrix
+        is built."""
+        block = self._star_rows.get((p, q))
+        if block is None:
+            self.require_positive()
+            block = self._star_rows.setdefault(
+                (p, q), [None] * len(basis(self.n, self.n - p, self.n - q))
+            )
+        if rows is None:
+            if None not in block:
+                return block
+            rows = range(len(block))
+        missing = [c for c in rows if block[c] is None]
+        if missing:
+            n = self.n
+            compounds = self._gram_compounds()
+            den, _, _ = self._minors_of_h()
+            scale = (2 * den) ** (p + q)
+            holo, anti = compounds[p], compounds[q]
+            width = len(anti)
+            layout = _star_layout(n, p, q)
+            for c in missing:
+                sign, a, b = layout[c]
+                u = sign * scale
+                if n & 1:  # i^(n^2) = i
+                    hnz = [(i * width, -u * y, u * x) for i, x, y in holo[a]]
+                else:
+                    hnz = [(i * width, u * x, u * y) for i, x, y in holo[a]]
+                block[c] = _kronecker_row(hnz, anti[b])
+        return block
 
     def _star_denominator(self) -> int:
         """t (2D)^n, the denominator of every star numerator; positive once
@@ -537,23 +584,51 @@ class HermitianMetric:
         `target` space (p', q'), for op the matrix of del or delbar from the
         (n-p, n-q) space: -N' conj(M) conj(N) / (t^2 (2D)^(2n) e), as in the
         module docstring.  Only the target rows `rows` are built, in that
-        order (all of them when None): row i is read off row i of N' alone,
-        so a selection of rows is the same selection of the full matrix.  It
-        is summed as conj(conj(N') M N), left to right, by the matrix
-        product's row kernel ``linalg._gaussian_sums``, so no conjugate copy
-        of N is made; then one ``from_parts`` per entry."""
+        order (all of them when None), and a selection of rows is the same
+        selection of the full matrix.
+
+        N' is never built.  It is the star block of the (P, Q) =
+        (n-p', n-q') space, and row i of the product reads it only at the
+        rows k where M has a nonzero; there it is the single entry
+        sign * i^(n^2) (2D)^(P+Q) C_P[a][k // w] conj(C_Q[b][k % w]), with
+        (sign, a, b) = ``_star_layout(n, P, Q)[i]``, C the compound
+        numerators (``_compound_entries``) and w = C(n, Q).  The unit and
+        the power of 2D are taken out of the sum and out of the
+        denominator.  N is built on the rows at M's nonzero columns only
+        (``_star_numerators``).  The row is summed as conj(conj(N') M N),
+        left to right, by the matrix product's row kernel
+        ``linalg._gaussian_sums``; then one ``from_parts`` per entry."""
+        self.require_positive()
         n = self.n
-        back = self._star_numerators(n - target[0], n - target[1])
-        if rows is not None:
-            back = [back[i] for i in rows]
-        forth = self._star_numerators(*source)
+        big_p, big_q = n - target[0], n - target[1]
+        compounds = self._compound_entries()
+        holo, anti = compounds[big_p], compounds[big_q]
+        width = len(anti)
+        layout = _star_layout(n, big_p, big_q)
         e = common_denominator(x for row in op.rows for x in row.values())
         m = [[(j, *numerators(x, e)) for j, x in row.items()] for row in op.rows]
-        d = self._star_denominator() ** 2 * e
+        read = [(k, *divmod(k, width)) for k, row in enumerate(op.rows) if row]
+        forth = self._star_numerators(*source, sorted(set().union(*op.rows)))
+        den, t, _ = self._minors_of_h()
+        d = t * t * (2 * den) ** (2 * n - big_p - big_q) * e
         out = []
-        for row in back:
-            y = _gaussian_sums(_gaussian_sums([(k, a, -b) for k, a, b in row], m), forth)
-            out.append({j: from_parts(-a, b, d) for j, a, b in y})
+        for i in range(len(layout)) if rows is None else rows:
+            sign, a, b = layout[i]
+            hrow, arow = holo[a], anti[b]
+            left = []  # conj(C_P[a][k // w] conj(C_Q[b][k % w])) at each read k
+            for k, r, c in read:
+                hx = hrow.get(r)
+                if hx is not None:
+                    ax = arow.get(c)
+                    if ax is not None:
+                        (x, y), (u, v) = hx, ax
+                        left.append((k, x * u + y * v, x * v - y * u))
+            sums = _gaussian_sums(_gaussian_sums(left, m), forth)
+            # the entry is -sign i^(n^2) conj(re + im i) over d
+            if n & 1:
+                out.append({j: from_parts(-sign * im, -sign * re, d) for j, re, im in sums})
+            else:
+                out.append({j: from_parts(-sign * re, sign * im, d) for j, re, im in sums})
         return Matrix.sparse(out, len(basis(n, *source)))
 
     def lefschetz(self, a: Form, k: int) -> Form:

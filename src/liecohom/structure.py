@@ -9,7 +9,7 @@ and splits as d = del + delbar on integrable structures.
 Grammar (UTF-8, line oriented, `#` starts a comment):
 
     algebra NAME
-    dim N
+    dim N                # 1 <= N <= MAX_DIM
     d fK = EXPR          # omitted generators have d fK = 0
     metric identity
     metric hermitian     # followed by N lines of N scalars, row-major
@@ -37,6 +37,12 @@ from .errors import (
 from .exterior import BasisMonomial, Form, monomial_wedge
 from .linalg import Row, Subspace
 from .scalars import ONE, ZERO, Scalar, format_scalar
+
+
+# The largest `dim` a `.lie` file may declare: far above any n whose tables
+# the engine can compute, low enough that parsing one, which builds one form
+# per generator (and an n x n metric), ends at once.
+MAX_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -552,6 +558,8 @@ def parse_lie(text: str, name: Optional[str] = None) -> LieFile:
                 raise _too_long(tok) from None
             if n < 1:
                 raise ParseError("dim must be at least 1", tok.line, tok.col)
+            if n > MAX_DIM:
+                raise ParseError(f"dim must be at most {MAX_DIM}", tok.line, tok.col)
             ts.expect_end()
         elif head.text == "d":
             if n is None:

@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from liecohom import corpus
 from liecohom.cli import main
+from liecohom.structure import MAX_DIM, parse_lie
 
 SL2C = """algebra sl2c
 dim 3
@@ -40,6 +42,23 @@ def test_parse_error_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "parse", str(path))
     assert code == 2
     assert "line 3" in err
+
+
+@pytest.mark.parametrize("dim", ["257", "99999999999999999999"])
+def test_parse_refuses_a_dim_above_the_ceiling_at_once(tmp_path, capsys, dim):
+    # one zero form per generator would be built before anything else failed
+    path = tmp_path / "huge.lie"
+    path.write_text(f"algebra huge\ndim {dim}\nmetric identity\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "parse", str(path))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert f"dim must be at most {MAX_DIM}" in err and "line 2" in err
+
+
+def test_parse_accepts_the_dim_ceiling(capsys):
+    lie = parse_lie(f"algebra big\ndim {MAX_DIM}\nmetric identity\n")
+    assert lie.structure.n == lie.metric.n == MAX_DIM
 
 
 def test_missing_file_exit_2(capsys):

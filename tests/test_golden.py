@@ -1,15 +1,22 @@
 """Outputs must stay byte-identical to the golden copies the benchmark keeps
-in perfbench/golden/ (read here, never rewritten) and to the verify-suite
-and n=5, n=6 ladder goldens in tests/golden/ (n=7 by its digest)."""
+in perfbench/golden/ (read here, never rewritten) and to the verify-suite,
+n=5, n=6 ladder and n=4 harmonic Aeppli goldens in tests/golden/ (n=7 by
+its digest)."""
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from liecohom import corpus
+from liecohom.analysis import aeppli_class_vanishes
 from liecohom.cli import main
+from liecohom.cohomology import harmonic_forms
+from liecohom.errors import PreconditionError
+from liecohom.hodge import random_positive_metric
+from liecohom.structure import parse_structure, render_form
 from liecohom.verification import CRITERIA
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -61,3 +68,38 @@ def test_verify_all_json_matches_golden(verify_all_json):
     assert code == 0
     golden = (TESTS_GOLDEN / "verify_all.json").read_text(encoding="utf-8")
     assert out == golden
+
+
+def aeppli_ladder_json() -> str:
+    """On the n=4 ladder, for three seeded non-real metrics and p = 1..3: the
+    Aeppli decision on omega^(4-p) (its refusal where del delbar omega^(4-p)
+    is not zero) and the rendered harmonic Aeppli basis in bidegree
+    (4-p, 4-p), where the obstruction certificate is taken from."""
+    s = parse_structure("algebra heisenberg-4\ndim 4\nd f4 = f1^f2\n")
+    rng = random.Random(20261019)
+    metrics = []
+    while len(metrics) < 3:
+        h = random_positive_metric(4, rng)
+        if not all(x.is_real() for row in h.entries for x in row):
+            metrics.append(h)
+    records = []
+    for h in metrics:
+        for p in (1, 2, 3):
+            try:
+                decision = aeppli_class_vanishes(s, h, p).to_dict()
+            except PreconditionError as exc:
+                decision = str(exc)
+            records.append({
+                "metric": [[str(x) for x in row] for row in h.entries],
+                "p": p,
+                "decision": decision,
+                "harmonic_a": [render_form(f) for f in harmonic_forms("a", s, h, 4 - p, 4 - p)],
+            })
+    return json.dumps(records, indent=2) + "\n"
+
+
+def test_harmonic_aeppli_certificates_on_the_n4_ladder_match_golden():
+    # the obstruction forms, their pairings and the harmonic bases behind
+    # them, on metrics with non-real entries
+    golden = (TESTS_GOLDEN / "aeppli-heisenberg-4.json").read_text(encoding="utf-8")
+    assert aeppli_ladder_json() == golden

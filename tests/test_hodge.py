@@ -16,10 +16,17 @@ from liecohom.cohomology import (
 )
 from liecohom.errors import MetricError
 from liecohom.exterior import BasisMonomial, Form, basis, basis_index, monomial_wedge
-from liecohom.hodge import HermitianMetric, _det, _minor_table, random_positive_metric
+from liecohom.hodge import (
+    HermitianMetric,
+    _det,
+    _minor_table,
+    _star_layout,
+    random_positive_metric,
+)
 from liecohom.linalg import Matrix
 from liecohom.scalars import HALF, I, ONE, ZERO, Scalar
 from liecohom.structure import parse_structure
+from test_cohomology import _change_coframe
 
 SL2C = "algebra sl2c\ndim 3\nd f1 = f2^f3\nd f2 = -1*f1^f3\nd f3 = f1^f2\n"
 KODAIRA = (
@@ -401,6 +408,33 @@ def test_hermitian_tables_match_reference_routes_on_the_n4_ladder():
     assert_tables_match_references(s, seed=47, count=1)
 
 
+def test_hermitian_tables_match_reference_routes_on_a_dense_coframe():
+    # in the coframe of _change_coframe every d g_i is dense, so del and
+    # delbar have many nonzero rows at which the adjoints read the star back;
+    # a row subset in any order is the same rows of the reference
+    s = _change_coframe(corpus.get("iwasawa").load().structure, 20261018)
+    h = random_positive_metric(3, random.Random(49))
+    assert not all(x.is_real() for row in h.entries for x in row)
+    assert_tables_match_references(s, seed=49, count=1)
+    rng = random.Random(49)
+    subsets = 0
+    for p in range(4):
+        for q in range(4):
+            for name in ("del_adj", "delbar_adj"):
+                dp, dq = _OP_SHIFT[name]
+                target = _clip(3, p + dp, q + dq)
+                op = _single_matrix(name[: -len("_adj")], s, 3 - p, 3 - q, None)
+                if len(target) < 2 or op.is_zero():
+                    continue
+                want = reference_adjoint_matrix(name, s, h, p, q)
+                rows = rng.sample(range(len(target)), rng.randint(2, len(target)))
+                fresh = HermitianMetric(h.entries)
+                got = fresh.adjoint_matrix(op, (p, q), (p + dp, q + dq), rows)
+                assert list(got.rows) == [want.rows[i] for i in rows], (name, p, q, rows)
+                subsets += rows != sorted(rows)
+    assert subsets > 0
+
+
 def test_adjoint_matrices_need_no_matrix_product_or_star_matrix(monkeypatch):
     # the adjoints are composed from the star numerators in integers: on a
     # fresh n = 4 metric no Matrix product and no star matrix is built
@@ -446,6 +480,24 @@ def test_adjoints_completed_after_a_harmonic_space_equal_fresh_ones():
     assert all(isinstance(m, Matrix) for m in s._op_matrix_cache.values())
 
 
+def test_harmonic_space_reads_the_star_blocks_on_some_rows_and_shares_their_layout():
+    # the Aeppli harmonic (3,3)-forms read the (2,2) star block, the star
+    # back from delbar_adj out of (2,3), only at the rows of delbar's
+    # nonzeros, straight from the compounds; the star of (2,3) is built on
+    # some rows only; a second metric reuses the layout of the star blocks
+    # instead of recomputing its wedge signs
+    s = parse_structure(LADDER_4)
+    rng = random.Random(55)
+    first, second = random_positive_metric(4, rng), random_positive_metric(4, rng)
+    harmonic_space("a", s, first, 3, 3)
+    assert sum(r is not None for r in first._star_rows.get((2, 2), ())) < 36
+    block = first._star_rows[2, 3]
+    assert len(block) == 24 and 0 < sum(r is not None for r in block) < 24
+    hits = _star_layout.cache_info().hits
+    harmonic_space("a", s, second, 3, 3)
+    assert _star_layout.cache_info().hits > hits
+
+
 def test_harmonic_space_builds_each_adjoint_row_at_most_once_and_not_all(monkeypatch):
     s = parse_structure(LADDER_4)
     h = random_positive_metric(4, random.Random(51))
@@ -473,7 +525,9 @@ def test_star_matrices_build_no_gram_table():
         for p in range(n + 1):
             for q in range(n + 1):
                 h._star_matrix(p, q)
+        # one complete block of star numerators per bidegree
         assert len(h._star_rows) == (n + 1) ** 2
+        assert all(None not in block for block in h._star_rows.values())
         assert h._gram_cache == {}
 
 
