@@ -119,6 +119,45 @@ def _det(rows: list[list[Scalar]]) -> Scalar:
     return det
 
 
+def _integer_matrix(rows) -> tuple[int, list[list[tuple[int, int]]]]:
+    """(D, H) for a matrix of Scalars: D is the common denominator of its
+    entries and H = D * rows, each entry as its integer pair (re, im)."""
+    den = common_denominator(x for row in rows for x in row)
+    return den, [[numerators(x, den) for x in row] for row in rows]
+
+
+def _leading_minors(h):
+    """Yield the leading principal minors of a Hermitian Gaussian-integer
+    matrix h (rows of (re, im) pairs), smallest first, as ints.
+
+    One fraction-free (Bareiss) elimination without row swaps: after the
+    k-th step, each entry right of and below the k-th pivot is the minor of
+    h on the first k rows and columns plus its own row and column, so the
+    next pivot is the next leading minor and each division by the last
+    pivot is exact.  The minors of a Hermitian matrix are real; a non-real
+    one raises MetricError.  The elimination stops after the first zero
+    minor, past which it would need a row swap, and a caller that stops
+    reading early skips the remaining steps."""
+    a = [list(row) for row in h]
+    n = len(a)
+    last = 1
+    for k in range(n):
+        p, im = a[k][k]
+        if im:
+            raise MetricError("principal minor is not real; matrix corrupt")
+        yield p
+        if not p:
+            return
+        top = a[k]
+        for row in a[k + 1 :]:
+            x, y = row[k]
+            for j in range(k + 1, n):
+                (u, v), (s, t) = row[j], top[j]
+                # ((u + vi) p - (x + yi)(s + ti)) / last
+                row[j] = ((u * p - x * s + y * t) // last, (v * p - x * t - y * s) // last)
+        last = p
+
+
 @lru_cache(maxsize=None)
 def _laplace_plan(n: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each k-subset S of range(n), in ``combinations`` order: the pairs
@@ -158,8 +197,7 @@ def _minor_table(rows) -> tuple[int, list[list[list[tuple[int, int]]]]]:
     Each k-minor expands along row I_r[0] over the (k-1)-minors, in
     Gaussian-integer arithmetic: C(2n, n) entries, k multiply-adds each."""
     n = len(rows)
-    den = common_denominator(x for row in rows for x in row)
-    hint = [[numerators(x, den) for x in row] for row in rows]
+    den, hint = _integer_matrix(rows)
     table = [[[(1, 0)]]]
     for k in range(1, n + 1):
         lower = table[-1]
@@ -262,24 +300,28 @@ class HermitianMetric:
     def positivity(self) -> tuple[bool, list[Fraction]]:
         """Leading-principal-minor test; returns (positive?, minors).
 
-        The minors are real by Hermitian symmetry; for n = 3 their
-        positivity is exactly the classical three-inequality criterion on
-        the fundamental-form parameters.
+        The minors are read off one elimination: with D the common
+        denominator of h's entries, the k-th pivot of the fraction-free
+        elimination of D*h (``_leading_minors``) is D^k times the k-th
+        minor.  After a zero pivot that elimination would need a row swap,
+        so each later minor is computed by its own ``_det`` elimination;
+        the minors are the same either way.  ``_minors_of_h`` checks the
+        last minor, det h, against its table of minors built by Laplace
+        expansion.  The minors are real by Hermitian symmetry; for n = 3
+        their positivity is exactly the classical three-inequality
+        criterion on the fundamental-form parameters.
         """
         if self._positive is None:
-            minors: list[Fraction] = []
-            positive = True
-            for k in range(1, self.n + 1):
-                sub = [list(self.entries[i][:k]) for i in range(k)]
-                m = _det(sub)
+            den, ints = _integer_matrix(self.entries)
+            minors = [Fraction(t, den**k) for k, t in enumerate(_leading_minors(ints), 1)]
+            for k in range(len(minors) + 1, self.n + 1):
+                m = _det([list(row[:k]) for row in self.entries[:k]])
                 if not m.is_real():
                     raise MetricError("principal minor is not real; matrix corrupt")
                 minors.append(m.re)
-                if m.re <= 0:
-                    positive = False
             self._minors = minors
-            self._positive = positive
-        return self._positive, list(self._minors or [])
+            self._positive = all(m > 0 for m in minors)
+        return self._positive, list(self._minors)
 
     def is_positive(self) -> bool:
         return self.positivity()[0]
@@ -647,24 +689,44 @@ class HermitianMetric:
         return f"HermitianMetric(n={self.n})"
 
 
+def _minors_positive(rows) -> bool:
+    """Whether every leading minor of the Hermitian matrix of Scalars `rows`
+    is positive; the elimination stops at the first that is not."""
+    return all(m > 0 for m in _leading_minors(_integer_matrix(rows)[1]))
+
+
+def _random_gaussian(rng: random.Random, bound: int, den: int) -> Scalar:
+    """The seeded Gaussian rational a/d + (b/e) i, with a, b drawn from
+    [-bound, bound] and d, e from [1, den] in the order a, d, b, e, built
+    from those ints with ``from_parts``."""
+    a, d = rng.randint(-bound, bound), rng.randint(1, den)
+    b, e = rng.randint(-bound, bound), rng.randint(1, den)
+    return from_parts(a * e, b * d, d * e)
+
+
 def random_positive_metric(n: int, rng: random.Random) -> HermitianMetric:
     """A random rational Hermitian positive-definite matrix.
 
-    Draws Hermitian candidates with bounded entries and rejects those
-    failing the leading-minor test; the diagonal is boosted after repeated
-    rejections so termination is guaranteed.
+    Draws Hermitian candidates with bounded entries, each built from the
+    drawn ints with ``from_parts``, and rejects a candidate as soon as a
+    leading minor of D*h (D its common denominator) is not positive: the
+    fraction-free elimination ``_leading_minors`` stops at that minor.  The
+    diagonal is boosted after each rejection, so termination is
+    guaranteed.  Only the accepted candidate becomes a HermitianMetric,
+    and its own ``positivity`` must agree that it is positive, or the draw
+    raises an engine defect.
     """
     boost = 0
     while True:
         rows = [[ZERO] * n for _ in range(n)]
         for j in range(n):
-            rows[j][j] = Scalar(Fraction(rng.randint(1, 4) + boost, rng.randint(1, 2)))
+            rows[j][j] = from_parts(rng.randint(1, 4) + boost, 0, rng.randint(1, 2))
             for k in range(j + 1, n):
-                re = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-                im = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-                rows[j][k] = Scalar(re, im)
-                rows[k][j] = Scalar(re, -im)
-        metric = HermitianMetric(rows)
-        if metric.is_positive():
+                rows[j][k] = _random_gaussian(rng, 2, 3)
+                rows[k][j] = rows[j][k].conjugate()
+        if _minors_positive(rows):
+            metric = HermitianMetric(rows)
+            if not metric.is_positive():
+                raise RuntimeError("accepted random metric is not positive; engine defect")
             return metric
         boost += 2

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 from .analysis import (
     aeppli_class_vanishes,
@@ -43,9 +42,9 @@ from .cohomology import (
 )
 from .corpus import CORPUS, CorpusEntry
 from .exterior import Form, basis
-from .hodge import HermitianMetric, random_positive_metric
+from .hodge import HermitianMetric, _random_gaussian, random_positive_metric
 from .linalg import Subspace, rank
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, from_parts
 from .structure import StructureEquations, render_form
 
 DEFAULT_SEED = 20260808
@@ -81,10 +80,7 @@ def _random_form(n: int, p: int, q: int, rng: random.Random) -> Form:
     out: dict = {}
     for _ in range(min(3, len(mons))):
         m = mons[rng.randrange(len(mons))]
-        out[m] = Scalar(
-            Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-            Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-        )
+        out[m] = _random_gaussian(rng, 3, 3)
     return Form(n, {m: c for m, c in out.items() if c}, _validated=True)
 
 
@@ -301,12 +297,9 @@ def check_secondary_kodaira(seed: int = DEFAULT_SEED) -> CheckResult:
     rng = random.Random(seed)
     tested = 0
     while tested < 20:
-        a2 = Fraction(rng.randint(1, 4), rng.randint(1, 2))
-        c2 = Fraction(rng.randint(1, 4), rng.randint(1, 2))
-        b = Scalar(
-            Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
-            Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
-        )
+        a2 = from_parts(rng.randint(1, 4), 0, rng.randint(1, 2))
+        c2 = from_parts(rng.randint(1, 4), 0, rng.randint(1, 2))
+        b = _random_gaussian(rng, 2, 3)
         hm = HermitianMetric.from_form_parameters(n, [a2, c2], {(1, 2): b})
         if not hm.is_positive():
             continue
@@ -327,13 +320,6 @@ def check_secondary_kodaira(seed: int = DEFAULT_SEED) -> CheckResult:
 # -- criterion 6: the SKT family equivalence -------------------------------------------
 
 
-def _random_scalar(rng: random.Random) -> Scalar:
-    return Scalar(
-        Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
-        Fraction(rng.randint(-2, 2), rng.randint(1, 2)),
-    )
-
-
 def _skt_tuples(seed: int, count: int) -> list[tuple]:
     """Half generic tuples, half constructed to satisfy the pluriclosed
     condition (generic rational tuples essentially never do)."""
@@ -341,13 +327,14 @@ def _skt_tuples(seed: int, count: int) -> list[tuple]:
     out = []
     for k in range(count):
         if k % 2 == 0:
-            out.append(tuple(_random_scalar(rng) for _ in range(5)))
+            out.append(tuple(_random_gaussian(rng, 2, 2) for _ in range(5)))
         else:
-            a, d, e = (_random_scalar(rng) for _ in range(3))
+            a, d, e = (_random_gaussian(rng, 2, 2) for _ in range(3))
             b = ONE
             s = a.abs2() + d.abs2() + e.abs2()
             # 2 Re(conj(B) C) = -s with B = 1 forces Re(C) = -s/2
-            c = Scalar(-s / 2, Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
+            im, den = rng.randint(-2, 2), rng.randint(1, 2)
+            c = from_parts(-s.numerator * den, 2 * s.denominator * im, 2 * s.denominator * den)
             out.append((a, b, c, d, e))
     return out
 

@@ -232,6 +232,8 @@ def test_metric_block_errors_in_lie_file(tmp_path, capsys, text, want_code, want
         # singular, and indefinite with det h < 0
         ("1 0\n0 0\n", "[1, 0]"),
         ("1 0\n0 -1\n", "[1, -1]"),
+        # a zero pivot followed by a nonzero minor
+        ("0 1\n1 0\n", "[0, -1]"),
     ],
 )
 def test_non_positive_metric_message_prints_rational_minors(tmp_path, capsys, text, minors):

@@ -6,7 +6,15 @@ import pytest
 from liecohom import corpus
 from liecohom.cohomology import bc_cohomology, row_to_form
 from liecohom.errors import DimensionMismatch
-from liecohom.exterior import BasisMonomial, Form, basis, basis_index, total_basis
+from liecohom.exterior import (
+    BasisMonomial,
+    Form,
+    _wedge_memo,
+    basis,
+    basis_index,
+    monomial_wedge,
+    total_basis,
+)
 from liecohom.scalars import HALF, I, ONE, Scalar
 
 
@@ -146,6 +154,35 @@ def test_wedge_associativity_and_distributivity_random():
         assert a.wedge(b + c) == a.wedge(b) + a.wedge(c)
         z = Scalar(Fraction(2, 3), Fraction(-1, 2))
         assert a.scale(z).wedge(b) == a.wedge(b).scale(z)
+
+
+def _wedge_by_sorting(m1, m2):
+    """The wedge of two monomials from the word f_I F_J f_K F_L sorted into
+    canonical order (every F after every f): None on a repeated factor,
+    else the parity of the word's inversions and the sorted blocks."""
+    word = [*m1.holo, *(-j for j in m1.anti), *m2.holo, *(-j for j in m2.anti)]
+    if len(set(word)) < len(word):
+        return None
+    rank = [x if x > 0 else 100 - x for x in word]
+    inversions = sum(x > y for i, x in enumerate(rank) for y in rank[i + 1 :])
+    holo = tuple(sorted(x for x in word if x > 0))
+    anti = tuple(sorted(-x for x in word if x < 0))
+    return (-1) ** inversions, BasisMonomial(holo, anti)
+
+
+def test_memoized_monomial_wedge_matches_the_merge_on_every_pair():
+    # all pairs for n <= 4 (65,536 at n = 4, so the bounded memo also
+    # drops entries); each pair is read twice, the second time from the memo
+    for n in range(1, 5):
+        monomials = [m for k in range(2 * n + 1) for m in total_basis(n, k)]
+        for m1 in monomials:
+            for m2 in monomials:
+                want = _wedge_by_sorting(m1, m2)
+                assert monomial_wedge(m1, m2) == want
+                assert _wedge_memo(m1, m2) == want
+                assert _wedge_memo(m1, m2) == want
+    info = _wedge_memo.cache_info()
+    assert info.currsize <= info.maxsize == 1024
 
 
 def test_top_degree_cap():

@@ -1,7 +1,7 @@
 """Outputs must stay byte-identical to the golden copies the benchmark keeps
 in perfbench/golden/ (read here, never rewritten) and to the verify-suite,
-n=5, n=6 ladder and n=4 harmonic Aeppli goldens in tests/golden/ (n=7 by
-its digest)."""
+n=5, n=6 ladder, n=4 harmonic Aeppli and seeded-draw goldens in
+tests/golden/ (n=7 by its digest)."""
 
 import hashlib
 import json
@@ -15,9 +15,12 @@ from liecohom.analysis import aeppli_class_vanishes
 from liecohom.cli import main
 from liecohom.cohomology import harmonic_forms
 from liecohom.errors import PreconditionError
+from liecohom.exterior import _wedge_memo
+from liecohom import verification
 from liecohom.hodge import random_positive_metric
+from liecohom.scalars import Scalar
 from liecohom.structure import parse_structure, render_form
-from liecohom.verification import CRITERIA
+from liecohom.verification import CRITERIA, _random_form, _skt_tuples
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 TESTS_GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -62,6 +65,20 @@ def test_heisenberg_7_ladder_json_matches_digest(capsys, tmp_path):
     assert digest == "d799c32ab7f3a770ce4188406004b8b4a4504abb69ce2ecc39108f2cb2702d70"
 
 
+def test_heisenberg_8_ladder_json_matches_digest_with_a_bounded_wedge_memo(capsys, tmp_path):
+    # the differential of the n=8 ladder makes 32,833 distinct monomial
+    # products; they bypass the wedge memo, which stays within its bound
+    _wedge_memo.cache_clear()
+    lie = tmp_path / "heisenberg-8.lie"
+    lie.write_text("algebra heisenberg-8\ndim 8\nd f8 = f1^f2\n", encoding="utf-8")
+    code = main(["cohomology", str(lie), "--metric", "identity", "--json"])
+    assert code == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == "737056af24a74744c1cac70a78efed2e7c6af1bbce215d7fb3cbe593f474af3b"
+    info = _wedge_memo.cache_info()
+    assert info.currsize <= 16 and info.maxsize == 1024
+
+
 def test_verify_all_json_matches_golden(verify_all_json):
     # names, verdicts and details of every check, byte for byte
     code, out = verify_all_json
@@ -103,3 +120,83 @@ def test_harmonic_aeppli_certificates_on_the_n4_ladder_match_golden():
     # them, on metrics with non-real entries
     golden = (TESTS_GOLDEN / "aeppli-heisenberg-4.json").read_text(encoding="utf-8")
     assert aeppli_ladder_json() == golden
+
+
+class _CountingRandom(random.Random):
+    """A Random that counts its ``randint`` calls."""
+
+    calls = 0
+
+    def randint(self, a, b):
+        self.calls += 1
+        return super().randint(a, b)
+
+
+DRAW_SEEDS = (0, 1, 2, 5, 314159, 20260808)
+
+
+def seeded_draws_json() -> str:
+    """Every seeded draw the verification suite makes, as exact values in
+    draw order, with the state each leaves behind (the next 32 random bits):
+
+    * two successive ``random_positive_metric(n, rng)`` for n = 1..5 on each
+      seed, with the number of candidates each drew (``randint`` calls over
+      the 2 n^2 a candidate takes), so rejected and boosted draws are
+      pinned too;
+    * ``_random_form`` on a few bidegrees, ``_skt_tuples``, and the
+      parameters that ``check_secondary_kodaira`` passes to
+      ``from_form_parameters``."""
+    def scalar(x):
+        return str(Scalar.coerce(x))
+
+    records = []
+    for seed in DRAW_SEEDS:
+        for n in range(1, 6):
+            rng = _CountingRandom(seed)
+            for _ in range(2):
+                before = rng.calls
+                h = random_positive_metric(n, rng)
+                records.append({
+                    "draw": "random_positive_metric",
+                    "seed": seed,
+                    "n": n,
+                    "entries": [[scalar(x) for x in row] for row in h.entries],
+                    "candidates": (rng.calls - before) // (2 * n * n),
+                })
+            records[-1]["next"] = rng.getrandbits(32)
+        rng = random.Random(seed)
+        forms = [_random_form(n, p, q, rng) for n, p, q in ((2, 1, 1), (3, 2, 1), (4, 2, 2), (4, 0, 3))]
+        records.append({
+            "draw": "_random_form",
+            "seed": seed,
+            "terms": [[[m.holo, m.anti, scalar(c)] for m, c in f.terms.items()] for f in forms],
+            "next": rng.getrandbits(32),
+        })
+        records.append({
+            "draw": "_skt_tuples",
+            "seed": seed,
+            "tuples": [[scalar(x) for x in t] for t in _skt_tuples(seed, 6)],
+        })
+    drawn = []
+    original = verification.HermitianMetric.from_form_parameters
+
+    def recording(n, squares, offdiag=None):
+        drawn.append([scalar(x) for x in squares] + [scalar(offdiag[1, 2])])
+        return original(n, squares, offdiag)
+
+    verification.HermitianMetric.from_form_parameters = staticmethod(recording)
+    try:
+        verification.check_secondary_kodaira(20260808)
+    finally:
+        verification.HermitianMetric.from_form_parameters = staticmethod(original)
+    records.append({"draw": "secondary-kodaira parameters", "seed": 20260808, "parameters": drawn})
+    return json.dumps(records, indent=1) + "\n"
+
+
+def test_seeded_draws_match_golden():
+    # the Scalars each seeded draw builds, and the random calls it makes
+    golden = (TESTS_GOLDEN / "seeded-draws.json").read_text(encoding="utf-8")
+    assert seeded_draws_json() == golden
+    records = json.loads(golden)
+    # the pin covers candidates that were rejected and boosted
+    assert max(r.get("candidates", 0) for r in records) >= 3

@@ -20,6 +20,7 @@ from liecohom.hodge import (
     HermitianMetric,
     _det,
     _minor_table,
+    _minors_positive,
     _star_layout,
     random_positive_metric,
 )
@@ -97,6 +98,61 @@ def test_parameter_map_matches_surface_positivity():
     assert ok and minors == [1, 3 - 2]
     h2 = HermitianMetric.from_form_parameters(2, [1, 1], {(1, 2): Scalar(2)})
     assert not h2.is_positive()
+
+
+def _hermitian_sample(n, rng, kind):
+    """A seeded Hermitian matrix of Scalars: random small entries, then a
+    zero first pivot (kind 1), a boosted diagonal, mostly positive
+    (kind 2), or a singular sum of fewer than n rank-one terms v v* (kind 3)."""
+    if kind == 3:
+        vectors = [
+            [Scalar(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(n)]
+            for _ in range(rng.randint(1, max(1, n - 1)))
+        ]
+        return [
+            [sum((v[j] * v[k].conjugate() for v in vectors), ZERO) for k in range(n)]
+            for j in range(n)
+        ]
+    rows = [[ZERO] * n for _ in range(n)]
+    for j in range(n):
+        rows[j][j] = Scalar(Fraction(rng.randint(-2, 4) + (6 if kind == 2 else 0), rng.randint(1, 2)))
+        for k in range(j + 1, n):
+            z = Scalar(
+                Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+                Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
+            )
+            rows[j][k], rows[k][j] = z, z.conjugate()
+    if kind == 1:
+        rows[0][0] = ZERO
+    return rows
+
+
+def test_positivity_reads_every_leading_minor_off_one_elimination():
+    # the one-pass minors, and the early-exit test the random draw uses,
+    # against one _det elimination per leading block
+    rng = random.Random(20261019)
+    seen = set()
+    for case in range(1200):
+        n, kind = case % 5 + 1, case // 5 % 4
+        rows = _hermitian_sample(n, rng, kind)
+        want = [_det([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
+        assert all(m.is_real() for m in want)
+        want = [m.re for m in want]
+        verdict = all(m > 0 for m in want)
+        h = HermitianMetric(rows)
+        assert h.positivity() == (verdict, want)
+        assert _minors_positive(rows) == verdict
+        seen.add("positive" if verdict else "zero" if 0 in want else "indefinite")
+        seen.add(f"zero pivot at {want.index(0) + 1}" if 0 in want else "no zero pivot")
+    assert {"positive", "indefinite", "zero", "zero pivot at 1", "zero pivot at 2"} <= seen
+
+
+def test_random_positive_metric_checks_the_accepted_draw(monkeypatch):
+    # a candidate the early-exit test accepts must pass positivity() too
+    monkeypatch.setattr("liecohom.hodge._minors_positive", lambda rows: True)
+    with pytest.raises(RuntimeError, match="engine defect"):
+        for seed in range(20):
+            random_positive_metric(3, random.Random(seed))
 
 
 # -- fundamental form and volume --------------------------------------------------
