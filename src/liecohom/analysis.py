@@ -150,13 +150,21 @@ class VanishingCheck:
 
 
 def closed_p0_space(s: StructureEquations, p: int) -> Subspace:
-    """d-closed invariant (p,0)-forms; equals invariant Bott-Chern H^(p,0)."""
-    n = s.n
-    mons = basis(n, p, 0)
-    mat = _matrix_for(
-        lambda m: s.d(Form(n, {m: ONE}, _validated=True)), n, mons, total_basis(n, p + 1)
-    )
-    return kernel_basis(mat)
+    """d-closed invariant (p,0)-forms; equals invariant Bott-Chern H^(p,0).
+
+    The d matrix is assembled through the Form-level ``s.d``, not the
+    operator table, so this is the independent route that checks H_BC^(p,0).
+    It does not depend on a metric, so each structure computes it once per p
+    and keeps it (``s._closed_p0``, apart from the operator matrices)."""
+    space = s._closed_p0.get(p)
+    if space is None:
+        n = s.n
+        mons = basis(n, p, 0)
+        mat = _matrix_for(
+            lambda m: s.d(Form(n, {m: ONE}, _validated=True)), n, mons, total_basis(n, p + 1)
+        )
+        space = s._closed_p0[p] = kernel_basis(mat)
+    return space
 
 
 def closed_p0_forms(s: StructureEquations, p: int) -> list[Form]:

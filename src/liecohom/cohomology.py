@@ -8,7 +8,10 @@ Dimensions and representatives are computed from the quotient definitions
 by exact row reduction; these are metric-free and are the engine's source
 of truth.  With a metric on a unimodular algebra the same spaces are also
 computed as kernels of the fourth-order Bott-Chern / Aeppli Laplacians,
-through the three-condition characterizations of their kernels, and the
+through the three-condition characterizations of their kernels, each
+adjoint condition read through the star (ker P* = ker conj(M N), with no
+adjoint matrix built).  The kernel of the full Laplacian matrix, the only
+consumer of adjoint matrices there, cross-checks it on every call, and the
 two routes are required to agree.
 
 Everything refers to the invariant (Lie-algebra level) complex.
@@ -239,13 +242,16 @@ def chain_matrix(
 
 
 # The Bott-Chern and Aeppli harmonic theories, one table each:
-#   kernel     -- operator chains whose common kernel is the harmonic space;
+#   harmonic   -- (direct, starred): the harmonic space is the common kernel
+#                 of the operators in `direct` and of the adjoints of those
+#                 in `starred` (del_adj delbar_adj = +-*(del delbar)* for
+#                 Bott-Chern);
 #   laplacian  -- the terms of the fourth-order Laplacian;
 #   blocks     -- (witness name, chain) of the Hodge-type decomposition, in
 #                 the order second-order piece, first_a, first_b.
 _THEORIES = {
     "bc": {
-        "kernel": [["del"], ["delbar"], ["del_adj", "delbar_adj"]],
+        "harmonic": (("del", "delbar"), ("deldelbar",)),
         "laplacian": [
             ["deldelbar", "delbar_adj", "del_adj"],
             ["delbar_adj", "del_adj", "deldelbar"],
@@ -261,7 +267,7 @@ _THEORIES = {
         ],
     },
     "a": {
-        "kernel": [["del_adj"], ["delbar_adj"], ["deldelbar"]],
+        "harmonic": (("deldelbar",), ("del", "delbar")),
         "laplacian": [
             ["del", "del_adj"],
             ["delbar", "delbar_adj"],
@@ -448,15 +454,23 @@ def harmonic_space(
 
     Primary route: the kernel of the stacked first/second-order conditions
     (del u = 0, delbar u = 0, del_adj delbar_adj u = 0 for Bott-Chern;
-    del_adj v = 0, delbar_adj v = 0, del delbar v = 0 for Aeppli).
-    Cross-check: the kernel of the full fourth-order Laplacian matrix.
-    The two must agree exactly; a mismatch is an engine defect.
+    del_adj v = 0, delbar_adj v = 0, del delbar v = 0 for Aeppli), each
+    adjoint condition read through the star as ker P* = ker conj(M N), M
+    the matrix of P out of (n-p, n-q) and N the star numerators of (p, q)
+    (``HermitianMetric.adjoint_kernel_rows``; del_adj delbar_adj is
+    +-*(del delbar)*).  No adjoint matrix is built.  Cross-check, on every
+    call: the kernel of the full fourth-order Laplacian matrix, the only
+    consumer of adjoint matrices here.  The two must agree exactly; a
+    mismatch is an engine defect.
     """
     _require_harmonic_preconditions(s, h)
-    theory = _theory(kind)
-    basis(s.n, p, q)  # refuses a bidegree out of range
-    stack = vstack([chain_matrix(ops, s, p, q, h) for ops in theory["kernel"]])
-    primary = kernel_basis(stack)
+    direct, starred = _theory(kind)["harmonic"]
+    n = s.n
+    width = len(basis(n, p, q))  # refuses a bidegree out of range
+    rows = [row for op in direct for row in _single_matrix(op, s, p, q, None).rows]
+    for op in starred:
+        rows += h.adjoint_kernel_rows(_single_matrix(op, s, n - p, n - q, None), (p, q))
+    primary = kernel_basis(Matrix.sparse(rows, width))
     check = kernel_basis(operator_matrix(f"lap_{kind}", s, p, q, h))
     if primary != check:
         raise RuntimeError(

@@ -64,7 +64,8 @@ columns.  Row i of the adjoint is read off row i of N' alone, so it can be
 built on some of its rows only: ``cohomology.chain_matrix`` asks only for
 the rows that a metric-free operator to its left reads, and the operator
 cache keeps each row built once per metric, so the Laplacians are the same
-matrices.
+matrices.  The harmonic spaces need only the adjoints' kernels, and N' is
+invertible, so ``adjoint_kernel_rows`` gives the rows of conj(M N) alone.
 
 The table's full minor det H / D^n must equal the last leading minor that
 ``positivity`` computes by elimination; a mismatch is an engine defect.
@@ -76,13 +77,13 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
 from typing import Optional, Sequence
 
 from . import linalg
 from .errors import MetricError, PreconditionError
 from .exterior import BasisMonomial, Form, basis, basis_index, monomial_wedge
-from .linalg import IntRow, Matrix, _gaussian_sums
+from .linalg import IntRow, Matrix, Row, _gaussian_sums
 from .scalars import I_HALF, ONE, ZERO, I, Scalar, common_denominator, from_parts, numerators
 from .structure import StructureEquations
 
@@ -453,7 +454,9 @@ class HermitianMetric:
         return self._compound_dicts
 
     def gram(self, p: int, q: int) -> Matrix:
-        """Gram matrix of <.,.> on the canonical (p,q)-monomial basis."""
+        """Gram matrix of <.,.> on the canonical (p,q)-monomial basis.  No
+        engine code calls it (``inner`` reads the compounds); it stays for
+        the tests' reference routes and the benchmark's tracer."""
         key = (p, q)
         cached = self._gram_cache.get(key)
         if cached is not None:
@@ -478,24 +481,50 @@ class HermitianMetric:
     def inner(self, a: Form, b: Form) -> Scalar:
         """Pointwise Hermitian product; componentwise over bidegrees.
 
-        Linear in the first slot, conjugate-linear in the second.
+        Linear in the first slot, conjugate-linear in the second.  No Gram
+        matrix is built: the entry of the (p,q) Gram matrix at the monomials
+        (a, b) and (a', b') (holomorphic and anti-holomorphic subset
+        positions) is (2D)^(p+q) C_p[a][a'] conj(C_q[b][b']) / t^2, with C
+        the compound numerators (``_compound_entries``) and t = det H.  Each
+        bidegree reads only the entries its terms meet, sums them against
+        the coordinates over the forms' common denominators as plain ints,
+        and makes one ``from_parts``.
         """
         if a.n != self.n or b.n != self.n:
             raise MetricError("form coframe size does not match the metric")
         total = ZERO
         comps_b = b.components()
-        for bd, ca in a.components().items():
-            cb = comps_b.get(bd)
+        for (p, q), ca in a.components().items():
+            cb = comps_b.get((p, q))
             if cb is None:
                 continue
-            gram = self.gram(*bd)
-            idx = basis_index(self.n, *bd)
-            for ma, xa in ca.terms.items():
-                row = gram.rows[idx[ma]]
-                for mb, xb in cb.terms.items():
-                    g = row.get(idx[mb])
+            compounds = self._compound_entries()
+            holo, anti = compounds[p], compounds[q]
+            idx = basis_index(self.n, p, q)
+            width = len(anti)
+            ea, eb = common_denominator(ca.terms.values()), common_denominator(cb.terms.values())
+            right = [(*divmod(idx[m], width), *numerators(z, eb)) for m, z in cb.terms.items()]
+            re = im = 0
+            for m, z in ca.terms.items():
+                r, c = divmod(idx[m], width)
+                hrow, arow = holo[r], anti[c]
+                x, y = numerators(z, ea)
+                for r2, c2, u, v in right:
+                    g = hrow.get(r2)
                     if g is not None:
-                        total = total + xa * xb.conjugate() * g
+                        k = arow.get(c2)
+                        if k is not None:
+                            # (x + yi) conj(u + vi) g conj(k)
+                            (g1, g2), (k1, k2) = g, k
+                            s1, s2 = x * u + y * v, y * u - x * v
+                            w1, w2 = g1 * k1 + g2 * k2, g2 * k1 - g1 * k2
+                            re += s1 * w1 - s2 * w2
+                            im += s1 * w2 + s2 * w1
+            if re or im:
+                den, t, _ = self._minors_of_h()
+                scale = (2 * den) ** (p + q)
+                part = from_parts(scale * re, scale * im, ea * eb * t * t)
+                total = total + part if total else part
         return total
 
     def pairing(self, a: Form, b: Form) -> Scalar:
@@ -672,6 +701,28 @@ class HermitianMetric:
             else:
                 out.append({j: from_parts(-sign * re, sign * im, d) for j, re, im in sums})
         return Matrix.sparse(out, len(basis(n, *source)))
+
+    def adjoint_kernel_rows(self, op: Matrix, source: tuple[int, int]) -> list[Row]:
+        """Rows whose common kernel is that of the adjoint a -> -*(op *a) out
+        of the `source` space (p, q), for op the matrix M of del, delbar or
+        del delbar from the (n-p, n-q) space.  The adjoint is
+        -N' conj(M N) / d with N' invertible, so its kernel is that of
+        conj(M N): one row per nonzero row of M, that row over its common
+        denominator summed against the star numerators N of `source` (built
+        on M's nonzero columns only) by ``linalg._gaussian_sums``, divided by
+        the gcd of its integer parts and conjugated.  No adjoint matrix is
+        built."""
+        self.require_positive()
+        forth = self._star_numerators(*source, sorted(set().union(*op.rows)))
+        out = []
+        for row in op.rows:
+            if row:
+                e = common_denominator(row.values())
+                m = [(j, *numerators(x, e)) for j, x in row.items()]
+                sums = _gaussian_sums(m, forth)
+                g = gcd(*(x for _, a, b in sums for x in (a, b)))
+                out.append({j: from_parts(x // g, -y // g, 1) for j, x, y in sums})
+        return out
 
     def lefschetz(self, a: Form, k: int) -> Form:
         """Wedge with omega^k."""

@@ -74,6 +74,7 @@ class StructureEquations:
         self.dgen_conj = tuple(g.conjugate() for g in dgen)
         self._d_mono: dict[BasisMonomial, Form] = {}
         self._op_matrix_cache: dict = {}
+        self._closed_p0: dict = {}  # p -> analysis.closed_p0_space(self, p)
         for k in range(1, n + 1):
             if not self.d(self.dgen[k - 1]).is_zero():
                 raise JacobiViolation(

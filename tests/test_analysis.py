@@ -219,6 +219,25 @@ def test_closed_p0_space_makes_one_elimination(monkeypatch):
         assert len(calls) == 1
 
 
+def test_closed_p0_space_is_built_once_per_structure_and_p(monkeypatch):
+    from liecohom import linalg
+    from liecohom.linalg import Subspace
+
+    s, fresh = parse_structure(IWASAWA), parse_structure(IWASAWA)
+    calls = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m.shape) or rref(m))
+    first = closed_p0_space(s, 1)
+    assert len(calls) == 1
+    assert closed_p0_space(s, 1) is first
+    assert len(calls) == 1
+    # a freshly parsed structure computes its own
+    assert closed_p0_space(fresh, 1) == first
+    assert len(calls) == 2
+    # kept apart from the operator matrices
+    assert not any(isinstance(v, Subspace) for v in s._op_matrix_cache.values())
+
+
 def test_closed_p0_skt_family():
     s = generate_skt_family(0, 1, I, 0, 0)
     forms = closed_p0_forms(s, 1)

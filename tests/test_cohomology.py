@@ -28,7 +28,7 @@ from liecohom.cohomology import (
 from liecohom.errors import IntegrabilityError, MetricError, PreconditionError
 from liecohom.exterior import Form, basis, total_basis
 from liecohom.hodge import HermitianMetric, random_positive_metric
-from liecohom.linalg import Matrix
+from liecohom.linalg import Matrix, kernel_basis, vstack
 from liecohom.scalars import I, ONE, ZERO, Scalar
 from liecohom.structure import StructureEquations, parse_structure
 
@@ -586,6 +586,15 @@ def test_dense_coframe_keeps_every_table_dimension():
 # -- chains: rows on demand and the zero stop ------------------------------------------
 
 
+# The first- and second-order conditions whose common kernel is each harmonic
+# space (Schweitzer, arXiv:0709.3528), as operator chains: the reference for
+# harmonic_space, which reads the adjoints' kernels through the star.
+_KERNEL_CHAINS = {
+    "bc": [["del"], ["delbar"], ["del_adj", "delbar_adj"]],
+    "a": [["del_adj"], ["delbar_adj"], ["deldelbar"]],
+}
+
+
 def _fresh(s, h):
     """An equal structure and metric with empty caches."""
     return StructureEquations(s.n, s.dgen, name=s.name), HermitianMetric(h.entries)
@@ -631,8 +640,8 @@ def test_chains_and_laplacians_match_products_of_full_factors(name):
     metrics = [HermitianMetric.identity(n)] + [random_positive_metric(n, rng) for _ in range(2)]
     chains = [
         ops
-        for theory in _THEORIES.values()
-        for ops in theory["kernel"] + theory["laplacian"] + [ops for _, ops in theory["blocks"]]
+        for kind, theory in _THEORIES.items()
+        for ops in _KERNEL_CHAINS[kind] + theory["laplacian"] + [o for _, o in theory["blocks"]]
     ]
     for h in metrics:
         ref_s, ref_h = _fresh(s, h)
@@ -649,6 +658,66 @@ def test_chains_and_laplacians_match_products_of_full_factors(name):
                 for ops in chains:
                     got = chain_matrix(ops, s, p, q, h)
                     _assert_same_rows(got, want[tuple(ops)], (name, ops, p, q))
+
+
+def _non_real_metric(n, rng):
+    """The next seeded random metric with a non-real entry."""
+    while True:
+        h = random_positive_metric(n, rng)
+        if not all(x.is_real() for row in h.entries for x in row):
+            return h
+
+
+@pytest.mark.parametrize("name", sorted(set(_ORACLE_STRUCTURES) - {"ladder-5"}))
+def test_harmonic_spaces_equal_the_kernels_of_the_three_conditions(name):
+    # both kinds at every bidegree, against the stacked chain matrices of
+    # the three conditions, built on an equal structure and metric
+    s = _ORACLE_STRUCTURES[name]()
+    n = s.n
+    rng = random.Random(f"harmonic-oracle:{name}")
+    metrics = [HermitianMetric.identity(n)] + [_non_real_metric(n, rng) for _ in range(2)]
+    for h in metrics:
+        ref_s, ref_h = _fresh(s, h)
+        for kind, chains in _KERNEL_CHAINS.items():
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    stack = vstack([chain_matrix(o, ref_s, p, q, ref_h) for o in chains])
+                    assert harmonic_space(kind, s, h, p, q) == kernel_basis(stack), (
+                        name, kind, p, q
+                    )
+
+
+def test_a_defect_in_the_adjoint_matrices_fails_the_laplacian_cross_check(monkeypatch):
+    # adjoints conjugated entrywise reach the Laplacian only: the primary
+    # route builds none, so it keeps the true space, and harmonic_space
+    # raises exactly where the corrupted Laplacian's kernel differs from it
+    cases = []
+    for name in corpus.names():
+        s = corpus.get(name).load().structure
+        if s.n == 3:
+            h = _non_real_metric(3, random.Random(f"independence:{name}"))
+            for kind in ("bc", "a"):
+                for p in range(4):
+                    for q in range(4):
+                        cases.append((s, h, kind, p, q, harmonic_space(kind, *_fresh(s, h), p, q)))
+    adjoint_matrix = HermitianMetric.adjoint_matrix
+
+    def conjugated(self, op, source, target, rows=None):
+        m = adjoint_matrix(self, op, source, target, rows)
+        return Matrix.sparse([{j: x.conjugate() for j, x in r.items()} for r in m.rows], m.ncols)
+
+    monkeypatch.setattr(HermitianMetric, "adjoint_matrix", conjugated)
+    raised = 0
+    for s, h, kind, p, q, truth in cases:
+        s, h = _fresh(s, h)
+        wrong = kernel_basis(operator_matrix(f"lap_{kind}", s, p, q, h)) != truth
+        if wrong:
+            with pytest.raises(RuntimeError, match="mismatch.*engine defect"):
+                harmonic_space(kind, s, h, p, q)
+            raised += 1
+        else:
+            assert harmonic_space(kind, s, h, p, q) == truth
+    assert 0 < raised < len(cases)
 
 
 @pytest.mark.parametrize(

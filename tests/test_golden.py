@@ -1,6 +1,6 @@
 """Outputs must stay byte-identical to the golden copies the benchmark keeps
 in perfbench/golden/ (read here, never rewritten) and to the verify-suite,
-n=5, n=6 ladder, n=4 harmonic Aeppli and seeded-draw goldens in
+n=5, n=6 ladder, n=4 harmonic Aeppli, harmonic-basis and seeded-draw goldens in
 tests/golden/ (n=7 by its digest)."""
 
 import hashlib
@@ -17,7 +17,7 @@ from liecohom.cohomology import harmonic_forms
 from liecohom.errors import PreconditionError
 from liecohom.exterior import _wedge_memo
 from liecohom import verification
-from liecohom.hodge import random_positive_metric
+from liecohom.hodge import HermitianMetric, random_positive_metric
 from liecohom.scalars import Scalar
 from liecohom.structure import parse_structure, render_form
 from liecohom.verification import CRITERIA, _random_form, _skt_tuples
@@ -120,6 +120,38 @@ def test_harmonic_aeppli_certificates_on_the_n4_ladder_match_golden():
     # them, on metrics with non-real entries
     golden = (TESTS_GOLDEN / "aeppli-heisenberg-4.json").read_text(encoding="utf-8")
     assert aeppli_ladder_json() == golden
+
+
+def harmonic_bases_json() -> str:
+    """The rendered Bott-Chern and Aeppli harmonic bases at every bidegree of
+    the corpus entries and the n=4 ladder, for the identity metric and for
+    the first seeded random metric with a non-real entry."""
+    structures = [corpus.get(name).load().structure for name in corpus.names()]
+    structures.append(parse_structure("algebra heisenberg-4\ndim 4\nd f4 = f1^f2\n"))
+    records = []
+    for s in structures:
+        n = s.n
+        rng = random.Random(f"harmonic-bases:{s.name}")
+        seeded = random_positive_metric(n, rng)
+        while all(x.is_real() for row in seeded.entries for x in row):
+            seeded = random_positive_metric(n, rng)
+        for h in (HermitianMetric.identity(n), seeded):
+            record = {"algebra": s.name, "metric": [[str(x) for x in row] for row in h.entries]}
+            for kind in ("bc", "a"):
+                record[kind] = {
+                    f"{p},{q}": [render_form(f) for f in harmonic_forms(kind, s, h, p, q)]
+                    for p in range(n + 1)
+                    for q in range(n + 1)
+                }
+            records.append(record)
+    return json.dumps(records, indent=2) + "\n"
+
+
+def test_harmonic_bases_match_golden():
+    # pins both theories' primary routes, Bott-Chern included, on metrics
+    # with and without non-real entries
+    golden = (TESTS_GOLDEN / "harmonic-bases.json").read_text(encoding="utf-8")
+    assert harmonic_bases_json() == golden
 
 
 class _CountingRandom(random.Random):

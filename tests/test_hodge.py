@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from liecohom import corpus
+from liecohom.analysis import aeppli_class_vanishes
 from liecohom.cohomology import (
     _OP_SHIFT,
     _clip,
@@ -14,7 +15,7 @@ from liecohom.cohomology import (
     harmonic_space,
     operator_matrix,
 )
-from liecohom.errors import MetricError
+from liecohom.errors import MetricError, PreconditionError
 from liecohom.exterior import BasisMonomial, Form, basis, basis_index, monomial_wedge
 from liecohom.hodge import (
     HermitianMetric,
@@ -575,7 +576,8 @@ def test_harmonic_space_builds_each_adjoint_row_at_most_once_and_not_all(monkeyp
 
 
 def test_star_matrices_build_no_gram_table():
-    # the star is assembled from the compounds; the Gram tables are for inner
+    # the star is assembled from the compounds; the Gram tables are for the
+    # tests' reference routes
     for n in (2, 3):
         h = random_positive_metric(n, random.Random(43 + n))
         for p in range(n + 1):
@@ -772,6 +774,62 @@ def test_gram_of_an_indefinite_matrix(rows):
     for p in range(3):
         for q in range(3):
             assert h.gram(p, q) == reference_gram(h, p, q)
+
+
+def gram_inner(h, a, b):
+    """sum a_I conj(b_J) gram(p, q)[I][J] over the bidegrees of a and b."""
+    n = h.n
+    total = ZERO
+    comps_b = b.components()
+    for (p, q), ca in a.components().items():
+        gram = h.gram(p, q)
+        idx = basis_index(n, p, q)
+        for ma, x in ca.terms.items():
+            for mb, y in comps_b.get((p, q), Form.zero(n)).terms.items():
+                total = total + x * y.conjugate() * gram.rows[idx[ma]].get(idx[mb], ZERO)
+    return total
+
+
+def _random_mixed_form(n, rng):
+    """Up to five terms of random bidegrees over small unlike denominators."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        m = rng.choice(basis(n, rng.randint(0, n), rng.randint(0, n)))
+        terms[m] = Scalar(Fraction(rng.randint(-5, 5), rng.randint(1, 6)), rng.randint(-3, 3))
+    return Form(n, terms)
+
+
+def test_inner_reads_the_gram_entries_off_the_compounds():
+    rng = random.Random(57)
+    cases = 0
+    for n in range(1, 5):
+        metrics = [HermitianMetric.identity(n)] + [random_positive_metric(n, rng) for _ in range(3)]
+        if n == 2:  # det h < 0: the Gram denominators are taken positive
+            metrics.append(HermitianMetric([[1, 0], [0, -1]]))
+            metrics.append(HermitianMetric([[1, Scalar(2, 1)], [Scalar(2, -1), 1]]))
+        for h in metrics:
+            for _ in range(70):
+                a, b = _random_mixed_form(n, rng), _random_mixed_form(n, rng)
+                assert h.inner(a, b) == gram_inner(h, a, b)
+                cases += 1
+    assert cases >= 1000
+
+
+def test_pairing_builds_no_gram_table():
+    # the Aeppli obstruction pairs omega^(n-p) with harmonic forms
+    s = parse_structure(LADDER_4)
+    h = random_positive_metric(4, random.Random(58))
+    rng = random.Random(59)
+    for _ in range(20):
+        assert h.pairing(_random_mixed_form(4, rng), _random_mixed_form(4, rng)) is not None
+    obstructions = 0
+    for p in (1, 2, 3):
+        try:
+            obstructions += aeppli_class_vanishes(s, h, p).obstruction is not None
+        except PreconditionError:
+            pass  # del delbar omega^(4-p) != 0
+    assert obstructions
+    assert h._gram_cache == {}
 
 
 # -- random metric generator ----------------------------------------------------------------
