@@ -87,6 +87,15 @@ class AeppliDecision:
         }
 
 
+def _require_p_in_range(n: int, p: int):
+    """Refuse a p outside 1..n-1, where the Aeppli class of omega^(n-p) is
+    not defined; n = 1 has no such p."""
+    if not (1 <= p <= n - 1):
+        if n == 1:
+            raise PreconditionError(f"p = {p} is out of range: n = 1 has no p with 1 <= p <= n-1")
+        raise PreconditionError(f"p must be in 1..{n - 1}")
+
+
 def aeppli_class_vanishes(
     s: StructureEquations, h: HermitianMetric, p: int
 ) -> AeppliDecision:
@@ -98,8 +107,7 @@ def aeppli_class_vanishes(
     theory and is attached only on unimodular algebras.
     """
     n = s.n
-    if not (1 <= p <= n - 1):
-        raise PreconditionError(f"p must be in 1..{n - 1}")
+    _require_p_in_range(n, p)
     if not s.flags.integrable:
         raise PreconditionError("Aeppli classes need an integrable structure")
     h.require_size(n)
@@ -185,8 +193,7 @@ def verify_vanishing_theorem(
     outside 1..n-1 (where the class of omega^(n-p) is not defined) are
     refused.
     """
-    if not (1 <= p <= s.n - 1):
-        raise PreconditionError(f"p must be in 1..{s.n - 1}")
+    _require_p_in_range(s.n, p)
     h.require_size(s.n)
     closed_dim = closed_p0_space(s, p).dim
     try:

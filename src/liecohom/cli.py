@@ -127,7 +127,7 @@ def _render_report_text(data: dict) -> None:
 
 def cmd_cohomology(args) -> int:
     lie = _load_input(args.input)
-    groups = tuple(g.strip() for g in args.groups.split(",")) if args.groups else ALL_GROUPS
+    groups = ALL_GROUPS if args.groups is None else tuple(g.strip() for g in args.groups.split(","))
     for g in groups:
         if g not in ALL_GROUPS:
             raise PreconditionError(

@@ -130,26 +130,21 @@ def _single_matrix(
     integrable structure; on any other structure they raise
     IntegrabilityError unless the source space is empty.  deldelbar is
     the cached del at (p, q+1) times the cached delbar at (p, q).  The
-    adjoint of P = del or delbar, a -> -*(P *a), is
-    -N' conj(M) conj(N) / (t^2 (2D)^(2n) e): N and N' are the integer star
-    numerators of (p, q) and of the complement of the target, t (2D)^n
-    their common denominator (``HermitianMetric._star_numerators``), and
-    M / e is the cached P out of (n-p, n-q) over the common denominator e
-    of its entries; ``HermitianMetric.adjoint_matrix`` sums it in Gaussian
-    integers, reading N' as single compound products at M's nonzero rows
-    and building N on M's nonzero columns only.  No Form is built here:
+    adjoint of P = del or delbar, a -> -*(P *a), is built by
+    ``HermitianMetric.adjoint_matrix`` from the cached P out of (n-p, n-q),
+    as ``hodge``'s module docstring states.  No Form is built here:
     ``analysis.closed_p0_space`` assembles its d matrix through the
     Form-level ``s.d`` on purpose, as the independent route that checks
     H_BC^(p,0) against this one.
 
     Rows on demand: for an adjoint, `rows` names the target rows a caller
-    reads (every row when None).  Row i of the adjoint is read off row i of
-    N' alone, so each row is built once per (name, p, q, metric): the cache
-    holds the {row: Row} built so far until every row is, and then the
-    whole Matrix, as it holds every other operator.  The returned Matrix
-    has every row built so far and the others empty; a product whose left
-    factor is zero at the other rows' columns reads only the rows asked
-    for, so it is the product with the full adjoint."""
+    reads (every row when None).  An adjoint can be built row by row
+    (``hodge``), so each row is built once per (name, p, q, metric): the
+    cache holds the {row: Row} built so far until every row is, and then
+    the whole Matrix, as it holds every other operator.  The returned
+    Matrix has every row built so far and the others empty; a product
+    whose left factor is zero at the other rows' columns reads only the
+    rows asked for, so it is the product with the full adjoint."""
     key = (name, p, q, h if name in _ADJOINTS else None)
     cached = s._op_matrix_cache.get(key)
     if isinstance(cached, Matrix):

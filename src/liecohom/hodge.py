@@ -35,37 +35,49 @@ index sets I, J of size k (0-based, complements I^c, J^c):
   * vol = (-1)^(n(n-1)/2) (i/2)^n det h f_1..f_n ^ F_1..F_n.
 
 So omega powers, the volume, Gram and star entries are integer products
-over one known denominator, each built as a Scalar once.  The star matrix
-of the (p,q) space is S = N / (t (2D)^n), t = det H, and each metric keeps
-its integer numerators N per (p,q), built row by row as rows are read,
-and no other copy of its stars.  Row c of N is sign * i^(n^2) (2D)^(p+q)
-times the Kronecker product of row a of the p-th compound numerators with
-the conjugate of row b of the q-th; (sign, a, b) does not depend on the
-metric and is computed once per (n, p, q) (``_star_layout``).  The
-Form-level ``star`` reads complete blocks of N: it sums a form's
-conjugated coordinates against the rows of N in Gaussian integers.
-``_star_matrix``, the Scalar matrix S built from N on each call, is used by
-no engine code; it is kept as a view for the tests' reference routes and
-for the benchmark's tracer, which binds it.  The matrix of the adjoint
-a -> -*(P *a) out of the (p,q) space, for P = del or delbar with matrix
-M / e from the (n-p, n-q) space (e the common denominator of its
-entries), is
+over one known denominator, each built as a Scalar once.  The compound
+numerators C_k are held once, each row as {column: (re, im)}; the (p,q)
+Gram entry at monomials (a, b), (a', b') (holomorphic and anti-holomorphic
+subset positions) is (2D)^(p+q) C_p[a][a'] conj(C_q[b][b']) / t^2,
+t = det H.  The star matrix of the (p,q) space is S = N / (t (2D)^n), and
+each metric keeps its integer numerators N per (p,q), built row by row as
+rows are read, and no other copy of its stars.  Row c of N is
+sign * i^(n^2) (2D)^(p+q) times the Kronecker product of row a of C_p with
+the conjugate of row b of C_q; (sign, a, b) does not depend on the metric
+and is computed once per (n, p, q) (``_star_layout``).  The Form-level
+``star`` reads complete blocks of N: it sums a form's conjugated
+coordinates against the rows of N in Gaussian integers.  ``_star_matrix``,
+the Scalar matrix S built from N on each call, is used by no engine code;
+it is kept as a view for the tests' reference routes and for the
+benchmark's tracer, which binds it.
 
-    -S' conj(P) conj(S) = -N' conj(M) conj(N) / (t^2 (2D)^(2n) e),
+The adjoints.  Let P be del or delbar with matrix M / e out of the
+(n-p, n-q) space, e the common denominator of its entries.  The adjoint
+a -> -*(P *a) out of the (p,q) space into (p', q') has the matrix
 
-with N' the numerators of the star back from P's target; the star is
-conjugate-linear, hence the conjugates.  It is summed in Gaussian
-integers and each entry built once, with no star matrix and no Scalar
-product, and N' is never built: row i of the product reads N' only at
-the rows k where M has a nonzero, and each such entry is one product of
-two compound numerators, read from the compounds kept as
-{column: (re, im)} rows.  N is built only on the rows at M's nonzero
-columns.  Row i of the adjoint is read off row i of N' alone, so it can be
-built on some of its rows only: ``cohomology.chain_matrix`` asks only for
-the rows that a metric-free operator to its left reads, and the operator
-cache keeps each row built once per metric, so the Laplacians are the same
-matrices.  The harmonic spaces need only the adjoints' kernels, and N' is
-invertible, so ``adjoint_kernel_rows`` gives the rows of conj(M N) alone.
+    -S' conj(M / e) conj(S) = -N' conj(M) conj(N) / (t^2 (2D)^(2n) e),
+
+with N' the star numerators of (P, Q) = (n-p', n-q'), the star back from
+P's target; the star is conjugate-linear, hence the conjugates.  It is
+summed in Gaussian integers (``linalg._gaussian_sums``), each entry built
+once, with no star matrix and no Scalar product, and:
+
+  * N' is never built.  Row i of the product reads it only at the rows k
+    where M has a nonzero, and each such entry is one product of two
+    compound entries, sign * i^(n^2) (2D)^(P+Q) C_P[a][k // w]
+    conj(C_Q[b][k % w]), with (sign, a, b) = ``_star_layout(n, P, Q)[i]``
+    and w = C(n, Q);
+  * N is built only on the rows at M's nonzero columns;
+  * row i of the adjoint reads row i of N' alone, so an adjoint can be
+    built on some of its rows: ``cohomology.chain_matrix`` asks only for
+    the rows that a metric-free operator to its left reads, and the
+    operator cache keeps each row built once per metric;
+  * N' is invertible, so the adjoint's kernel is that of conj(M N).  The
+    harmonic spaces read those rows alone (``adjoint_kernel_rows``), with
+    P = del delbar too (del_adj delbar_adj is +-*(del delbar)*).
+
+Both routes read each operator once (``_adjoint_operands``): e, M as
+integer rows, and N on M's nonzero columns.
 
 The table's full minor det H / D^n must equal the last leading minor that
 ``positivity`` computes by elimination; a mismatch is an engine defect.
@@ -226,9 +238,11 @@ def _minor_table(rows) -> tuple[int, list[list[list[tuple[int, int]]]]]:
 
 def _kronecker_row(hnz, arow) -> IntRow:
     """The integer row (i + j, (x + yi)(u - vi)) over the entries (i, x, y)
-    of hnz and (j, u, v) of arow: a compound row times the conjugate of
-    another; products of nonzeros are nonzero."""
-    return [(i + j, x * u + y * v, y * u - x * v) for i, x, y in hnz for j, u, v in arow]
+    of hnz and j: (u, v) of the compound row arow: a compound row times the
+    conjugate of another; products of nonzeros are nonzero."""
+    return [
+        (i + j, x * u + y * v, y * u - x * v) for i, x, y in hnz for j, (u, v) in arow.items()
+    ]
 
 
 class HermitianMetric:
@@ -258,8 +272,7 @@ class HermitianMetric:
         self.entries = tuple(tuple(row) for row in entries)
         self._hash = hash(self.entries)  # the entries never change
         self._table: Optional[tuple[int, int, list]] = None
-        self._compounds: Optional[list[list[list[tuple[int, int, int]]]]] = None
-        self._compound_dicts: Optional[list[list[dict[int, tuple[int, int]]]]] = None
+        self._compounds: Optional[list[list[dict[int, tuple[int, int]]]]] = None
         self._gram_cache: dict[tuple[int, int], Matrix] = {}
         self._star_rows: dict[tuple[int, int], list[Optional[IntRow]]] = {}
         self._omega_powers: dict[int, Form] = {}
@@ -411,10 +424,10 @@ class HermitianMetric:
 
     # -- inner products --------------------------------------------------------
 
-    def _gram_compounds(self) -> list[list[list[tuple[int, int, int]]]]:
+    def _gram_compounds(self) -> list[list[dict[int, tuple[int, int]]]]:
         """N with the k-th compound of the Gram matrix of f_1..f_n equal to
         (2D)^k N[k] / det H, k = 0..n, built once; N[k] holds each row's
-        nonzero entries as (column, re, im).
+        nonzero entries as {column: (re, im)}.
 
         With g1 = 2 (h^-1)^T, Jacobi's complementary-minor identity gives
         N[k][I][J] = (-1)^(sum I + sum J) det H[I^c, J^c].  Complementing
@@ -433,25 +446,15 @@ class HermitianMetric:
                 rows = []
                 for r, sr in enumerate(signs):
                     minors = table[n - k][last - r]
-                    row = []
+                    row = {}
                     for c, sc in enumerate(signs):
                         a, b = minors[last - c]
                         if a or b:
-                            row.append((c, sr * sc * a, sr * sc * b))
+                            row[c] = (sr * sc * a, sr * sc * b)
                     rows.append(row)
                 compounds.append(rows)
             self._compounds = compounds
         return self._compounds
-
-    def _compound_entries(self) -> list[list[dict[int, tuple[int, int]]]]:
-        """The rows of ``_gram_compounds`` as {column: (re, im)}, built once,
-        so that the adjoints read single compound entries."""
-        if self._compound_dicts is None:
-            self._compound_dicts = [
-                [{c: (x, y) for c, x, y in row} for row in rows]
-                for rows in self._gram_compounds()
-            ]
-        return self._compound_dicts
 
     def gram(self, p: int, q: int) -> Matrix:
         """Gram matrix of <.,.> on the canonical (p,q)-monomial basis.  No
@@ -471,7 +474,7 @@ class HermitianMetric:
         width = len(anti)
         rows = []
         for hrow in compounds[p]:
-            hnz = [(i * width, scale * x, scale * y) for i, x, y in hrow]
+            hnz = [(i * width, scale * x, scale * y) for i, (x, y) in hrow.items()]
             for arow in anti:
                 rows.append({j: from_parts(a, b, d) for j, a, b in _kronecker_row(hnz, arow)})
         out = Matrix.sparse(rows, dim)
@@ -482,13 +485,10 @@ class HermitianMetric:
         """Pointwise Hermitian product; componentwise over bidegrees.
 
         Linear in the first slot, conjugate-linear in the second.  No Gram
-        matrix is built: the entry of the (p,q) Gram matrix at the monomials
-        (a, b) and (a', b') (holomorphic and anti-holomorphic subset
-        positions) is (2D)^(p+q) C_p[a][a'] conj(C_q[b][b']) / t^2, with C
-        the compound numerators (``_compound_entries``) and t = det H.  Each
-        bidegree reads only the entries its terms meet, sums them against
-        the coordinates over the forms' common denominators as plain ints,
-        and makes one ``from_parts``.
+        matrix is built: each bidegree reads only the Gram entries its terms
+        meet, straight off the compound numerators (module docstring), sums
+        them against the coordinates over the forms' common denominators as
+        plain ints, and makes one ``from_parts``.
         """
         if a.n != self.n or b.n != self.n:
             raise MetricError("form coframe size does not match the metric")
@@ -498,7 +498,7 @@ class HermitianMetric:
             cb = comps_b.get((p, q))
             if cb is None:
                 continue
-            compounds = self._compound_entries()
+            compounds = self._gram_compounds()
             holo, anti = compounds[p], compounds[q]
             idx = basis_index(self.n, p, q)
             width = len(anti)
@@ -578,9 +578,9 @@ class HermitianMetric:
                 sign, a, b = layout[c]
                 u = sign * scale
                 if n & 1:  # i^(n^2) = i
-                    hnz = [(i * width, -u * y, u * x) for i, x, y in holo[a]]
+                    hnz = [(i * width, -u * y, u * x) for i, (x, y) in holo[a].items()]
                 else:
-                    hnz = [(i * width, u * x, u * y) for i, x, y in holo[a]]
+                    hnz = [(i * width, u * x, u * y) for i, (x, y) in holo[a].items()]
                 block[c] = _kronecker_row(hnz, anti[b])
         return block
 
@@ -644,6 +644,19 @@ class HermitianMetric:
         """-star delbar star; drops the anti-holomorphic degree by one."""
         return -self.star(s.delbar(self.star(a)))
 
+    def _adjoint_operands(
+        self, op: Matrix, source: tuple[int, int]
+    ) -> tuple[int, list[IntRow], list[Optional[IntRow]]]:
+        """(e, M, N) for the adjoint of op out of the `source` space: e the
+        common denominator of op's entries, M = e * op as integer rows, and
+        the star numerators N of `source` built on M's nonzero columns.  The
+        one read of an operator for both adjoint routes."""
+        self.require_positive()
+        e = common_denominator(x for row in op.rows for x in row.values())
+        # an empty row is never read, so it costs no list
+        m = [[(j, *numerators(x, e)) for j, x in row.items()] if row else () for row in op.rows]
+        return e, m, self._star_numerators(*source, sorted(set().union(*op.rows)))
+
     def adjoint_matrix(
         self,
         op: Matrix,
@@ -652,35 +665,21 @@ class HermitianMetric:
         rows: Optional[Sequence[int]] = None,
     ) -> Matrix:
         """The matrix of a -> -*(op *a) from the `source` space (p, q) to the
-        `target` space (p', q'), for op the matrix of del or delbar from the
-        (n-p, n-q) space: -N' conj(M) conj(N) / (t^2 (2D)^(2n) e), as in the
-        module docstring.  Only the target rows `rows` are built, in that
-        order (all of them when None), and a selection of rows is the same
-        selection of the full matrix.
-
-        N' is never built.  It is the star block of the (P, Q) =
-        (n-p', n-q') space, and row i of the product reads it only at the
-        rows k where M has a nonzero; there it is the single entry
-        sign * i^(n^2) (2D)^(P+Q) C_P[a][k // w] conj(C_Q[b][k % w]), with
-        (sign, a, b) = ``_star_layout(n, P, Q)[i]``, C the compound
-        numerators (``_compound_entries``) and w = C(n, Q).  The unit and
-        the power of 2D are taken out of the sum and out of the
-        denominator.  N is built on the rows at M's nonzero columns only
-        (``_star_numerators``).  The row is summed as conj(conj(N') M N),
-        left to right, by the matrix product's row kernel
-        ``linalg._gaussian_sums``; then one ``from_parts`` per entry."""
-        self.require_positive()
+        `target` space (p', q'), for op the matrix of del or delbar out of
+        the (n-p, n-q) space, built as the module docstring states.  Only
+        the target rows `rows` are built, in that order (all of them when
+        None), and a selection of rows is the same selection of the full
+        matrix."""
+        e, m, forth = self._adjoint_operands(op, source)
         n = self.n
         big_p, big_q = n - target[0], n - target[1]
-        compounds = self._compound_entries()
+        compounds = self._gram_compounds()
         holo, anti = compounds[big_p], compounds[big_q]
         width = len(anti)
         layout = _star_layout(n, big_p, big_q)
-        e = common_denominator(x for row in op.rows for x in row.values())
-        m = [[(j, *numerators(x, e)) for j, x in row.items()] for row in op.rows]
-        read = [(k, *divmod(k, width)) for k, row in enumerate(op.rows) if row]
-        forth = self._star_numerators(*source, sorted(set().union(*op.rows)))
+        read = [(k, *divmod(k, width)) for k, row in enumerate(m) if row]
         den, t, _ = self._minors_of_h()
+        # the unit and the power of 2D of N' stay out of the sums
         d = t * t * (2 * den) ** (2 * n - big_p - big_q) * e
         out = []
         for i in range(len(layout)) if rows is None else rows:
@@ -705,21 +704,14 @@ class HermitianMetric:
     def adjoint_kernel_rows(self, op: Matrix, source: tuple[int, int]) -> list[Row]:
         """Rows whose common kernel is that of the adjoint a -> -*(op *a) out
         of the `source` space (p, q), for op the matrix M of del, delbar or
-        del delbar from the (n-p, n-q) space.  The adjoint is
-        -N' conj(M N) / d with N' invertible, so its kernel is that of
-        conj(M N): one row per nonzero row of M, that row over its common
-        denominator summed against the star numerators N of `source` (built
-        on M's nonzero columns only) by ``linalg._gaussian_sums``, divided by
-        the gcd of its integer parts and conjugated.  No adjoint matrix is
-        built."""
-        self.require_positive()
-        forth = self._star_numerators(*source, sorted(set().union(*op.rows)))
+        del delbar out of the (n-p, n-q) space: per nonzero row of M, its row
+        of conj(M N) (module docstring) divided by the gcd of its integer
+        parts.  No adjoint matrix is built."""
+        _, m, forth = self._adjoint_operands(op, source)
         out = []
-        for row in op.rows:
+        for row in m:
             if row:
-                e = common_denominator(row.values())
-                m = [(j, *numerators(x, e)) for j, x in row.items()]
-                sums = _gaussian_sums(m, forth)
+                sums = _gaussian_sums(row, forth)
                 g = gcd(*(x for _, a, b in sums for x in (a, b)))
                 out.append({j: from_parts(x // g, -y // g, 1) for j, x, y in sums})
         return out

@@ -108,6 +108,14 @@ def test_cohomology_non_integrable_exit_3(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("groups", ["", " ", "bc,,a"])
+def test_cohomology_empty_group_name_exit_3(capsys, groups):
+    # an empty --groups names the empty group; it does not mean every group
+    code, out, err = run(capsys, "cohomology", "corpus:sl2c", "--groups", groups)
+    assert code == 3 and out == ""
+    assert "unknown group ''" in err
+
+
 def test_classify(capsys):
     code, out, _ = run(capsys, "classify", "corpus:sl2c")
     assert code == 0
@@ -153,6 +161,15 @@ def test_aeppli_undefined_class_exit_3(capsys):
     code, _, err = run(capsys, "aeppli", "corpus:sl2c", "--p", "2")
     assert code == 3
     assert "undefined" in err
+
+
+def test_aeppli_at_n_1_has_no_p_exit_3(tmp_path, capsys):
+    path = tmp_path / "line.lie"
+    path.write_text("algebra line\ndim 1\n")
+    code, out, err = run(capsys, "aeppli", str(path), "--p", "1")
+    assert code == 3 and out == ""
+    assert "n = 1 has no p with 1 <= p <= n-1" in err
+    assert "1..0" not in err
 
 
 def test_verify_single_entry(capsys):

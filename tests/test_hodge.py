@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd, lcm
 
 import pytest
 
@@ -28,7 +28,7 @@ from liecohom.hodge import (
 from liecohom.linalg import Matrix
 from liecohom.scalars import HALF, I, ONE, ZERO, Scalar
 from liecohom.structure import parse_structure
-from test_cohomology import _change_coframe
+from test_cohomology import _change_coframe, _ladder, _non_real_metric
 
 SL2C = "algebra sl2c\ndim 3\nd f1 = f2^f3\nd f2 = -1*f1^f3\nd f3 = f1^f2\n"
 KODAIRA = (
@@ -573,6 +573,46 @@ def test_harmonic_space_builds_each_adjoint_row_at_most_once_and_not_all(monkeyp
     # the full matrices of the adjoints built hold more rows
     full = sum(len(basis(4, *target)) for _, target in {(a, b) for a, b, _ in built})
     assert 0 < len(built) < full
+
+
+def reference_kernel_rows(h, m, p, q):
+    """Per nonzero row M_k of m: the Scalar row M_k @ S, S the (p, q) star
+    matrix, conjugated, cleared of denominators and divided by the positive
+    gcd of its integer parts."""
+    star = h._star_matrix(p, q)
+    out = []
+    for row in m.rows:
+        if row:
+            image = (Matrix.sparse([row], m.ncols) @ star).rows[0]
+            parts = {j: (x.re, -x.im) for j, x in image.items()}
+            den = lcm(*(f.denominator for pair in parts.values() for f in pair))
+            ints = {j: (int(a * den), int(b * den)) for j, (a, b) in parts.items()}
+            g = gcd(*(x for pair in ints.values() for x in pair))
+            out.append({j: Scalar(Fraction(a, g), Fraction(b, g)) for j, (a, b) in ints.items()})
+    return out
+
+
+@pytest.mark.parametrize("name", corpus.names() + ["ladder-3", "ladder-4"])
+def test_adjoint_kernel_rows_are_the_primitive_rows_of_m_times_the_star(name):
+    # the rows themselves, not only their common kernel: each one read off
+    # the Scalar star matrix, for del, delbar and del delbar at every
+    # bidegree, under the identity and two seeded non-real metrics
+    if name.startswith("ladder-"):
+        s = _ladder(int(name[-1]))
+    else:
+        s = corpus.get(name).load().structure
+    n = s.n
+    rng = random.Random(f"kernel-rows:{name}")
+    compared = 0
+    for h in (HermitianMetric.identity(n), _non_real_metric(n, rng), _non_real_metric(n, rng)):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                for op in ("del", "delbar", "deldelbar"):
+                    m = _single_matrix(op, s, n - p, n - q, None)
+                    want = reference_kernel_rows(h, m, p, q)
+                    assert h.adjoint_kernel_rows(m, (p, q)) == want, (op, p, q)
+                    compared += len(want)
+    assert compared > 0
 
 
 def test_star_matrices_build_no_gram_table():
