@@ -138,13 +138,12 @@ def _single_matrix(
     H_BC^(p,0) against this one.
 
     Rows on demand: for an adjoint, `rows` names the target rows a caller
-    reads (every row when None).  An adjoint can be built row by row
-    (``hodge``), so each row is built once per (name, p, q, metric): the
-    cache holds the {row: Row} built so far until every row is, and then
-    the whole Matrix, as it holds every other operator.  The returned
-    Matrix has every row built so far and the others empty; a product
-    whose left factor is zero at the other rows' columns reads only the
-    rows asked for, so it is the product with the full adjoint."""
+    reads (every row when None); ``chain_matrix`` states which rows a chain
+    reads (its row rule).  An adjoint can be built row by row (``hodge``),
+    so each row is built once per (name, p, q, metric): the cache holds the
+    {row: Row} built so far until every row is, and then the whole Matrix,
+    as it holds every other operator.  The returned Matrix has every row
+    built so far and the others empty."""
     key = (name, p, q, h if name in _ADJOINTS else None)
     cached = s._op_matrix_cache.get(key)
     if isinstance(cached, Matrix):
@@ -200,39 +199,34 @@ def chain_matrix(
     """Matrix of a composite written left-to-right (applied right-to-left),
     as an endo/exo-morphism out of the (p, q) space.
 
-    Two shortcuts, neither of which changes the product:
-      * rows on demand: an adjoint whose left neighbour is metric-free
-        (del, delbar, deldelbar) is built only on the rows at that
-        neighbour's nonzero columns.  Row k of the running product is row k
-        of the adjoint times the product so far, and the neighbour's
-        product reads row k only where it has a nonzero in column k;
-      * the zero stop: once the running product is zero, every factor to
-        its left keeps it zero, so the chain's zero matrix is returned and
-        no further factor is built.
-    Every factor's guards run first, right to left as the factors would be
-    built, so a refusal is raised as it is without the shortcuts, never
-    turned into a zero matrix."""
-    sources = []
+    The guard pass runs right to left, as the factors are applied: each
+    factor's guards, then, for a metric-free factor (del, delbar,
+    deldelbar), its cached matrix.  If one of those is zero, so is the
+    chain, and its zero matrix is returned once every guard has run and
+    before any adjoint is built; so a refusal is raised as it is, never
+    turned into a zero matrix.
+
+    The row rule: the product is then evaluated left to right, and every
+    factor after the first is built only on the rows that the product to
+    its left reads, its nonzero columns.  Column k of that product meets
+    row k of the factor alone, so the other rows never enter the product.
+    Only an adjoint can be built on some rows (``_single_matrix``); the
+    metric-free factors are whole already."""
+    sources, zero = [], False
     cur_p, cur_q = p, q
     for name in reversed(ops):
-        dp, dq = _OP_SHIFT[name]
         _require_buildable(name, s, cur_p, cur_q, h)
-        sources.append((cur_p, cur_q))
+        if name not in _ADJOINTS:
+            zero = zero or _single_matrix(name, s, cur_p, cur_q, None).is_zero()
+        sources.insert(0, (cur_p, cur_q))  # sources[i] is the source of ops[i]
+        dp, dq = _OP_SHIFT[name]
         cur_p += dp
         cur_q += dq
-    sources.reverse()  # sources[i] is the source of ops[i]
-    total: Optional[Matrix] = None
-    for i in reversed(range(len(ops))):
-        name, rows = ops[i], None
-        if name in _ADJOINTS and i and ops[i - 1] not in _ADJOINTS:
-            left = _single_matrix(ops[i - 1], s, *sources[i - 1], None)
-            rows = sorted(set().union(*left.rows))
-        if rows != []:  # no row read: the neighbour's product is zero
-            m = _single_matrix(name, s, *sources[i], h, rows)
-            total = m if total is None else m @ total
-        if rows == [] or total.is_zero():
-            return Matrix.zeros(len(_clip(s.n, cur_p, cur_q)), len(_clip(s.n, p, q)))
-    assert total is not None
+    if zero:
+        return Matrix.zeros(len(_clip(s.n, cur_p, cur_q)), len(_clip(s.n, p, q)))
+    total = _single_matrix(ops[0], s, *sources[0], h)
+    for name, source in zip(ops[1:], sources[1:]):
+        total = total @ _single_matrix(name, s, *source, h, sorted(set().union(*total.rows)))
     return total
 
 
@@ -622,7 +616,7 @@ def full_report(
     """
     n = s.n
     tables: dict[str, dict] = {}
-    for kind in groups:
+    for kind in dict.fromkeys(groups):  # a repeated group is computed once
         if kind == "derham":
             tables[kind] = {str(k): _cell(de_rham_cohomology(s, k)) for k in range(2 * n + 1)}
             continue

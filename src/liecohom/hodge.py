@@ -70,8 +70,8 @@ once, with no star matrix and no Scalar product, and:
   * N is built only on the rows at M's nonzero columns;
   * row i of the adjoint reads row i of N' alone, so an adjoint can be
     built on some of its rows: ``cohomology.chain_matrix`` asks only for
-    the rows that a metric-free operator to its left reads, and the
-    operator cache keeps each row built once per metric;
+    the rows that the product to its left reads (the row rule stated
+    there), and the operator cache keeps each row built once per metric;
   * N' is invertible, so the adjoint's kernel is that of conj(M N).  The
     harmonic spaces read those rows alone (``adjoint_kernel_rows``), with
     P = del delbar too (del_adj delbar_adj is +-*(del delbar)*).

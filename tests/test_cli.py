@@ -93,6 +93,22 @@ def test_report_groups_hold_the_printed_cells(capsys, name):
     assert report.groups == json.loads(out)["cohomology"]
 
 
+def test_a_repeated_group_is_computed_once(capsys, monkeypatch):
+    import liecohom.cohomology as cohomology
+
+    calls = []
+    de_rham = cohomology.de_rham_cohomology
+    monkeypatch.setattr(
+        cohomology, "de_rham_cohomology", lambda s, k: calls.append(k) or de_rham(s, k)
+    )
+    _, once, _ = run(capsys, "cohomology", "corpus:iwasawa", "--groups", "derham")
+    assert len(calls) == 7
+    calls.clear()
+    code, twice, _ = run(capsys, "cohomology", "corpus:iwasawa", "--groups", "derham,derham")
+    assert code == 0 and twice == once
+    assert len(calls) == 7
+
+
 def test_cohomology_deterministic(capsys):
     _, out1, _ = run(capsys, "cohomology", "corpus:sl2c", "--json")
     _, out2, _ = run(capsys, "cohomology", "corpus:sl2c", "--json")

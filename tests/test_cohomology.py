@@ -583,7 +583,7 @@ def test_dense_coframe_keeps_every_table_dimension():
             }, (s.name, kind)
 
 
-# -- chains: rows on demand and the zero stop ------------------------------------------
+# -- chains: the row rule and the zero pre-check ---------------------------------------
 
 
 # The first- and second-order conditions whose common kernel is each harmonic
@@ -730,7 +730,7 @@ def test_a_defect_in_the_adjoint_matrices_fails_the_laplacian_cross_check(monkey
     ids=["no-metric", "wrong-size", "not-positive"],
 )
 def test_chain_refusals_hold_when_the_product_to_their_right_is_zero(h, error):
-    # deldelbar is zero on functions, so the zero stop would end this chain
+    # deldelbar is zero on functions, so the zero pre-check ends this chain
     # before its adjoint; the adjoint's guards must still refuse first
     s = _ladder(4)
     assert chain_matrix(["deldelbar"], s, 0, 0).is_zero()
@@ -746,3 +746,32 @@ def test_zero_stop_returns_the_chain_shape_and_builds_no_further_factor():
     assert not any(key[0] == "del_adj" for key in s._op_matrix_cache)
     ref_s, ref_h = _fresh(s, h)
     assert got == _reference_chain(["del_adj", "deldelbar"], ref_s, ref_h, 0, 0)
+
+
+def test_each_factor_is_built_on_the_rows_the_product_to_its_left_reads():
+    # del_adj's left neighbour is an adjoint, yet it is built only on the
+    # nonzero columns of deldelbar delbar_adj
+    s = _ladder(4)
+    h = random_positive_metric(4, random.Random(49))
+    got = chain_matrix(["deldelbar", "delbar_adj", "del_adj"], s, 2, 2, h)
+    partial = s._op_matrix_cache[("del_adj", 2, 2, h)]
+    assert not isinstance(partial, Matrix)
+    assert 0 < len(partial) < len(basis(4, 1, 2))
+    ref_s, ref_h = _fresh(s, h)
+    assert got == _reference_chain(["deldelbar", "delbar_adj", "del_adj"], ref_s, ref_h, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "ops, error, message",
+    [
+        (["del", "del_adj"], PreconditionError, "needs a metric"),
+        (["del_adj", "del"], IntegrabilityError, "not integrable"),
+        (["delbar", "deldelbar", "delbar_adj"], PreconditionError, "needs a metric"),
+    ],
+)
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1)])
+def test_the_rightmost_refusing_factor_raises_its_own_error(ops, error, message, p, q):
+    # the guard pass runs right to left, as the factors are applied
+    s = parse_structure("algebra ni\ndim 3\nd f3 = F1^F2\n")
+    with pytest.raises(error, match=message):
+        chain_matrix(ops, s, p, q, None)
