@@ -10,9 +10,10 @@ of truth.  With a metric on a unimodular algebra the same spaces are also
 computed as kernels of the fourth-order Bott-Chern / Aeppli Laplacians,
 through the three-condition characterizations of their kernels, each
 adjoint condition read through the star (ker P* = ker conj(M N), with no
-adjoint matrix built).  The kernel of the full Laplacian matrix, the only
-consumer of adjoint matrices there, cross-checks it on every call, and the
-two routes are required to agree.
+adjoint matrix built).  A guard that builds no adjoint either checks each
+such space on every call: the direct operators kill it, it is
+Gram-orthogonal to the quotient's denominator, and its dimension is the
+quotient's (Schweitzer's Hodge isomorphism, arXiv:0709.3528).
 
 Everything refers to the invariant (Lie-algebra level) complex.
 """
@@ -231,11 +232,12 @@ def chain_matrix(
 
 
 # The Bott-Chern and Aeppli harmonic theories, one table each:
-#   harmonic   -- (direct, starred): the harmonic space is the common kernel
-#                 of the operators in `direct` and of the adjoints of those
-#                 in `starred` (del_adj delbar_adj = +-*(del delbar)* for
-#                 Bott-Chern);
-#   laplacian  -- the terms of the fourth-order Laplacian;
+#   harmonic   -- (direct, starred): the quotient is ker direct / im starred
+#                 and the harmonic space the common kernel of `direct` and
+#                 of the adjoints of `starred` (del_adj delbar_adj =
+#                 +-*(del delbar)* for Bott-Chern);
+#   laplacian  -- the fourth-order Laplacian's terms, built only as the tests'
+#                 oracle (``bc_laplacian_matrix``, ``aeppli_laplacian_matrix``);
 #   blocks     -- (witness name, chain) of the Hodge-type decomposition, in
 #                 the order second-order piece, first_a, first_b.
 _THEORIES = {
@@ -280,24 +282,14 @@ def _theory(kind: str) -> dict:
     return _THEORIES[kind]
 
 
-def _chain_sum(chains, s: StructureEquations, h, p: int, q: int) -> Matrix:
-    terms = [chain_matrix(t, s, p, q, h) for t in chains]
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+def bc_laplacian_matrix(s: StructureEquations, h: HermitianMetric, p: int, q: int) -> Matrix:
+    first, *rest = (chain_matrix(t, s, p, q, h) for t in _THEORIES["bc"]["laplacian"])
+    return sum(rest, first)
 
 
-def bc_laplacian_matrix(
-    s: StructureEquations, h: HermitianMetric, p: int, q: int
-) -> Matrix:
-    return _chain_sum(_THEORIES["bc"]["laplacian"], s, h, p, q)
-
-
-def aeppli_laplacian_matrix(
-    s: StructureEquations, h: HermitianMetric, p: int, q: int
-) -> Matrix:
-    return _chain_sum(_THEORIES["a"]["laplacian"], s, h, p, q)
+def aeppli_laplacian_matrix(s: StructureEquations, h: HermitianMetric, p: int, q: int) -> Matrix:
+    first, *rest = (chain_matrix(t, s, p, q, h) for t in _THEORIES["a"]["laplacian"])
+    return sum(rest, first)
 
 
 def operator_matrix(
@@ -309,21 +301,14 @@ def operator_matrix(
 ) -> Matrix:
     """The exact matrix of a named operator out of the (p, q) space: one
     column per monomial of ``basis(n, p, q)``, one row per monomial of the
-    target, which is ``total_basis(n, p+q+1)`` for d, the (p, q) space for
-    the Laplacians and the shifted bidegree's basis for the others (empty
-    out of range).
+    target, ``total_basis(n, p+q+1)`` for d and the shifted bidegree's
+    basis for the others (empty out of range).
 
-    Names: d, del, delbar, del_adj, delbar_adj, deldelbar, lap_bc, lap_a;
-    any other raises ValueError.  Starred and Laplacian operators need a
-    metric over the structure's n; bigraded operators need an integrable
-    structure (d does not).  All but the Laplacians are cached: per
-    structure for the metric-free names, per metric for the adjoints.
+    Names: d, del, delbar, del_adj, delbar_adj, deldelbar; any other raises
+    ValueError.  The adjoints need a metric over the structure's n and are
+    cached per metric, the others per structure; bigraded operators need an
+    integrable structure (d does not).
     """
-    if name in ("lap_bc", "lap_a"):
-        if h is None:
-            raise PreconditionError(f"{name} needs a metric")
-        lap = bc_laplacian_matrix if name == "lap_bc" else aeppli_laplacian_matrix
-        return lap(s, h, p, q)
     if name != "d" and name not in _OP_SHIFT:
         raise ValueError(f"unknown operator {name!r}")
     return _single_matrix(name, s, p, q, h)
@@ -386,20 +371,29 @@ def _quotient(
     return CohomologyGroup(kind, p, q, numerator, reps, mons, images, n)
 
 
+def _images(kind: str, s: StructureEquations, p: int, q: int) -> list[Matrix]:
+    """The matrices whose columns span the (p, q) quotient's denominator."""
+    shifts = [(op, *_OP_SHIFT[op]) for op in _theory(kind)["harmonic"][1]]
+    return [_single_matrix(op, s, p - a, q - b, None) for op, a, b in shifts if a <= p and b <= q]
+
+
+def _bigraded_quotient(kind: str, s: StructureEquations, p: int, q: int) -> CohomologyGroup:
+    """The Bott-Chern or Aeppli quotient, its dimension kept per structure
+    (``s._quotient_dims``) for the harmonic guard."""
+    kernel_of = [_single_matrix(op, s, p, q, None) for op in _theory(kind)["harmonic"][0]]
+    group = _quotient(kind, s.n, p, q, basis(s.n, p, q), kernel_of, _images(kind, s, p, q))
+    s._quotient_dims[kind, p, q] = group.dim
+    return group
+
+
 def bc_cohomology(s: StructureEquations, p: int, q: int) -> CohomologyGroup:
     """(ker del /\\ ker delbar) / im(del delbar) on (p, q)-forms."""
-    kernel_of = [_single_matrix(op, s, p, q, None) for op in ("del", "delbar")]
-    image_of = [_single_matrix("deldelbar", s, p - 1, q - 1, None)] if p and q else []
-    return _quotient("bc", s.n, p, q, basis(s.n, p, q), kernel_of, image_of)
+    return _bigraded_quotient("bc", s, p, q)
 
 
 def aeppli_cohomology(s: StructureEquations, p: int, q: int) -> CohomologyGroup:
     """ker(del delbar) / (im del + im delbar) on (p, q)-forms."""
-    image_of = [_single_matrix("del", s, p - 1, q, None)] if p else []
-    if q:
-        image_of.append(_single_matrix("delbar", s, p, q - 1, None))
-    kernel_of = [_single_matrix("deldelbar", s, p, q, None)]
-    return _quotient("a", s.n, p, q, basis(s.n, p, q), kernel_of, image_of)
+    return _bigraded_quotient("a", s, p, q)
 
 
 def dolbeault_cohomology(s: StructureEquations, p: int, q: int) -> CohomologyGroup:
@@ -423,7 +417,20 @@ def de_rham_cohomology(s: StructureEquations, k: int) -> CohomologyGroup:
 # -- harmonic spaces ------------------------------------------------------------
 
 
-def _require_harmonic_preconditions(s: StructureEquations, h: HermitianMetric):
+def harmonic_space(
+    kind: str, s: StructureEquations, h: HermitianMetric, p: int, q: int
+) -> Subspace:
+    """Harmonic (p, q)-forms for the Bott-Chern ('bc') or Aeppli ('a') theory.
+
+    The kernel of the stacked first/second-order conditions (del u = 0,
+    delbar u = 0, del_adj delbar_adj u = 0 for Bott-Chern; del_adj v = 0,
+    delbar_adj v = 0, del delbar v = 0 for Aeppli), each adjoint condition
+    read through the star as ker P* = ker conj(M N), M the matrix of P out
+    of (n-p, n-q) and N the star numerators of (p, q)
+    (``HermitianMetric.adjoint_kernel_rows``; del_adj delbar_adj is
+    +-*(del delbar)*), with no adjoint matrix built, and checked on every
+    call by ``_harmonic_guard``.
+    """
     if not s.flags.integrable:
         raise IntegrabilityError("harmonic spaces need an integrable structure")
     if not s.flags.unimodular:
@@ -434,46 +441,46 @@ def _require_harmonic_preconditions(s: StructureEquations, h: HermitianMetric):
         )
     h.require_size(s.n)
     h.require_positive()
-
-
-def harmonic_space(
-    kind: str, s: StructureEquations, h: HermitianMetric, p: int, q: int
-) -> Subspace:
-    """Harmonic (p, q)-forms for the Bott-Chern ('bc') or Aeppli ('a') theory.
-
-    Primary route: the kernel of the stacked first/second-order conditions
-    (del u = 0, delbar u = 0, del_adj delbar_adj u = 0 for Bott-Chern;
-    del_adj v = 0, delbar_adj v = 0, del delbar v = 0 for Aeppli), each
-    adjoint condition read through the star as ker P* = ker conj(M N), M
-    the matrix of P out of (n-p, n-q) and N the star numerators of (p, q)
-    (``HermitianMetric.adjoint_kernel_rows``; del_adj delbar_adj is
-    +-*(del delbar)*).  No adjoint matrix is built.  Cross-check, on every
-    call: the kernel of the full fourth-order Laplacian matrix, the only
-    consumer of adjoint matrices here.  The two must agree exactly; a
-    mismatch is an engine defect.
-    """
-    _require_harmonic_preconditions(s, h)
     direct, starred = _theory(kind)["harmonic"]
     n = s.n
     width = len(basis(n, p, q))  # refuses a bidegree out of range
     rows = [row for op in direct for row in _single_matrix(op, s, p, q, None).rows]
     for op in starred:
         rows += h.adjoint_kernel_rows(_single_matrix(op, s, n - p, n - q, None), (p, q))
-    primary = kernel_basis(Matrix.sparse(rows, width))
-    check = kernel_basis(operator_matrix(f"lap_{kind}", s, p, q, h))
-    if primary != check:
+    space = kernel_basis(Matrix.sparse(rows, width))
+    _harmonic_guard(kind, s, h, p, q, space)
+    return space
+
+
+def _harmonic_guard(
+    kind: str, s: StructureEquations, h: HermitianMetric, p: int, q: int, space: Subspace
+) -> None:
+    """Raise unless `space` is the (p, q) harmonic space of `kind` under h:
+    (a) direct kills it and (b) it is Gram-orthogonal to the image columns
+    of starred (``HermitianMetric._gram_sums``, not the star numerators
+    read for it), so it lies in the harmonic space ker direct /\\
+    (im starred)^perp; (c) its dimension is the metric-free quotient's,
+    kept per structure, which by Schweitzer's Hodge isomorphism is the
+    harmonic space's."""
+    if (kind, p, q) not in s._quotient_dims:
+        (bc_cohomology if kind == "bc" else aeppli_cohomology)(s, p, q)
+    direct = [_single_matrix(op, s, p, q, None) for op in _theory(kind)["harmonic"][0]]
+    columns = [c for m in _images(kind, s, p, q) for c in m.transpose().rows if c]
+    if (
+        space.dim != s._quotient_dims[kind, p, q]
+        or any(m.apply(v) for m in direct for v in space.rows)
+        or any(re or im for re, im, _ in h._gram_sums(p, q, space.rows, columns))
+    ):
         raise RuntimeError(
             f"harmonic characterization mismatch at ({p},{q}) for {kind}; engine defect"
         )
-    return primary
 
 
 def harmonic_forms(
     kind: str, s: StructureEquations, h: HermitianMetric, p: int, q: int
 ) -> list[Form]:
-    mons = basis(s.n, p, q)
     space = harmonic_space(kind, s, h, p, q)
-    return [row_to_form(s.n, v, mons) for v in space.rows]
+    return [row_to_form(s.n, v, basis(s.n, p, q)) for v in space.rows]
 
 
 def harmonic_projection(
@@ -624,11 +631,7 @@ def full_report(
             raise IntegrabilityError(
                 f"cohomology {kind!r} needs an integrable structure"
             )
-        func = {
-            "bc": bc_cohomology,
-            "a": aeppli_cohomology,
-            "dolbeault": dolbeault_cohomology,
-        }[kind]
+        func = {"bc": bc_cohomology, "a": aeppli_cohomology, "dolbeault": dolbeault_cohomology}[kind]
         tables[kind] = {
             f"{p},{q}": _cell(func(s, p, q))
             for p in range(n + 1)

@@ -74,7 +74,9 @@ once, with no star matrix and no Scalar product, and:
     there), and the operator cache keeps each row built once per metric;
   * N' is invertible, so the adjoint's kernel is that of conj(M N).  The
     harmonic spaces read those rows alone (``adjoint_kernel_rows``), with
-    P = del delbar too (del_adj delbar_adj is +-*(del delbar)*).
+    P = del delbar too (del_adj delbar_adj is +-*(del delbar)*), and their
+    guard reads Gram entries (``_gram_sums``), not N: no adjoint matrix is
+    built for them, only for ``operator_matrix`` and the decompositions.
 
 Both routes read each operator once (``_adjoint_operands``): e, M as
 integer rows, and N on M's nonzero columns.
@@ -234,15 +236,6 @@ def _minor_table(rows) -> tuple[int, list[list[list[tuple[int, int]]]]]:
             level.append(row)
         table.append(level)
     return den, table
-
-
-def _kronecker_row(hnz, arow) -> IntRow:
-    """The integer row (i + j, (x + yi)(u - vi)) over the entries (i, x, y)
-    of hnz and j: (u, v) of the compound row arow: a compound row times the
-    conjugate of another; products of nonzeros are nonzero."""
-    return [
-        (i + j, x * u + y * v, y * u - x * v) for i, x, y in hnz for j, (u, v) in arow.items()
-    ]
 
 
 class HermitianMetric:
@@ -457,39 +450,62 @@ class HermitianMetric:
         return self._compounds
 
     def gram(self, p: int, q: int) -> Matrix:
-        """Gram matrix of <.,.> on the canonical (p,q)-monomial basis.  No
-        engine code calls it (``inner`` reads the compounds); it stays for
-        the tests' reference routes and the benchmark's tracer."""
-        key = (p, q)
-        cached = self._gram_cache.get(key)
-        if cached is not None:
-            return cached
-        dim = len(basis(self.n, p, q))  # rejects an out-of-range bidegree
+        """Gram matrix of <.,.> on the canonical (p,q)-monomial basis, read
+        off ``_gram_sums`` on the unit rows.  No engine code calls it; it
+        stays for the tests' reference routes and the benchmark's tracer."""
+        cached = self._gram_cache.get((p, q))
+        if cached is None:
+            k = len(basis(self.n, p, q))  # rejects an out-of-range bidegree
+            units = [{i: ONE} for i in range(k)]
+            sums = self._gram_sums(p, q, units, units)
+            rows = [
+                {j: from_parts(*x) for j, x in enumerate(sums[i * k : (i + 1) * k]) if x[0] or x[1]}
+                for i in range(k)
+            ]
+            cached = self._gram_cache[p, q] = Matrix.sparse(rows, k)
+        return cached
+
+    def _gram_sums(self, p: int, q: int, rows_a, rows_b) -> list[tuple[int, int, int]]:
+        """<a, b> for each a of `rows_a` and b of `rows_b`, a-major, as the
+        ints (re, im, d) of (re + im i) / d; a and b are sparse coordinate
+        rows of (p, q)-forms.  No Gram matrix is built: each pair's
+        coordinates, over their common denominators, are summed as plain
+        ints against the Gram entries they meet, read off the compound
+        numerators (module docstring)."""
         compounds = self._gram_compounds()
         den, t, _ = self._minors_of_h()
-        # entry ((a, b), (a', b')) is C_p[a][a'] * conj(C_q[b][b']) for the
-        # compounds C_k = (2D)^k N_k / t, at column a' * width + b'
-        scale, d = (2 * den) ** (p + q), t * t
-        anti = compounds[q]
+        scale = (2 * den) ** (p + q)
+        holo, anti = compounds[p], compounds[q]
         width = len(anti)
-        rows = []
-        for hrow in compounds[p]:
-            hnz = [(i * width, scale * x, scale * y) for i, (x, y) in hrow.items()]
-            for arow in anti:
-                rows.append({j: from_parts(a, b, d) for j, a, b in _kronecker_row(hnz, arow)})
-        out = Matrix.sparse(rows, dim)
-        self._gram_cache[key] = out
+        rights = []
+        for b in rows_b:
+            eb = common_denominator(b.values())
+            rights.append((eb, [(*divmod(j, width), *numerators(z, eb)) for j, z in b.items()]))
+        out = []
+        for a in rows_a:
+            ea = common_denominator(a.values())
+            left = [(holo[i // width], anti[i % width], *numerators(z, ea)) for i, z in a.items()]
+            for eb, right in rights:
+                re = im = 0
+                for hrow, arow, x, y in left:
+                    for r, c, u, v in right:
+                        g = hrow.get(r)
+                        if g is not None:
+                            k = arow.get(c)
+                            if k is not None:
+                                # (x + yi) conj(u + vi) g conj(k)
+                                (g1, g2), (k1, k2) = g, k
+                                s1, s2 = x * u + y * v, y * u - x * v
+                                w1, w2 = g1 * k1 + g2 * k2, g2 * k1 - g1 * k2
+                                re += s1 * w1 - s2 * w2
+                                im += s1 * w2 + s2 * w1
+                out.append((scale * re, scale * im, ea * eb * t * t))
         return out
 
     def inner(self, a: Form, b: Form) -> Scalar:
-        """Pointwise Hermitian product; componentwise over bidegrees.
-
-        Linear in the first slot, conjugate-linear in the second.  No Gram
-        matrix is built: each bidegree reads only the Gram entries its terms
-        meet, straight off the compound numerators (module docstring), sums
-        them against the coordinates over the forms' common denominators as
-        plain ints, and makes one ``from_parts``.
-        """
+        """Pointwise Hermitian product; componentwise over bidegrees, each
+        read off ``_gram_sums`` with one ``from_parts``.  Linear in the first
+        slot, conjugate-linear in the second."""
         if a.n != self.n or b.n != self.n:
             raise MetricError("form coframe size does not match the metric")
         total = ZERO
@@ -498,32 +514,11 @@ class HermitianMetric:
             cb = comps_b.get((p, q))
             if cb is None:
                 continue
-            compounds = self._gram_compounds()
-            holo, anti = compounds[p], compounds[q]
             idx = basis_index(self.n, p, q)
-            width = len(anti)
-            ea, eb = common_denominator(ca.terms.values()), common_denominator(cb.terms.values())
-            right = [(*divmod(idx[m], width), *numerators(z, eb)) for m, z in cb.terms.items()]
-            re = im = 0
-            for m, z in ca.terms.items():
-                r, c = divmod(idx[m], width)
-                hrow, arow = holo[r], anti[c]
-                x, y = numerators(z, ea)
-                for r2, c2, u, v in right:
-                    g = hrow.get(r2)
-                    if g is not None:
-                        k = arow.get(c2)
-                        if k is not None:
-                            # (x + yi) conj(u + vi) g conj(k)
-                            (g1, g2), (k1, k2) = g, k
-                            s1, s2 = x * u + y * v, y * u - x * v
-                            w1, w2 = g1 * k1 + g2 * k2, g2 * k1 - g1 * k2
-                            re += s1 * w1 - s2 * w2
-                            im += s1 * w2 + s2 * w1
+            rows = [{idx[m]: z for m, z in f.terms.items()} for f in (ca, cb)]
+            ((re, im, d),) = self._gram_sums(p, q, rows[:1], rows[1:])
             if re or im:
-                den, t, _ = self._minors_of_h()
-                scale = (2 * den) ** (p + q)
-                part = from_parts(scale * re, scale * im, ea * eb * t * t)
+                part = from_parts(re, im, d)
                 total = total + part if total else part
         return total
 
@@ -581,7 +576,12 @@ class HermitianMetric:
                     hnz = [(i * width, -u * y, u * x) for i, (x, y) in holo[a].items()]
                 else:
                     hnz = [(i * width, u * x, u * y) for i, (x, y) in holo[a].items()]
-                block[c] = _kronecker_row(hnz, anti[b])
+                # hnz times the conjugate compound row anti[b]; products of nonzeros are nonzero
+                block[c] = [
+                    (i + j, x * v + y * w, y * v - x * w)
+                    for i, x, y in hnz
+                    for j, (v, w) in anti[b].items()
+                ]
         return block
 
     def _star_denominator(self) -> int:

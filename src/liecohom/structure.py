@@ -75,6 +75,7 @@ class StructureEquations:
         self._d_mono: dict[BasisMonomial, Form] = {}
         self._op_matrix_cache: dict = {}
         self._closed_p0: dict = {}  # p -> analysis.closed_p0_space(self, p)
+        self._quotient_dims: dict = {}  # (kind, p, q) -> dim of that bc/a quotient
         for k in range(1, n + 1):
             if not self.d(self.dgen[k - 1]).is_zero():
                 raise JacobiViolation(

@@ -458,17 +458,13 @@ def check_structural_identities(seed: int = DEFAULT_SEED) -> CheckResult:
         problems += _check_adjointness(s, h, rng)
         # star duality + quotient-vs-harmonic agreement + Euler characteristic
         bidegrees = [(p, q) for p in range(n + 1) for q in range(n + 1)]
+        bc_dims = {pq: bc_cohomology(s, *pq).dim for pq in bidegrees}
+        a_dims = {pq: aeppli_cohomology(s, *pq).dim for pq in bidegrees}
         bc_harmonic = {pq: harmonic_space("bc", s, h, *pq) for pq in bidegrees}
         a_harmonic = {pq: harmonic_space("a", s, h, *pq) for pq in bidegrees}
-        bc_dims = {}
-        a_dims = {}
         for p, q in bidegrees:
-            bc = bc_cohomology(s, p, q)
-            ae = aeppli_cohomology(s, p, q)
-            bc_dims[(p, q)] = bc.dim
-            a_dims[(p, q)] = ae.dim
             hb = bc_harmonic[(p, q)]
-            if hb.dim != bc.dim or a_harmonic[(p, q)].dim != ae.dim:
+            if hb.dim != bc_dims[p, q] or a_harmonic[(p, q)].dim != a_dims[p, q]:
                 problems.append(f"{entry.name}: quotient/harmonic mismatch at ({p},{q})")
             # the star maps one harmonic theory onto the other
             mons = basis(n, p, q)

@@ -14,6 +14,7 @@ from liecohom.analysis import (
     verify_vanishing_theorem,
 )
 from liecohom.cohomology import (
+    bc_laplacian_matrix,
     decompose_aeppli,
     decompose_bc,
     harmonic_projection,
@@ -143,13 +144,13 @@ def test_p_range_validated():
         lambda s, h: decompose_bc(s, h, mono(s.n, [1], [1])),
         lambda s, h: decompose_aeppli(s, h, mono(s.n, [1], [1])),
         lambda s, h: operator_matrix("del_adj", s, 1, 1, h),
-        lambda s, h: operator_matrix("lap_bc", s, 1, 1, h),
+        lambda s, h: bc_laplacian_matrix(s, h, 1, 1),
     ],
     ids=[
         "classify_metric", "aeppli_class_vanishes", "verify_vanishing_theorem",
         "harmonic_space-bc", "harmonic_space-a", "harmonic_projection",
         "decompose_bc", "decompose_aeppli", "operator_matrix-del_adj",
-        "operator_matrix-lap_bc",
+        "bc_laplacian_matrix",
     ],
 )
 def test_metric_of_the_wrong_size_is_refused(call):

@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from liecohom import corpus
+from liecohom import cohomology, corpus
 from liecohom.cohomology import (
     _OP_SHIFT,
     _THEORIES,
     _clip,
+    _harmonic_guard,
     _matrix_for,
     _single_matrix,
     aeppli_cohomology,
+    aeppli_laplacian_matrix,
     bc_cohomology,
+    bc_laplacian_matrix,
     chain_matrix,
     d_matrix_total,
     de_rham_cohomology,
@@ -28,7 +31,7 @@ from liecohom.cohomology import (
 from liecohom.errors import IntegrabilityError, MetricError, PreconditionError
 from liecohom.exterior import Form, basis, total_basis
 from liecohom.hodge import HermitianMetric, random_positive_metric
-from liecohom.linalg import Matrix, kernel_basis, vstack
+from liecohom.linalg import Matrix, Subspace, kernel_basis, vstack
 from liecohom.scalars import I, ONE, ZERO, Scalar
 from liecohom.structure import StructureEquations, parse_structure
 
@@ -183,8 +186,9 @@ def test_bc_and_aeppli_build_each_deldelbar_product_once(monkeypatch):
 
 def test_laplacian_needs_metric():
     s = parse_structure(SL2C)
-    with pytest.raises(PreconditionError):
-        operator_matrix("lap_bc", s, 1, 1)
+    for laplacian in (bc_laplacian_matrix, aeppli_laplacian_matrix):
+        with pytest.raises(PreconditionError, match="needs a metric"):
+            laplacian(s, None, 1, 1)
 
 
 def test_laplacian_self_adjoint_for_pairing():
@@ -194,7 +198,7 @@ def test_laplacian_self_adjoint_for_pairing():
     s = parse_structure(KODAIRA)
     h = HermitianMetric.identity(2)
     for p, q in ((1, 0), (1, 1)):
-        m = operator_matrix("lap_bc", s, p, q, h)
+        m = bc_laplacian_matrix(s, h, p, q)
         g = h.gram(p, q)
         mh = [{j: x.conjugate() for j, x in row.items()} for row in m.transpose().rows]
         assert g @ m == Matrix.sparse(mh, m.nrows) @ g
@@ -648,8 +652,9 @@ def test_chains_and_laplacians_match_products_of_full_factors(name):
         for p in range(n + 1):
             for q in range(n + 1):
                 want = {tuple(o): _reference_chain(o, ref_s, ref_h, p, q) for o in chains}
-                for kind in ("bc", "a"):
-                    got = operator_matrix(f"lap_{kind}", s, p, q, h)
+                laplacians = {"bc": bc_laplacian_matrix, "a": aeppli_laplacian_matrix}
+                for kind, laplacian in laplacians.items():
+                    got = laplacian(s, h, p, q)
                     terms = [want[tuple(o)] for o in _THEORIES[kind]["laplacian"]]
                     lap = terms[0]
                     for t in terms[1:]:
@@ -687,37 +692,153 @@ def test_harmonic_spaces_equal_the_kernels_of_the_three_conditions(name):
                     )
 
 
-def test_a_defect_in_the_adjoint_matrices_fails_the_laplacian_cross_check(monkeypatch):
-    # adjoints conjugated entrywise reach the Laplacian only: the primary
-    # route builds none, so it keeps the true space, and harmonic_space
-    # raises exactly where the corrupted Laplacian's kernel differs from it
+def _n3_guard_cases(seed):
+    """(s, h, kind, p, q) at every bidegree of both kinds on each n = 3
+    corpus entry, under a seeded metric with a non-real entry."""
     cases = []
     for name in corpus.names():
         s = corpus.get(name).load().structure
         if s.n == 3:
-            h = _non_real_metric(3, random.Random(f"independence:{name}"))
+            h = _non_real_metric(3, random.Random(f"{seed}:{name}"))
             for kind in ("bc", "a"):
                 for p in range(4):
                     for q in range(4):
-                        cases.append((s, h, kind, p, q, harmonic_space(kind, *_fresh(s, h), p, q)))
-    adjoint_matrix = HermitianMetric.adjoint_matrix
+                        cases.append((s, h, kind, p, q))
+    return cases
 
-    def conjugated(self, op, source, target, rows=None):
-        m = adjoint_matrix(self, op, source, target, rows)
-        return Matrix.sparse([{j: x.conjugate() for j, x in r.items()} for r in m.rows], m.ncols)
 
-    monkeypatch.setattr(HermitianMetric, "adjoint_matrix", conjugated)
+def test_a_defect_in_the_star_numerators_fails_the_harmonic_guard(monkeypatch):
+    # star numerators conjugated row by row reach the kernel harmonic_space
+    # reads through the star, not its guard, which sums Gram entries off the
+    # compounds: harmonic_space raises exactly where the corrupted kernel
+    # differs from the true space
+    cases = [
+        (*case, harmonic_space(case[2], *_fresh(*case[:2]), *case[3:]))
+        for case in _n3_guard_cases("independence")
+    ]
+    star_numerators = HermitianMetric._star_numerators
+
+    def conjugated(self, p, q, rows=None):
+        block = star_numerators(self, p, q, rows)
+        return [r and [(j, x, -y) for j, x, y in r] for r in block]
+
+    seen = []
+
+    def recording(kind, s, h, p, q, space):
+        seen.append(space)
+        _harmonic_guard(kind, s, h, p, q, space)
+
+    monkeypatch.setattr(HermitianMetric, "_star_numerators", conjugated)
+    monkeypatch.setattr(cohomology, "_harmonic_guard", recording)
     raised = 0
     for s, h, kind, p, q, truth in cases:
         s, h = _fresh(s, h)
-        wrong = kernel_basis(operator_matrix(f"lap_{kind}", s, p, q, h)) != truth
-        if wrong:
-            with pytest.raises(RuntimeError, match="mismatch.*engine defect"):
-                harmonic_space(kind, s, h, p, q)
+        try:
+            got = harmonic_space(kind, s, h, p, q)
+        except RuntimeError as exc:
+            assert "mismatch" in str(exc) and "engine defect" in str(exc)
+            assert seen[-1] != truth, (s.name, kind, p, q)
             raised += 1
         else:
-            assert harmonic_space(kind, s, h, p, q) == truth
+            assert got == truth == seen[-1], (s.name, kind, p, q)
     assert 0 < raised < len(cases)
+
+
+def test_a_harmonic_space_guarded_under_another_metric_fails():
+    # on the n = 4 ladder, wherever two seeded metrics have different
+    # harmonic spaces, the first metric's space fails the second's guard
+    s = _ladder(4)
+    rng = random.Random("guard-metric")
+    first, second = _non_real_metric(4, rng), _non_real_metric(4, rng)
+    differ = 0
+    for kind in ("bc", "a"):
+        for p in range(5):
+            for q in range(5):
+                space = harmonic_space(kind, s, first, p, q)
+                _harmonic_guard(kind, s, first, p, q, space)
+                if space != harmonic_space(kind, s, second, p, q):
+                    with pytest.raises(RuntimeError, match="mismatch.*engine defect"):
+                        _harmonic_guard(kind, s, second, p, q, space)
+                    differ += 1
+    assert differ >= 20
+
+
+def test_each_guard_condition_refuses_a_space_the_other_two_pass():
+    # at each cell of the n = 4 ladder with a nonzero harmonic space H: a
+    # proper subspace of H is contained and orthogonal but too small, and H
+    # with one row swapped for a vector w of (im starred)^perp outside H has
+    # the right dimension and is orthogonal, but direct does not kill w
+    s = _ladder(4)
+    h = _non_real_metric(4, random.Random("guard-conditions"))
+    refused = {"dimension": 0, "containment": 0}
+    for kind in ("bc", "a"):
+        _, starred = _THEORIES[kind]["harmonic"]
+        for p in range(5):
+            for q in range(5):
+                space = harmonic_space(kind, s, h, p, q)
+                if not space.dim:
+                    continue
+                width = len(basis(4, p, q))
+                smaller = Subspace(width, space.rows[1:])
+                with pytest.raises(RuntimeError, match="mismatch.*engine defect"):
+                    _harmonic_guard(kind, s, h, p, q, smaller)
+                refused["dimension"] += 1
+                rows = [
+                    r
+                    for op in starred
+                    for m in [_single_matrix(op, s, 4 - p, 4 - q, None)]
+                    for r in h.adjoint_kernel_rows(m, (p, q))
+                ]
+                perp = kernel_basis(Matrix.sparse(rows, width))
+                outside = [w for w in perp.rows if not space.contains(w)]
+                if outside:
+                    swapped = Subspace(width, list(space.rows[1:]) + outside[:1])
+                    with pytest.raises(RuntimeError, match="mismatch.*engine defect"):
+                        _harmonic_guard(kind, s, h, p, q, swapped)
+                    refused["containment"] += 1
+    assert min(refused.values()) > 0
+
+
+def test_harmonic_space_builds_no_adjoint_matrix(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("harmonic_space built an adjoint matrix")
+
+    monkeypatch.setattr(HermitianMetric, "adjoint_matrix", refused)
+    dims = 0
+    for s, h, kind, p, q in _n3_guard_cases("no-adjoint") + [
+        (_ladder(4), HermitianMetric.identity(4), kind, p, q)
+        for kind in ("bc", "a") for p in range(5) for q in range(5)
+    ]:
+        dims += harmonic_space(kind, s, h, p, q).dim
+    assert dims > 0
+
+
+def test_a_second_metric_computes_no_new_quotient(monkeypatch):
+    # the guard's quotient dimension is metric-free: the first metric's
+    # harmonic spaces compute it once per cell, a second metric and a
+    # structure whose full_report ran compute none
+    calls = []
+    quotient = cohomology._quotient
+
+    def counting(kind, *args):
+        calls.append(kind)
+        return quotient(kind, *args)
+
+    monkeypatch.setattr(cohomology, "_quotient", counting)
+    s = _ladder(4)
+    rng = random.Random("guard-quotient")
+    cells = [(kind, p, q) for kind in ("bc", "a") for p in range(5) for q in range(5)]
+    for h in (random_positive_metric(4, rng), random_positive_metric(4, rng)):
+        for cell in cells:
+            harmonic_space(cell[0], s, h, *cell[1:])
+        assert len(calls) == len(cells)
+    reported = _ladder(4)
+    full_report(reported, groups=("bc", "a"))
+    calls.clear()
+    h = random_positive_metric(4, rng)
+    for cell in cells:
+        harmonic_space(cell[0], reported, h, *cell[1:])
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -9,10 +9,11 @@ from liecohom import corpus
 from liecohom.analysis import aeppli_class_vanishes
 from liecohom.cohomology import (
     _OP_SHIFT,
+    _THEORIES,
     _clip,
     _matrix_for,
     _single_matrix,
-    harmonic_space,
+    chain_matrix,
     operator_matrix,
 )
 from liecohom.errors import MetricError, PreconditionError
@@ -521,12 +522,12 @@ def test_adjoint_matrices_need_no_matrix_product_or_star_matrix(monkeypatch):
 LADDER_4 = "algebra heisenberg-4\ndim 4\nd f4 = f1^f2\n"
 
 
-def test_adjoints_completed_after_a_harmonic_space_equal_fresh_ones():
-    # the Laplacian builds some adjoints on a few rows only; full requests
-    # afterwards complete them, and must give the matrices of a fresh build
+def test_adjoints_completed_after_a_chain_equal_fresh_ones():
+    # a chain builds del_adj on a few rows only; full requests afterwards
+    # complete it, and must give the matrices of a fresh build
     s = parse_structure(LADDER_4)
     h = random_positive_metric(4, random.Random(50))
-    harmonic_space("a", s, h, 2, 2)
+    chain_matrix(["deldelbar", "delbar_adj", "del_adj"], s, 2, 2, h)
     assert any(not isinstance(m, Matrix) for m in s._op_matrix_cache.values())
     fresh_s, fresh_h = parse_structure(LADDER_4), HermitianMetric(h.entries)
     for p in range(5):
@@ -537,25 +538,27 @@ def test_adjoints_completed_after_a_harmonic_space_equal_fresh_ones():
     assert all(isinstance(m, Matrix) for m in s._op_matrix_cache.values())
 
 
-def test_harmonic_space_reads_the_star_blocks_on_some_rows_and_shares_their_layout():
-    # the Aeppli harmonic (3,3)-forms read the (2,2) star block, the star
-    # back from delbar_adj out of (2,3), only at the rows of delbar's
-    # nonzeros, straight from the compounds; the star of (2,3) is built on
-    # some rows only; a second metric reuses the layout of the star blocks
-    # instead of recomputing its wedge signs
+def test_a_chain_reads_the_star_blocks_on_some_rows_and_shares_their_layout():
+    # del_adj, delbar_adj, then deldelbar out of (3,3): delbar_adj out of
+    # (2,3) reads the (2,2) star block, the star back, only at the rows of
+    # delbar's nonzeros, straight from the compounds, and the star of (2,3)
+    # on some rows only; a second metric reuses the layout of the star
+    # blocks instead of recomputing its wedge signs
     s = parse_structure(LADDER_4)
     rng = random.Random(55)
     first, second = random_positive_metric(4, rng), random_positive_metric(4, rng)
-    harmonic_space("a", s, first, 3, 3)
+    chain = ["deldelbar", "delbar_adj", "del_adj"]
+    chain_matrix(chain, s, 3, 3, first)
     assert sum(r is not None for r in first._star_rows.get((2, 2), ())) < 36
     block = first._star_rows[2, 3]
     assert len(block) == 24 and 0 < sum(r is not None for r in block) < 24
     hits = _star_layout.cache_info().hits
-    harmonic_space("a", s, second, 3, 3)
+    chain_matrix(chain, s, 3, 3, second)
     assert _star_layout.cache_info().hits > hits
 
 
-def test_harmonic_space_builds_each_adjoint_row_at_most_once_and_not_all(monkeypatch):
+def test_chains_build_each_adjoint_row_at_most_once_and_not_all(monkeypatch):
+    # the terms of the Aeppli Laplacian at (2,2), which share adjoints
     s = parse_structure(LADDER_4)
     h = random_positive_metric(4, random.Random(51))
     built = []
@@ -568,7 +571,8 @@ def test_harmonic_space_builds_each_adjoint_row_at_most_once_and_not_all(monkeyp
         return out
 
     monkeypatch.setattr(HermitianMetric, "adjoint_matrix", counting)
-    harmonic_space("a", s, h, 2, 2)
+    for ops in _THEORIES["a"]["laplacian"]:
+        chain_matrix(ops, s, 2, 2, h)
     assert len(built) == len(set(built))
     # the full matrices of the adjoints built hold more rows
     full = sum(len(basis(4, *target)) for _, target in {(a, b) for a, b, _ in built})
