@@ -114,12 +114,7 @@ def _require_buildable(
 
 
 def _single_matrix(
-    name: str,
-    s: StructureEquations,
-    p: int,
-    q: int,
-    h: Optional[HermitianMetric],
-    rows: Optional[Sequence[int]] = None,
+    name: str, s: StructureEquations, p: int, q: int, h: Optional[HermitianMetric]
 ) -> Matrix:
     """The one builder and cache (``s._op_matrix_cache``) of the matrices of
     d, del, delbar, deldelbar and the adjoints out of the (p, q) space.
@@ -136,18 +131,11 @@ def _single_matrix(
     as ``hodge``'s module docstring states.  No Form is built here:
     ``analysis.closed_p0_space`` assembles its d matrix through the
     Form-level ``s.d`` on purpose, as the independent route that checks
-    H_BC^(p,0) against this one.
-
-    Rows on demand: for an adjoint, `rows` names the target rows a caller
-    reads (every row when None); ``chain_matrix`` states which rows a chain
-    reads (its row rule).  An adjoint can be built row by row (``hodge``),
-    so each row is built once per (name, p, q, metric): the cache holds the
-    {row: Row} built so far until every row is, and then the whole Matrix,
-    as it holds every other operator.  The returned Matrix has every row
-    built so far and the others empty."""
+    H_BC^(p,0) against this one.  Every matrix is built whole and cached
+    once, an adjoint once per metric."""
     key = (name, p, q, h if name in _ADJOINTS else None)
     cached = s._op_matrix_cache.get(key)
-    if isinstance(cached, Matrix):
+    if cached is not None:
         return cached  # built, so its guards held
     _require_buildable(name, s, p, q, h)
     n = s.n
@@ -176,16 +164,7 @@ def _single_matrix(
             if d.is_zero():
                 out = Matrix.zeros(len(dst), len(src))
             else:
-                built = cached or {}
-                wanted = range(len(dst)) if rows is None else rows
-                missing = [i for i in wanted if i not in built]
-                if missing:
-                    part = h.adjoint_matrix(d, (p, q), (p + dp, q + dq), missing)
-                    built.update(zip(missing, part.rows))
-                out = Matrix.sparse([built.get(i, {}) for i in range(len(dst))], len(src))
-                if len(built) < len(dst):
-                    s._op_matrix_cache[key] = built
-                    return out
+                out = h.adjoint_matrix(d, (p, q), (p + dp, q + dq))
     s._op_matrix_cache[key] = out
     return out
 
@@ -198,36 +177,16 @@ def chain_matrix(
     h: Optional[HermitianMetric] = None,
 ) -> Matrix:
     """Matrix of a composite written left-to-right (applied right-to-left),
-    as an endo/exo-morphism out of the (p, q) space.
-
-    The guard pass runs right to left, as the factors are applied: each
-    factor's guards, then, for a metric-free factor (del, delbar,
-    deldelbar), its cached matrix.  If one of those is zero, so is the
-    chain, and its zero matrix is returned once every guard has run and
-    before any adjoint is built; so a refusal is raised as it is, never
-    turned into a zero matrix.
-
-    The row rule: the product is then evaluated left to right, and every
-    factor after the first is built only on the rows that the product to
-    its left reads, its nonzero columns.  Column k of that product meets
-    row k of the factor alone, so the other rows never enter the product.
-    Only an adjoint can be built on some rows (``_single_matrix``); the
-    metric-free factors are whole already."""
-    sources, zero = [], False
-    cur_p, cur_q = p, q
+    as an endo/exo-morphism out of the (p, q) space: the whole matrices of
+    the factors, each multiplied onto the product from the left in the
+    order the factors apply.  A factor's guards run when it is built
+    (``_single_matrix``), so the rightmost factor that refuses raises its
+    own error, and a refusal is never turned into a zero matrix."""
+    total = None
     for name in reversed(ops):
-        _require_buildable(name, s, cur_p, cur_q, h)
-        if name not in _ADJOINTS:
-            zero = zero or _single_matrix(name, s, cur_p, cur_q, None).is_zero()
-        sources.insert(0, (cur_p, cur_q))  # sources[i] is the source of ops[i]
-        dp, dq = _OP_SHIFT[name]
-        cur_p += dp
-        cur_q += dq
-    if zero:
-        return Matrix.zeros(len(_clip(s.n, cur_p, cur_q)), len(_clip(s.n, p, q)))
-    total = _single_matrix(ops[0], s, *sources[0], h)
-    for name, source in zip(ops[1:], sources[1:]):
-        total = total @ _single_matrix(name, s, *source, h, sorted(set().union(*total.rows)))
+        factor = _single_matrix(name, s, p, q, h)
+        total = factor if total is None else factor @ total
+        p, q = p + _OP_SHIFT[name][0], q + _OP_SHIFT[name][1]
     return total
 
 

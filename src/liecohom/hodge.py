@@ -68,15 +68,13 @@ once, with no star matrix and no Scalar product, and:
     conj(C_Q[b][k % w]), with (sign, a, b) = ``_star_layout(n, P, Q)[i]``
     and w = C(n, Q);
   * N is built only on the rows at M's nonzero columns;
-  * row i of the adjoint reads row i of N' alone, so an adjoint can be
-    built on some of its rows: ``cohomology.chain_matrix`` asks only for
-    the rows that the product to its left reads (the row rule stated
-    there), and the operator cache keeps each row built once per metric;
   * N' is invertible, so the adjoint's kernel is that of conj(M N).  The
     harmonic spaces read those rows alone (``adjoint_kernel_rows``), with
     P = del delbar too (del_adj delbar_adj is +-*(del delbar)*), and their
     guard reads Gram entries (``_gram_sums``), not N: no adjoint matrix is
-    built for them, only for ``operator_matrix`` and the decompositions.
+    built for them, only for ``operator_matrix``, the decompositions and
+    the tests' Laplacians, each whole and kept once per metric
+    (``cohomology._single_matrix``).
 
 Both routes read each operator once (``_adjoint_operands``): e, M as
 integer rows, and N on M's nonzero columns.
@@ -658,18 +656,11 @@ class HermitianMetric:
         return e, m, self._star_numerators(*source, sorted(set().union(*op.rows)))
 
     def adjoint_matrix(
-        self,
-        op: Matrix,
-        source: tuple[int, int],
-        target: tuple[int, int],
-        rows: Optional[Sequence[int]] = None,
+        self, op: Matrix, source: tuple[int, int], target: tuple[int, int]
     ) -> Matrix:
         """The matrix of a -> -*(op *a) from the `source` space (p, q) to the
         `target` space (p', q'), for op the matrix of del or delbar out of
-        the (n-p, n-q) space, built as the module docstring states.  Only
-        the target rows `rows` are built, in that order (all of them when
-        None), and a selection of rows is the same selection of the full
-        matrix."""
+        the (n-p, n-q) space, built whole as the module docstring states."""
         e, m, forth = self._adjoint_operands(op, source)
         n = self.n
         big_p, big_q = n - target[0], n - target[1]
@@ -682,8 +673,7 @@ class HermitianMetric:
         # the unit and the power of 2D of N' stay out of the sums
         d = t * t * (2 * den) ** (2 * n - big_p - big_q) * e
         out = []
-        for i in range(len(layout)) if rows is None else rows:
-            sign, a, b = layout[i]
+        for sign, a, b in layout:
             hrow, arow = holo[a], anti[b]
             left = []  # conj(C_P[a][k // w] conj(C_Q[b][k % w])) at each read k
             for k, r, c in read:

@@ -587,7 +587,7 @@ def test_dense_coframe_keeps_every_table_dimension():
             }, (s.name, kind)
 
 
-# -- chains: the row rule and the zero pre-check ---------------------------------------
+# -- chains: products of whole factors, applied right to left ---------------------------
 
 
 # The first- and second-order conditions whose common kernel is each harmonic
@@ -636,8 +636,8 @@ _ORACLE_STRUCTURES["dense-iwasawa"] = lambda: _change_coframe(
 @pytest.mark.parametrize("name", sorted(_ORACLE_STRUCTURES))
 def test_chains_and_laplacians_match_products_of_full_factors(name):
     # every chain of both theories and both Laplacians, with the caches the
-    # engine fills as it goes (some adjoints built on a few rows first),
-    # against full factors built on an equal structure and metric
+    # engine fills as it goes, against full factors built on an equal
+    # structure and metric
     s = _ORACLE_STRUCTURES[name]()
     n = s.n
     rng = random.Random(f"chain-oracle:{name}")
@@ -851,35 +851,21 @@ def test_a_second_metric_computes_no_new_quotient(monkeypatch):
     ids=["no-metric", "wrong-size", "not-positive"],
 )
 def test_chain_refusals_hold_when_the_product_to_their_right_is_zero(h, error):
-    # deldelbar is zero on functions, so the zero pre-check ends this chain
-    # before its adjoint; the adjoint's guards must still refuse first
+    # deldelbar is zero on functions, so the chain is zero whatever its
+    # adjoint; the adjoint's guards must still refuse
     s = _ladder(4)
     assert chain_matrix(["deldelbar"], s, 0, 0).is_zero()
     with pytest.raises(error):
         chain_matrix(["del_adj", "deldelbar"], s, 0, 0, h)
 
 
-def test_zero_stop_returns_the_chain_shape_and_builds_no_further_factor():
+def test_a_zero_chain_has_the_chain_shape_and_equals_the_reference():
     s = _ladder(4)
     h = random_positive_metric(4, random.Random(49))
     got = chain_matrix(["del_adj", "deldelbar"], s, 0, 0, h)
     assert got == Matrix.zeros(len(basis(4, 0, 1)), 1)
-    assert not any(key[0] == "del_adj" for key in s._op_matrix_cache)
     ref_s, ref_h = _fresh(s, h)
     assert got == _reference_chain(["del_adj", "deldelbar"], ref_s, ref_h, 0, 0)
-
-
-def test_each_factor_is_built_on_the_rows_the_product_to_its_left_reads():
-    # del_adj's left neighbour is an adjoint, yet it is built only on the
-    # nonzero columns of deldelbar delbar_adj
-    s = _ladder(4)
-    h = random_positive_metric(4, random.Random(49))
-    got = chain_matrix(["deldelbar", "delbar_adj", "del_adj"], s, 2, 2, h)
-    partial = s._op_matrix_cache[("del_adj", 2, 2, h)]
-    assert not isinstance(partial, Matrix)
-    assert 0 < len(partial) < len(basis(4, 1, 2))
-    ref_s, ref_h = _fresh(s, h)
-    assert got == _reference_chain(["deldelbar", "delbar_adj", "del_adj"], ref_s, ref_h, 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -892,7 +878,8 @@ def test_each_factor_is_built_on_the_rows_the_product_to_its_left_reads():
 )
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 1)])
 def test_the_rightmost_refusing_factor_raises_its_own_error(ops, error, message, p, q):
-    # the guard pass runs right to left, as the factors are applied
+    # each factor's guards run as it is built, right to left, in the order
+    # the factors apply
     s = parse_structure("algebra ni\ndim 3\nd f3 = F1^F2\n")
     with pytest.raises(error, match=message):
         chain_matrix(ops, s, p, q, None)

@@ -42,6 +42,18 @@ def test_corpus_check_names_match_golden(verify_all_json):
     assert corpus_names == names["corpus_checks"]
 
 
+def test_recorded_check_names_are_the_corpus_checks_and_each_criterion(verify_all_json):
+    # the benchmark's verify-gate compares each criterion's check names with
+    # this record, so a new or renamed criterion must come with a new record
+    names = json.loads((GOLDEN / "verify_checks.json").read_text(encoding="utf-8"))
+    labels = [name for name, _ in CRITERIA]
+    assert len(set(labels)) == len(labels)
+    assert set(names) == {"corpus_checks", *labels}
+    assert all(names[label] == [label] for label in labels)
+    records = [r["name"] for r in json.loads(verify_all_json[1])]
+    assert records[len(names["corpus_checks"]) :] == labels
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_heisenberg_ladder_json_matches_golden(capsys, tmp_path, n):
     # the ladder d fn = f1^f2; n=4 is the benchmark's copy, n=5 and n=6 (de
