@@ -46,38 +46,28 @@ sign * i^(n^2) (2D)^(p+q) times the Kronecker product of row a of C_p with
 the conjugate of row b of C_q; (sign, a, b) does not depend on the metric
 and is computed once per (n, p, q) (``_star_layout``).  The Form-level
 ``star`` reads complete blocks of N: it sums a form's conjugated
-coordinates against the rows of N in Gaussian integers.  ``_star_matrix``,
-the Scalar matrix S built from N on each call, is used by no engine code;
-it is kept as a view for the tests' reference routes and for the
-benchmark's tracer, which binds it.
+coordinates against the rows of N in Gaussian integers.  ``_star_matrix``
+is the Scalar matrix S, built from N on each call.
 
-The adjoints.  Let P be del or delbar with matrix M / e out of the
-(n-p, n-q) space, e the common denominator of its entries.  The adjoint
-a -> -*(P *a) out of the (p,q) space into (p', q') has the matrix
+The adjoints.  Let P be del or delbar with matrix M out of the
+(n-p, n-q) space.  The adjoint a -> -*(P *a) out of the (p,q) space into
+(p', q') has the matrix
 
-    -S' conj(M / e) conj(S) = -N' conj(M) conj(N) / (t^2 (2D)^(2n) e),
+    -S' conj(M S),
 
-with N' the star numerators of (P, Q) = (n-p', n-q'), the star back from
-P's target; the star is conjugate-linear, hence the conjugates.  It is
-summed in Gaussian integers (``linalg._gaussian_sums``), each entry built
-once, with no star matrix and no Scalar product, and:
+with S the star matrix of (p, q) and S' that of (n-p', n-q'), the star
+back from P's target; the star is conjugate-linear, hence the conjugate.
+``adjoint_matrix`` builds it whole with two Matrix products, only for
+``operator_matrix``, the decompositions and the tests' Laplacians, and
+each is kept once per metric (``cohomology._single_matrix``).
 
-  * N' is never built.  Row i of the product reads it only at the rows k
-    where M has a nonzero, and each such entry is one product of two
-    compound entries, sign * i^(n^2) (2D)^(P+Q) C_P[a][k // w]
-    conj(C_Q[b][k % w]), with (sign, a, b) = ``_star_layout(n, P, Q)[i]``
-    and w = C(n, Q);
-  * N is built only on the rows at M's nonzero columns;
-  * N' is invertible, so the adjoint's kernel is that of conj(M N).  The
-    harmonic spaces read those rows alone (``adjoint_kernel_rows``), with
-    P = del delbar too (del_adj delbar_adj is +-*(del delbar)*), and their
-    guard reads Gram entries (``_gram_sums``), not N: no adjoint matrix is
-    built for them, only for ``operator_matrix``, the decompositions and
-    the tests' Laplacians, each whole and kept once per metric
-    (``cohomology._single_matrix``).
-
-Both routes read each operator once (``_adjoint_operands``): e, M as
-integer rows, and N on M's nonzero columns.
+  * S' is invertible, so the adjoint's kernel is that of conj(M S), and
+    so of conj(M N).  The harmonic spaces read those rows alone
+    (``adjoint_kernel_rows``), summed in Gaussian integers
+    (``linalg._gaussian_sums``) with N built only on the rows at M's
+    nonzero columns, and with P = del delbar too (del_adj delbar_adj is
+    +-*(del delbar)*).  Their guard reads Gram entries (``_gram_sums``),
+    not N: no adjoint matrix is built for them.
 
 The table's full minor det H / D^n must equal the last leading minor that
 ``positivity`` computes by elimination; a mismatch is an engine defect.
@@ -96,7 +86,7 @@ from . import linalg
 from .errors import MetricError, PreconditionError
 from .exterior import BasisMonomial, Form, basis, basis_index, monomial_wedge
 from .linalg import IntRow, Matrix, Row, _gaussian_sums
-from .scalars import I_HALF, ONE, ZERO, I, Scalar, common_denominator, from_parts, numerators
+from .scalars import ONE, ZERO, I, Scalar, common_denominator, from_parts, numerators
 from .structure import StructureEquations
 
 # No table here needs an elimination, but ``hodge.rref`` stays bound: the
@@ -349,18 +339,7 @@ class HermitianMetric:
 
     def fundamental_form(self) -> Form:
         """omega = (i/2) sum h[j][k] f_j ^ F_k, a real (1,1)-form."""
-        cached = self._omega_powers.get(1)
-        if cached is not None:
-            return cached
-        terms = {}
-        for j in range(self.n):
-            for k in range(self.n):
-                c = self.entries[j][k]
-                if c:
-                    terms[BasisMonomial((j + 1,), (k + 1,))] = I_HALF * c
-        omega = Form(self.n, terms, _validated=True)
-        self._omega_powers[1] = omega
-        return omega
+        return self.omega_power(1)
 
     def omega_power(self, k: int) -> Form:
         """omega^k = k! i^(k^2) sum_{J,L} det H[J,L] f_J ^ F_L / (2D)^k, read
@@ -370,8 +349,6 @@ class HermitianMetric:
             raise ValueError("omega power must be non-negative")
         if k == 0:
             return Form.one(self.n)
-        if k == 1:
-            return self.fundamental_form()
         cached = self._omega_powers.get(k)
         if cached is None:
             terms = {}
@@ -591,9 +568,8 @@ class HermitianMetric:
     def _star_matrix(self, p: int, q: int) -> Matrix:
         """The star matrix S = N / (t (2D)^n) of the (p, q) space, one
         ``from_parts`` per entry of the numerators N, built anew on each
-        call.  The engine reads N itself (``star``, ``adjoint_matrix``); this
-        Scalar view of it stays for the tests, which compare it with a
-        reference route, and for the benchmark's tracer, which binds it."""
+        call.  ``adjoint_matrix`` composes it; the Form-level ``star`` and
+        ``adjoint_kernel_rows`` read N itself."""
         ints = self._star_numerators(p, q)
         d = self._star_denominator()
         rows = [{j: from_parts(a, b, d) for j, a, b in row} for row in ints]
@@ -604,7 +580,7 @@ class HermitianMetric:
 
         Each (p,q)-component, over the common denominator e of its
         coefficients (u + wi) / e, goes through the star numerators N of
-        ``_star_numerators``, the same integers the adjoint matrices read:
+        ``_star_numerators``, the same integers ``_star_matrix`` reads:
         row c of N is summed against the conjugated coordinates as plain
         ints, (x + yi)(u - wi) = (xu + yw) + (yu - xw)i, and each nonzero
         term is built once over t (2D)^n e.  The terms come in basis order
@@ -642,66 +618,31 @@ class HermitianMetric:
         """-star delbar star; drops the anti-holomorphic degree by one."""
         return -self.star(s.delbar(self.star(a)))
 
-    def _adjoint_operands(
-        self, op: Matrix, source: tuple[int, int]
-    ) -> tuple[int, list[IntRow], list[Optional[IntRow]]]:
-        """(e, M, N) for the adjoint of op out of the `source` space: e the
-        common denominator of op's entries, M = e * op as integer rows, and
-        the star numerators N of `source` built on M's nonzero columns.  The
-        one read of an operator for both adjoint routes."""
-        self.require_positive()
-        e = common_denominator(x for row in op.rows for x in row.values())
-        # an empty row is never read, so it costs no list
-        m = [[(j, *numerators(x, e)) for j, x in row.items()] if row else () for row in op.rows]
-        return e, m, self._star_numerators(*source, sorted(set().union(*op.rows)))
-
     def adjoint_matrix(
         self, op: Matrix, source: tuple[int, int], target: tuple[int, int]
     ) -> Matrix:
-        """The matrix of a -> -*(op *a) from the `source` space (p, q) to the
-        `target` space (p', q'), for op the matrix of del or delbar out of
-        the (n-p, n-q) space, built whole as the module docstring states."""
-        e, m, forth = self._adjoint_operands(op, source)
+        """The matrix -S' conj(op S) of a -> -*(op *a) from the `source` space
+        (p, q) to the `target` space (p', q'), for op the matrix of del or
+        delbar out of the (n-p, n-q) space, S the star matrix of (p, q) and
+        S' that of (n-p', n-q')."""
+        forth = op @ self._star_matrix(*source)
+        back = [{j: -x.conjugate() for j, x in row.items()} for row in forth.rows]
         n = self.n
-        big_p, big_q = n - target[0], n - target[1]
-        compounds = self._gram_compounds()
-        holo, anti = compounds[big_p], compounds[big_q]
-        width = len(anti)
-        layout = _star_layout(n, big_p, big_q)
-        read = [(k, *divmod(k, width)) for k, row in enumerate(m) if row]
-        den, t, _ = self._minors_of_h()
-        # the unit and the power of 2D of N' stay out of the sums
-        d = t * t * (2 * den) ** (2 * n - big_p - big_q) * e
-        out = []
-        for sign, a, b in layout:
-            hrow, arow = holo[a], anti[b]
-            left = []  # conj(C_P[a][k // w] conj(C_Q[b][k % w])) at each read k
-            for k, r, c in read:
-                hx = hrow.get(r)
-                if hx is not None:
-                    ax = arow.get(c)
-                    if ax is not None:
-                        (x, y), (u, v) = hx, ax
-                        left.append((k, x * u + y * v, x * v - y * u))
-            sums = _gaussian_sums(_gaussian_sums(left, m), forth)
-            # the entry is -sign i^(n^2) conj(re + im i) over d
-            if n & 1:
-                out.append({j: from_parts(-sign * im, -sign * re, d) for j, re, im in sums})
-            else:
-                out.append({j: from_parts(-sign * re, sign * im, d) for j, re, im in sums})
-        return Matrix.sparse(out, len(basis(n, *source)))
+        return self._star_matrix(n - target[0], n - target[1]) @ Matrix.sparse(back, forth.ncols)
 
     def adjoint_kernel_rows(self, op: Matrix, source: tuple[int, int]) -> list[Row]:
         """Rows whose common kernel is that of the adjoint a -> -*(op *a) out
         of the `source` space (p, q), for op the matrix M of del, delbar or
         del delbar out of the (n-p, n-q) space: per nonzero row of M, its row
         of conj(M N) (module docstring) divided by the gcd of its integer
-        parts.  No adjoint matrix is built."""
-        _, m, forth = self._adjoint_operands(op, source)
+        parts.  N is built on M's nonzero columns only, and no adjoint matrix
+        is built."""
+        e = common_denominator(x for row in op.rows for x in row.values())
+        forth = self._star_numerators(*source, sorted(set().union(*op.rows)))
         out = []
-        for row in m:
+        for row in op.rows:
             if row:
-                sums = _gaussian_sums(row, forth)
+                sums = _gaussian_sums([(j, *numerators(x, e)) for j, x in row.items()], forth)
                 g = gcd(*(x for _, a, b in sums for x in (a, b)))
                 out.append({j: from_parts(x // g, -y // g, 1) for j, x, y in sums})
         return out

@@ -25,8 +25,8 @@ and imaginary parts of row i as plain ``int`` sums (``_gaussian_sums``).
 Each nonzero sum then becomes one entry ``(re + im*i)/(d*e)``, reduced to
 lowest terms once; a Scalar is canonical, so the entries are those of Scalar
 arithmetic.  The sparse operator products are mostly one-entry rows.  The
-metric layer composes its adjoint matrices from integer rows it already
-holds (``hodge.HermitianMetric.adjoint_matrix``) with the same
+metric layer sums its adjoint kernel rows from integer rows it already
+holds (``hodge.HermitianMetric.adjoint_kernel_rows``) with the same
 ``_gaussian_sums``, so there is one product kernel.
 
 Null spaces, subspaces and quotients stay in sparse rows from end to end.

@@ -801,9 +801,10 @@ def test_each_guard_condition_refuses_a_space_the_other_two_pass():
 
 def test_harmonic_space_builds_no_adjoint_matrix(monkeypatch):
     def refused(*args, **kwargs):
-        raise AssertionError("harmonic_space built an adjoint matrix")
+        raise AssertionError("harmonic_space built an adjoint or star matrix")
 
     monkeypatch.setattr(HermitianMetric, "adjoint_matrix", refused)
+    monkeypatch.setattr(HermitianMetric, "_star_matrix", refused)
     dims = 0
     for s, h, kind, p, q in _n3_guard_cases("no-adjoint") + [
         (_ladder(4), HermitianMetric.identity(4), kind, p, q)
@@ -811,6 +812,15 @@ def test_harmonic_space_builds_no_adjoint_matrix(monkeypatch):
     ]:
         dims += harmonic_space(kind, s, h, p, q).dim
     assert dims > 0
+
+
+def test_harmonic_space_builds_the_star_on_some_rows_only():
+    # the adjoint conditions read the (2,2) star numerators only at the
+    # nonzero columns of del, delbar and del delbar out of (2,2)
+    h = random_positive_metric(4, random.Random("partial-star"))
+    harmonic_space("a", _ladder(4), h, 2, 2)
+    block = h._star_rows[2, 2]
+    assert len(block) == 36 and 0 < sum(r is not None for r in block) < 36
 
 
 def test_a_second_metric_computes_no_new_quotient(monkeypatch):

@@ -216,14 +216,14 @@ def test_scalar_triple_is_read_only_inside_scalars():
     assert outside == []
 
 
-def test_no_engine_module_calls_the_star_matrix():
-    # every star is held once, as the integer numerators the Form-level star
-    # and the adjoint matrices read; ``_star_matrix`` is a Scalar view of
-    # them for the tests and the benchmark's tracer, never an engine route
-    calls = [
-        f"{path.name}:{node.lineno}"
+def test_only_the_adjoint_matrix_calls_the_star_matrix():
+    # every star is held once, as the integer numerators that the Form-level
+    # star and the adjoint kernel rows read; the Scalar view ``_star_matrix``
+    # is read by the engine only where it composes -S' conj(M S)
+    sites = [
+        (path.name, [node.name for node in enclosing])
         for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if _calls(node, "_star_matrix")
+        for name, enclosing, _ in _attribute_reads(ast.parse(path.read_text(encoding="utf-8")))
+        if name == "_star_matrix"
     ]
-    assert calls == []
+    assert sites and all(s == ("hodge.py", ["HermitianMetric", "adjoint_matrix"]) for s in sites)
