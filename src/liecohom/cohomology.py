@@ -319,7 +319,8 @@ def _quotient(
     kernel_of: list[Matrix], image_of: list[Matrix],
 ) -> CohomologyGroup:
     """(common kernel of `kernel_of`) / (span of the columns of `image_of`),
-    from two eliminations: the kernel's and the images' coordinates'."""
+    from at most two eliminations: the kernel's and the images' coordinates',
+    each skipped when its matrix is zero (see ``linalg``)."""
     numerator = kernel_basis(vstack(kernel_of))
     images = [row for m in image_of for row in m.transpose().rows]
     try:

@@ -31,9 +31,9 @@ holds (``hodge.HermitianMetric.adjoint_kernel_rows``) with the same
 
 Null spaces, subspaces and quotients stay in sparse rows from end to end.
 ``kernel_basis`` returns the null space as its canonical ``Subspace`` from
-one ``rref``: it reduces M with its columns reversed, so that each free
-column's kernel vector has that column as its smallest key, with value 1,
-and no other vector holds it.  Those vectors, by free column, are already
+at most one ``rref``: it reduces M with its columns reversed, so that each
+free column's kernel vector has that column as its smallest key, with value
+1, and no other vector holds it.  Those vectors, by free column, are already
 the echelon rows of the null space, and nothing reduces them again.
 ``Subspace`` reduces any other rows once with ``rref`` and keeps the echelon
 rows, and ``Subspace.reduce`` and ``quotient_representatives`` walk the
@@ -48,6 +48,10 @@ pivot, so the entries of a span vector at the pivots are its coordinates:
 ``quotient_representatives`` takes the raw image rows of a quotient, checks
 each one against the numerator with ``reduce`` and row-reduces their
 coordinates once; the span of the images is never reduced on its own.
+The operators are mostly zero on a bidegree, so known answers skip the
+work: a matrix with no nonzero row has the whole space (the unit rows) as
+kernel, no nonzero image keeps every numerator row, and against the whole
+space an image's residue is its entries outside ``range(ambient)``.
 """
 
 from __future__ import annotations
@@ -247,7 +251,8 @@ def rank(matrix: Matrix) -> int:
 
 
 def kernel_basis(matrix: Matrix) -> "Subspace":
-    """The null space, as its canonical ``Subspace``, from one ``rref``.
+    """The null space, as its canonical ``Subspace``, from at most one
+    ``rref``: none when no row is nonzero, as every column is then free.
 
     The rref runs on M with its columns reversed (column j at ncols-1-j).
     There a reduced row holds its pivot and free columns to the right of
@@ -260,11 +265,14 @@ def kernel_basis(matrix: Matrix) -> "Subspace":
     # zero rows leave the kernel as it is, and most rows of the stacked
     # operator matrices are zero
     flipped = [{last - j: x for j, x in row.items()} for row in matrix.rows if row]
-    reduced, pivots = rref(Matrix.sparse(flipped, matrix.ncols))
+    reduced, pivots = (), []
+    if flipped:
+        echelon, pivots = rref(Matrix.sparse(flipped, matrix.ncols))
+        reduced = echelon.rows[: len(pivots)]
     pivot_set = set(pivots)
     out = {f: {f: ONE} for f in range(matrix.ncols) if last - f not in pivot_set}
     # the reduced rows backwards, so each vector is keyed ascending
-    for row, c in zip(reversed(reduced.rows[: len(pivots)]), reversed(pivots)):
+    for row, c in zip(reversed(reduced), reversed(pivots)):
         for j, x in row.items():
             if j != c:
                 out[last - j][last - c] = -x
@@ -346,23 +354,26 @@ class Subspace:
 
 def quotient_representatives(numerator: Subspace, images: Sequence[Row]) -> list[Row]:
     """Rows of the numerator's echelon basis completing the span of the
-    image rows (sparse rows keyed in range(numerator.ambient)), from one
-    ``rref``; the quotient's dimension is the length of the list.
+    image rows (sparse rows keyed in range(numerator.ambient)), from at most
+    one ``rref``; the quotient's dimension is the length of the list.
 
     Each nonzero image is reduced against the numerator: an image with a
-    residue raises PreconditionError with that image as the witness.  An
-    image in the numerator is the sum of its entries at the numerator's
-    pivots times the matching rows, so those entries are its coordinates,
-    and one ``rref`` of the coordinates picks the rows it does not reach.
+    residue raises PreconditionError with that image as the witness (the
+    whole space's rows are the unit rows, so there only the keys are
+    checked).  An image in the numerator is the sum of its entries at the
+    numerator's pivots times the matching rows, so those entries are its
+    coordinates, and one ``rref`` of the coordinates, if any, picks the
+    rows it does not reach.
     """
     from .errors import PreconditionError
 
     m, index = numerator.dim, numerator._index
+    whole = m == numerator.ambient
     coords = []
     for d in images:
         if not d:
             continue
-        if numerator.reduce(d):
+        if (min(d) < 0 or max(d) >= m) if whole else numerator.reduce(d):
             entries = ", ".join(f"{j}: {format_scalar(x)}" for j, x in sorted(d.items()))
             raise PreconditionError(
                 f"denominator is not contained in numerator; witness {{{entries}}}"
@@ -371,5 +382,5 @@ def quotient_representatives(numerator: Subspace, images: Sequence[Row]) -> list
     # numerator row k is in the span of the images and rows 0..k-1 exactly
     # when some image's last nonzero coordinate is at k; with coordinate k
     # in column m-1-k that is a pivot of one RREF
-    taken = {m - 1 - p for p in rref(Matrix.sparse(coords, m))[1]}
+    taken = {m - 1 - p for p in rref(Matrix.sparse(coords, m))[1]} if coords else ()
     return [v for k, v in enumerate(numerator.rows) if k not in taken]

@@ -274,8 +274,84 @@ def test_quotient_builds_no_echelon_per_representative(monkeypatch):
         calls.clear()
         reps = quotient_representatives(numerator, denominator.rows)
         assert len(reps) == 3 - d
-        # one RREF, of the denominator's coordinates in the numerator basis
-        assert calls == [(d, 3)]
+        # one RREF, of the denominator's coordinates in the numerator basis;
+        # with no image there are no coordinates and none
+        assert calls == ([(d, 3)] if d else [])
+
+
+def _unit_rows(ambient):
+    return [{j: ONE} for j in range(ambient)]
+
+
+def test_kernel_of_a_zero_matrix_is_the_whole_space_without_elimination(monkeypatch):
+    import liecohom.linalg as linalg
+
+    shapes = [(0, k) for k in range(4)] + [(k, 0) for k in range(4)]
+    shapes += [(k, k) for k in range(1, 4)]
+    wholes = {k: Subspace(k, _unit_rows(k)) for k in range(4)}
+    calls = []
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m.shape) or rref(m))
+    for nrows, ncols in shapes:
+        kb = kernel_basis(Matrix.zeros(nrows, ncols))
+        whole = wholes[ncols]
+        assert kb == whole
+        assert kb._index == whole._index == {j: j for j in range(ncols)}
+        assert (kb.ambient, kb.dim) == (ncols, ncols)
+    assert calls == []
+    # one nonzero row takes the elimination again
+    assert kernel_basis(Matrix.sparse([{}, {1: I}, {}], 3)).dim == 2
+    assert calls == [(1, 3)]
+
+
+def test_whole_space_quotient_matches_reference_and_reduces_nothing(monkeypatch):
+    import liecohom.linalg as linalg
+
+    rng = random.Random(20261020)
+    cases = []
+    for trial in range(40):
+        ambient = rng.randint(1, 6)
+        # the whole space from a zero matrix's kernel, or from a spanning set
+        # with extra random rows, which RREF brings to the unit rows
+        if trial % 2:
+            numerator = kernel_basis(Matrix.zeros(rng.randint(0, 2), ambient))
+        else:
+            extra = [[_random_scalar(rng, 0.5) for _ in range(ambient)] for _ in range(2)]
+            numerator = Subspace(ambient, [_row(r) for r in extra] + _unit_rows(ambient))
+        assert numerator.rows == tuple(_unit_rows(ambient))
+        images = [
+            _row([_random_scalar(rng, 0.4) for _ in range(ambient)])
+            for _ in range(rng.randint(0, ambient + 1))
+        ]
+        if trial % 5 == 0:
+            images += [images[0] if images else {}, {}]
+        expected = _quotient_reference(numerator, Subspace(ambient, images))
+        cases.append((numerator, images, expected))
+    assert any(expected == [] for _, _, expected in cases)
+    assert any(0 < len(expected) < n.dim for n, _, expected in cases)
+
+    def no_reduce(self, v):
+        raise AssertionError("reduced against a whole-space numerator")
+
+    monkeypatch.setattr(linalg.Subspace, "reduce", no_reduce)
+    for numerator, images, expected in cases:
+        assert quotient_representatives(numerator, images) == expected
+
+
+def test_whole_space_numerator_refuses_keys_outside_its_range():
+    whole = Subspace(3, _unit_rows(3))
+    # the messages are those of the full reduction, whose residue is the
+    # entries at keys outside range(3)
+    for image, witness in (
+        ({0: ONE, 3: Scalar(1, 2)}, "{0: 1, 3: (1+2i)}"),
+        ({-1: ONE}, "{-1: 1}"),
+        ({1: I, 5: Scalar(2)}, "{1: 1i, 5: 2}"),
+    ):
+        assert whole.reduce(image) == {j: x for j, x in image.items() if j not in range(3)}
+        with pytest.raises(PreconditionError) as info:
+            quotient_representatives(whole, [{1: ONE}, image])
+        assert str(info.value) == (
+            f"denominator is not contained in numerator; witness {witness}"
+        )
 
 
 def test_subspace_reduce_properties_on_random_sparse_subspaces():
