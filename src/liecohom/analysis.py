@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .cohomology import (
+    _images,
     _matrix_for,
-    chain_matrix,
     form_to_row,
     harmonic_forms,
     row_to_form,
@@ -121,10 +121,8 @@ def aeppli_class_vanishes(
     mons = basis(n, m, m)
     mu_src = basis(n, m - 1, m)
     lam_src = basis(n, m, m - 1)
-    del_m = chain_matrix(["del"], s, m - 1, m)
-    delbar_m = chain_matrix(["delbar"], s, m, m - 1)
-    system = hstack([del_m, delbar_m])
-    sol = solve(system, form_to_row(w, mons))
+    # the Aeppli denominator's matrices, del out of (m-1, m) and delbar out of (m, m-1)
+    sol = solve(hstack(_images("a", s, m, m)), form_to_row(w, mons))
     if sol is not None:
         pair = row_to_form(n, sol, mu_src + lam_src)
         mu, lam = pair.project(m - 1, m), pair.project(m, m - 1)

@@ -84,22 +84,13 @@ def cmd_parse(args) -> int:
         print("metric hermitian")
         for row in lie.metric.entries:
             print("  " + "  ".join(str(x) for x in row))
-    f = s.flags
-    print(
-        f"flags: integrable={str(f.integrable).lower()} "
-        f"unimodular={str(f.unimodular).lower()} "
-        f"nilpotent={str(f.nilpotent).lower()}"
-    )
+    print("flags: " + " ".join(f"{k}={str(v).lower()}" for k, v in asdict(s.flags).items()))
     return 0
 
 
 def _render_report_text(data: dict) -> None:
     print(f"algebra: {data['algebra']} (n={data['n']}, {data['level']} forms)")
-    flags = data["flags"]
-    print(
-        "flags: "
-        + " ".join(f"{k}={str(v).lower()}" for k, v in flags.items())
-    )
+    print("flags: " + " ".join(f"{k}={str(v).lower()}" for k, v in data["flags"].items()))
     if data.get("metric_class"):
         print(
             "metric: "
@@ -184,15 +175,7 @@ def cmd_verify(args) -> int:
     results = run_all(scope=scope, seed=args.seed)
     failures = [r for r in results if not r.passed]
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {"name": r.name, "passed": r.passed, "detail": r.detail}
-                    for r in results
-                ],
-                indent=2,
-            )
-        )
+        print(json.dumps([asdict(r) for r in results], indent=2))
     else:
         for r in results:
             print(r.line())

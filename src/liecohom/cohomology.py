@@ -90,29 +90,6 @@ def _clip(n: int, p: int, q: int):
 _ADJOINTS = ("del_adj", "delbar_adj")
 
 
-def _require_buildable(
-    name: str, s: StructureEquations, p: int, q: int, h: Optional[HermitianMetric]
-) -> None:
-    """Raise what building the `name` matrix out of (p, q) would refuse, in
-    the order the build meets it: for an adjoint a missing metric, a metric
-    over another n, and on a nonempty source a metric that is not positive;
-    then, for every operator but d, a structure that is not integrable when
-    a del or delbar it is made of has a nonempty source (the adjoint's del
-    or delbar out of (n-p, n-q), deldelbar's del out of (p, q+1) and delbar
-    out of (p, q))."""
-    n = s.n
-    src = 0 <= p <= n and 0 <= q <= n  # a nonempty source space
-    if name in _ADJOINTS:
-        if h is None:
-            raise PreconditionError(f"operator {name} needs a metric")
-        h.require_size(n)
-        if src:
-            h.require_positive()  # as the star of each source monomial would
-    if not s.flags.integrable and name != "d":
-        if src or name == "deldelbar" and 0 <= p <= n and 0 <= q + 1 <= n:
-            s._require_integrable()
-
-
 def _single_matrix(
     name: str, s: StructureEquations, p: int, q: int, h: Optional[HermitianMetric]
 ) -> Matrix:
@@ -123,21 +100,26 @@ def _single_matrix(
     ``s._d_monomial``, into the full space of degree p+q+1; it needs no
     integrability.  del and delbar are the (p+1, q) and (p, q+1) row
     blocks of that d entry (sharing its rows), which is all of d on an
-    integrable structure; on any other structure they raise
-    IntegrabilityError unless the source space is empty.  deldelbar is
-    the cached del at (p, q+1) times the cached delbar at (p, q).  The
-    adjoint of P = del or delbar, a -> -*(P *a), is built by
-    ``HermitianMetric.adjoint_matrix`` from the cached P out of (n-p, n-q),
-    as ``hodge``'s module docstring states.  No Form is built here:
-    ``analysis.closed_p0_space`` assembles its d matrix through the
-    Form-level ``s.d`` on purpose, as the independent route that checks
-    H_BC^(p,0) against this one.  Every matrix is built whole and cached
-    once, an adjoint once per metric."""
+    integrable structure.  deldelbar is the cached del at (p, q+1) times
+    the cached delbar at (p, q).  The adjoint of P = del or delbar,
+    a -> -*(P *a), is built by ``HermitianMetric.adjoint_matrix`` from the
+    cached P out of (n-p, n-q), as ``hodge``'s module docstring states.
+    No Form is built here: ``analysis.closed_p0_space`` assembles its d
+    matrix through the Form-level ``s.d`` on purpose, as the independent
+    route that checks H_BC^(p,0) against this one.  Every matrix is built
+    whole and cached once, an adjoint once per metric.
+
+    Each refusal is raised by the branch that meets it, so no refused
+    matrix is cached: an unknown name, ValueError; an adjoint, a missing metric, one
+    over another n, and on a nonempty source one that is not positive; del
+    and delbar on a nonempty source, IntegrabilityError, which deldelbar
+    and the adjoints raise through the factors they build."""
     key = (name, p, q, h if name in _ADJOINTS else None)
     cached = s._op_matrix_cache.get(key)
     if cached is not None:
         return cached  # built, so its guards held
-    _require_buildable(name, s, p, q, h)
+    if name != "d" and name not in _OP_SHIFT:
+        raise ValueError(f"unknown operator {name!r}")
     n = s.n
     src = _clip(n, p, q)
     if name == "d":
@@ -149,6 +131,7 @@ def _single_matrix(
         dst = _clip(n, p + dp, q + dq)
         if name in ("del", "delbar"):
             if src:
+                s._require_integrable()
                 # the rows of d are in total_basis order: bidegrees by descending p
                 k = p + q + 1
                 start = sum(
@@ -159,6 +142,11 @@ def _single_matrix(
             else:
                 out = Matrix.zeros(len(dst), 0)
         else:
+            if h is None:
+                raise PreconditionError(f"operator {name} needs a metric")
+            h.require_size(n)
+            if src:
+                h.require_positive()  # as the star of each source monomial would
             # a -> -*(D *a) with the conjugate-linear star
             d = _single_matrix(name[: -len("_adj")], s, n - p, n - q, None)
             if d.is_zero():
@@ -181,7 +169,11 @@ def chain_matrix(
     the factors, each multiplied onto the product from the left in the
     order the factors apply.  A factor's guards run when it is built
     (``_single_matrix``), so the rightmost factor that refuses raises its
-    own error, and a refusal is never turned into a zero matrix."""
+    own error, and a refusal is never turned into a zero matrix.  A chain
+    with no operator, with d (not bigraded) or with an unknown name raises
+    ValueError."""
+    if not ops or "d" in ops:
+        raise ValueError(f"a chain takes one or more of {', '.join(_OP_SHIFT)}, not {ops!r}")
     total = None
     for name in reversed(ops):
         factor = _single_matrix(name, s, p, q, h)
@@ -268,8 +260,6 @@ def operator_matrix(
     cached per metric, the others per structure; bigraded operators need an
     integrable structure (d does not).
     """
-    if name != "d" and name not in _OP_SHIFT:
-        raise ValueError(f"unknown operator {name!r}")
     return _single_matrix(name, s, p, q, h)
 
 

@@ -223,7 +223,6 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 I = Scalar(0, 1)
 HALF = Scalar(Fraction(1, 2))
-I_HALF = Scalar(0, Fraction(1, 2))
 
 
 def format_scalar(z: Scalar) -> str:

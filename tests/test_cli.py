@@ -25,8 +25,11 @@ def run(capsys, *argv):
 def test_parse_corpus_entry(capsys):
     code, out, _ = run(capsys, "parse", "corpus:sl2c")
     assert code == 0
-    assert "d f1 = f2^f3" in out
-    assert "integrable=true" in out
+    assert out == (
+        "algebra sl2c\ndim 3\nd f1 = f2^f3\nd f2 = -f1^f3\nd f3 = f1^f2\n"
+        "metric hermitian\n  1  0  0\n  0  1  0\n  0  0  1\n"
+        "flags: integrable=true unimodular=true nilpotent=false\n"
+    )
 
 
 def test_parse_file(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -28,7 +29,7 @@ from liecohom.cohomology import (
     harmonic_space,
     operator_matrix,
 )
-from liecohom.errors import IntegrabilityError, MetricError, PreconditionError
+from liecohom.errors import IntegrabilityError, LieCohomError, MetricError, PreconditionError
 from liecohom.exterior import Form, basis, total_basis
 from liecohom.hodge import HermitianMetric, random_positive_metric
 from liecohom.linalg import Matrix, Subspace, kernel_basis, vstack
@@ -899,3 +900,78 @@ def test_the_rightmost_refusing_factor_raises_its_own_error(ops, error, message,
     s = parse_structure("algebra ni\ndim 3\nd f3 = F1^F2\n")
     with pytest.raises(error, match=message):
         chain_matrix(ops, s, p, q, None)
+
+
+@pytest.mark.parametrize("ops", [[], ["d"], ["d", "del"], ["del", "d"]])
+def test_a_chain_without_operators_or_with_d_is_refused(ops):
+    # d lands in a total degree, where no bigraded factor can follow it
+    with pytest.raises(ValueError, match="^a chain takes one or more of del, delbar, "):
+        chain_matrix(ops, parse_structure(SL2C), 0, 0)
+
+
+@pytest.mark.parametrize("ops", [["foo"], ["del", "foo"], ["foo", "del"]])
+def test_a_chain_refuses_an_unknown_operator_as_operator_matrix_does(ops):
+    s = parse_structure(SL2C)
+    with pytest.raises(ValueError, match="^unknown operator 'foo'$"):
+        operator_matrix("foo", s, 0, 0)
+    with pytest.raises(ValueError, match="^unknown operator 'foo'$"):
+        chain_matrix(ops, s, 0, 0)
+
+
+def _dim(p, q):
+    """The size of the (p, q) basis for n = 3, 0 out of range."""
+    return comb(3, p) * comb(3, q) if 0 <= p <= 3 and 0 <= q <= 3 else 0
+
+
+_REFUSAL_METRICS = {
+    "none": lambda: None,
+    "wrong-size": lambda: HermitianMetric.identity(2),
+    "not-positive": lambda: HermitianMetric([[1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+    "positive": lambda: random_positive_metric(3, random.Random(30)),
+}
+
+
+def _expected_outcome(name, integrable, metric, p, q):
+    """What ``operator_matrix(name, s, p, q, h)`` gives on n = 3, in the
+    order the build meets it: an adjoint's metric refusals (a nonpositive
+    metric only on a nonempty source), then integrability wherever a del or
+    delbar that the operator is made of has a nonempty source; else the
+    shape."""
+    if name in ("del_adj", "delbar_adj"):
+        if metric == "none":
+            return PreconditionError, f"operator {name} needs a metric"
+        if metric == "wrong-size":
+            return (
+                PreconditionError,
+                "metric and structure sizes differ: metric over n=2, structure over n=3",
+            )
+        if metric == "not-positive" and _dim(p, q):
+            return MetricError, "metric is not positive definite; minors [1, -1, -1]"
+    if name != "d" and not integrable and (_dim(p, q) or name == "deldelbar" and _dim(p, q + 1)):
+        return IntegrabilityError, "algebra 'ni' is not integrable; del/delbar are undefined"
+    if name == "d":
+        rows = sum(_dim(b, p + q + 1 - b) for b in range(p + q + 2))
+    else:
+        rows = _dim(p + _OP_SHIFT[name][0], q + _OP_SHIFT[name][1])
+    return rows, _dim(p, q)
+
+
+@pytest.mark.parametrize("metric", sorted(_REFUSAL_METRICS))
+@pytest.mark.parametrize(
+    "text, integrable",
+    [("algebra ni\ndim 3\nd f3 = F1^F2\n", False), ("algebra iwasawa\ndim 3\nd f3 = f1^f2\n", True)],
+    ids=["non-integrable", "iwasawa"],
+)
+def test_every_operator_refuses_or_builds_as_the_table_says(text, integrable, metric):
+    # every operator at every p, q in -1..n+1 on a fresh structure, twice, so
+    # that the second sweep reads what the first one cached
+    s, h = parse_structure(text), _REFUSAL_METRICS[metric]()
+    names = ("d", "del", "delbar", "deldelbar", "del_adj", "delbar_adj")
+    cases = [(name, p, q) for name in names for p in range(-1, 5) for q in range(-1, 5)]
+    for _ in range(2):
+        for name, p, q in cases:
+            try:
+                got = operator_matrix(name, s, p, q, h).shape
+            except LieCohomError as exc:
+                got = type(exc), str(exc)
+            assert got == _expected_outcome(name, integrable, metric, p, q), (name, p, q)

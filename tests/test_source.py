@@ -35,25 +35,32 @@ def test_every_import_is_used(path):
     assert sorted(imported - used) == []
 
 
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree):
-    """Each top-level function or class, and each non-dunder method."""
+    """(name, node) of each top-level function, class and non-dunder name
+    assigned at module level, and of each non-dunder method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and not _dunder(target.id):
+                    yield target.id, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not (
-                    item.name.startswith("__") and item.name.endswith("__")
-                ):
-                    yield item
+                if isinstance(item, ast.FunctionDef) and not _dunder(item.name):
+                    yield item.name, item
 
 
 def _references(node, enclosing=()):
-    """(identifier, enclosing definitions) for each name, attribute and
+    """(identifier, enclosing definitions) for each name read, attribute and
     dotted-name string (as the benchmark tracer binds targets) in the tree."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         enclosing = enclosing + (node,)
-    if isinstance(node, ast.Name):
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
         yield node.id, enclosing
     elif isinstance(node, ast.Attribute):
         yield node.attr, enclosing
@@ -77,10 +84,10 @@ def test_every_definition_is_referenced():
         for name, enclosing in _references(tree):
             used.setdefault(name, []).append(enclosing)
     unused = [
-        f"{path.name}:{node.lineno} {node.name}"
+        f"{path.name}:{node.lineno} {name}"
         for path in MODULES
-        for node in _definitions(trees[path])
-        if all(node in enclosing for enclosing in used.get(node.name, []))
+        for name, node in _definitions(trees[path])
+        if all(node in enclosing for enclosing in used.get(name, []))
     ]
     assert unused == []
 
