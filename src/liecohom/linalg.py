@@ -52,14 +52,24 @@ The operators are mostly zero on a bidegree, so known answers skip the
 work: a matrix with no nonzero row has the whole space (the unit rows) as
 kernel, no nonzero image keeps every numerator row, and against the whole
 space an image's residue is its entries outside ``range(ambient)``.
+
+``rref`` and ``Subspace.reduce`` update entries as canonical triples
+``(a, b, d)`` = (a + b*i)/d, read with ``scalars.parts`` when an update
+first reaches an entry.  Every update ``x - f*y``, pivot scaling included,
+runs in ``_subtract``: int products and one gcd per entry, an entry that
+cancels deleted.  Each updated entry becomes a Scalar once, through
+``from_parts``; entries no update reaches stay as they were.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from math import gcd
 from typing import Sequence
 
-from .scalars import ONE, ZERO, Scalar, common_denominator, format_scalar, from_parts, numerators
+from .scalars import (
+    ONE, ZERO, Scalar, common_denominator, format_scalar, from_parts, numerators, parts
+)
 
 Row = dict[int, Scalar]
 # a row of Gaussian integers over a denominator kept elsewhere: (column, re, im)
@@ -197,11 +207,51 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     return Matrix.sparse(rows, offset)
 
 
+def _triple(x) -> tuple[int, int, int]:
+    """The canonical triple of an entry held as a Scalar or as its triple."""
+    return x if type(x) is tuple else parts(x)
+
+
+def _subtract(row: dict, fa: int, fb: int, fd: int, other: list) -> list[int]:
+    """``row -= f*other`` in place, for f = (fa + fb*i)/fd and ``other``
+    the nonzero ``(column, a, b, d)``; each updated entry of ``row`` (a
+    Scalar or a triple) is written as a triple.  Returns the columns filled
+    in, and ``~j`` for each column j emptied."""
+    changed = []
+    for j, ya, yb, yd in other:
+        re = fa * ya - fb * yb
+        im = fa * yb + fb * ya
+        e = fd * yd
+        x = row.get(j)
+        if x is None:
+            a, b, d = -re, -im, e
+            changed.append(j)
+        else:
+            a, b, d = x if type(x) is tuple else parts(x)
+            a = a * e - re * d
+            b = b * e - im * d
+            if not (a or b):
+                del row[j]
+                changed.append(~j)
+                continue
+            d *= e
+        g = gcd(a, b, d)
+        row[j] = (a // g, b // g, d // g) if g != 1 else (a, b, d)
+    return changed
+
+
+def _scalars(row: dict) -> Row:
+    """The row with each triple entry built into its Scalar."""
+    return {j: from_parts(*x) if type(x) is tuple else x for j, x in row.items()}
+
+
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (canonical RREF, pivot column
     indices).  The pivot rows come first, in pivot order, then the zero
     rows."""
-    rows = [dict(r) for r in matrix.rows]
+    # rows are shared until changed, then copied (their index in ``mine``)
+    rows = list(matrix.rows)
+    mine: set[int] = set()
     # column -> indices of the rows holding an entry there
     holders: defaultdict[int, set[int]] = defaultdict(set)
     for i, row in enumerate(rows):
@@ -220,28 +270,31 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
         # RREF is unique, so any row not yet a pivot row will do; the
         # shortest fills in least
         p = min(free, key=lambda i: (len(rows[i]), i)) if len(free) > 1 else free.pop()
-        inv = ONE / rows[p][c]
-        prow = rows[p] = {j: inv * x for j, x in rows[p].items()}
+        prow = rows[p]
+        pa, pb, pd = _triple(prow[c])
+        if pb or pa != pd:
+            # scaled row: {} - (-1/pivot)*row, 1/pivot = pd*(pa - pb*i)/(pa^2 + pb^2)
+            entries = [(j, *_triple(x)) for j, x in prow.items()]
+            prow = rows[p] = {}
+            mine.add(p)
+            _subtract(prow, -pd * pa, pd * pb, pa * pa + pb * pb, entries)
         hold.discard(p)
         if hold:
-            rest = [(j, y) for j, y in prow.items() if j != c]
+            rest = [(j, *_triple(x)) for j, x in prow.items() if j != c]
             for i in hold:
                 row = rows[i]
-                factor = row.pop(c)
-                for j, y in rest:
-                    x = row.get(j)
-                    if x is None:
-                        row[j] = ZERO - factor * y
-                        holders[j].add(i)
-                    elif z := x - factor * y:
-                        row[j] = z
+                if i not in mine:
+                    row = rows[i] = dict(row)
+                    mine.add(i)
+                for j in _subtract(row, *_triple(row.pop(c)), rest):
+                    if j < 0:
+                        holders[~j].discard(i)
                     else:
-                        del row[j]
-                        holders[j].discard(i)
+                        holders[j].add(i)
         pivots.append(c)
         pivot_rows.append(p)
         done.add(p)
-    echelon = [rows[i] for i in pivot_rows]
+    echelon = [_scalars(rows[i]) if i in mine else rows[i] for i in pivot_rows]
     echelon += [{} for _ in range(matrix.nrows - len(pivots))]
     return Matrix.sparse(echelon, matrix.ncols), pivots
 
@@ -334,11 +387,8 @@ class Subspace:
         ]
         v = dict(v)
         for row, factor in multiples:
-            for j, y in row.items():
-                z = v.pop(j, ZERO) - factor * y
-                if z:
-                    v[j] = z
-        return v
+            _subtract(v, *parts(factor), [(j, *parts(y)) for j, y in row.items()])
+        return _scalars(v)
 
     def contains(self, v: Row) -> bool:
         return not self.reduce(v)

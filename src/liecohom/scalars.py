@@ -11,10 +11,11 @@ and equal values have equal triples.  Each of ``+ - * /`` takes a few
 integer products and one three-argument ``math.gcd``; no Fraction is built.
 ``re`` and ``im`` are read-only Fraction views of the triple.
 
-The triple stays private to this module.  A kernel that sums many products
-(``linalg.Matrix.__matmul__``) puts its inputs over a common denominator
-with ``common_denominator`` and ``numerators``, adds plain integers, and
-builds each result once with ``from_parts``.
+The triple stays private to this module; other code reads it only through
+``parts``.  Two kernels compute on plain integers and build each result
+once with ``from_parts``: the product ``linalg.Matrix.__matmul__`` (inputs
+over a common denominator, via ``common_denominator`` and ``numerators``)
+and the eliminations ``linalg.rref`` and ``Subspace.reduce`` (triples).
 """
 
 from __future__ import annotations
@@ -197,6 +198,11 @@ def from_parts(a: int, b: int, d: int) -> Scalar:
     z._b = b
     z._d = d
     return z
+
+
+def parts(z: Scalar) -> tuple[int, int, int]:
+    """The canonical triple ``(a, b, d)`` of ``z == (a + b*i)/d``."""
+    return z._a, z._b, z._d
 
 
 def common_denominator(values) -> int:

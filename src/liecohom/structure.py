@@ -129,11 +129,20 @@ class StructureEquations:
 
     def d(self, a: Form) -> Form:
         """Exterior differential: the antiderivation extending the equations."""
+        return self._d_terms(a, None)
+
+    def _d_terms(self, a: Form, side: int | None) -> Form:
+        """d a in one pass over the cached d of a's monomials; with ``side``
+        0 (1), only the terms raising the (anti-)holomorphic degree."""
         if a.n != self.n:
             raise ValueError(f"form over n={a.n}, structure over n={self.n}")
         terms: dict[BasisMonomial, Scalar] = {}
         for mono, coeff in a.terms.items():
-            for m, c in self._d_monomial(mono).terms.items():
+            dm = self._d_monomial(mono).terms.items()
+            if side is not None:
+                raised = len(mono[side]) + 1
+                dm = [(m, c) for m, c in dm if len(m[side]) == raised]
+            for m, c in dm:
                 acc = terms.get(m)
                 acc = coeff * c if acc is None else acc + coeff * c
                 if acc:
@@ -149,20 +158,16 @@ class StructureEquations:
             )
 
     def del_(self, a: Form) -> Form:
-        """(1,0)-part of d; defined on integrable structures."""
+        """(1,0)-part of d on integrable structures, where d maps (p, q)
+        into (p+1, q) + (p, q+1): the terms of d a raising p, in one pass."""
         self._require_integrable()
-        out = Form.zero(self.n)
-        for (p, q), comp in a.components().items():
-            out = out + self.d(comp).project(p + 1, q)
-        return out
+        return self._d_terms(a, 0)
 
     def delbar(self, a: Form) -> Form:
-        """(0,1)-part of d; defined on integrable structures."""
+        """(0,1)-part of d on integrable structures: the terms of d a
+        raising q, in one pass."""
         self._require_integrable()
-        out = Form.zero(self.n)
-        for (p, q), comp in a.components().items():
-            out = out + self.d(comp).project(p, q + 1)
-        return out
+        return self._d_terms(a, 1)
 
     def del_delbar(self, a: Form) -> Form:
         return self.del_(self.delbar(a))

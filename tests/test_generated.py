@@ -71,3 +71,22 @@ def test_generated_two_step_nilpotent_invariants():
 
     check()
     assert kinds == {True, False}
+
+
+def test_generated_del_and_delbar_match_per_bidegree_projections():
+    from test_structure import assert_split_matches_projections
+
+    from liecohom.errors import IntegrabilityError
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(two_step_nilpotent(), st.randoms(use_true_random=False))
+    def check(drawn, rng):
+        s, integrable = drawn
+        if integrable:
+            assert_split_matches_projections(s, rng, draws=2)
+            return
+        for split in (s.del_, s.delbar):
+            with pytest.raises(IntegrabilityError):
+                split(Form.monomial(s.n, [1], []))
+
+    check()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -15,7 +16,7 @@ from liecohom.linalg import (
     solve,
     vstack,
 )
-from liecohom.scalars import I, ONE, ZERO, Scalar
+from liecohom.scalars import I, ONE, ZERO, Scalar, parts
 
 
 def _row(values):
@@ -415,9 +416,18 @@ def _from_sympy(sympy, e):
     return Scalar(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
 
 
+def _sympy_domain(sympy, m):
+    """m as a sympy DomainMatrix over QQ_I, the Gaussian rationals: its
+    rref and nullspace are exact, and fast on dense rows."""
+    from sympy.polys.matrices import DomainMatrix
+
+    return DomainMatrix.from_Matrix(_to_sympy(sympy, m)).convert_to(sympy.QQ_I)
+
+
 def _assert_rref_matches_sympy(sympy, m):
     reduced, pivots = rref(m)
-    theirs, their_pivots = _to_sympy(sympy, m).rref()
+    theirs, their_pivots = _sympy_domain(sympy, m).rref()
+    theirs = theirs.to_Matrix()
     assert pivots == list(their_pivots)
     assert reduced == dense(
         [[_from_sympy(sympy, theirs[i, j]) for j in range(m.ncols)] for i in range(m.nrows)],
@@ -427,18 +437,29 @@ def _assert_rref_matches_sympy(sympy, m):
 
 def _assert_kernel_matches_sympy(sympy, m):
     ours = kernel_basis(m)
-    theirs = _to_sympy(sympy, m)
+    theirs = _sympy_domain(sympy, m)
     assert (ours.ambient, ours.dim) == (m.ncols, m.ncols - theirs.rank())
     assert all(m.apply(row) == {} for row in ours.rows)
     # same span, and ours is already canonical: our rows are the RREF of
-    # sympy's null space basis
+    # sympy's null space basis (one vector per row)
     nullspace = theirs.nullspace()
-    assert len(nullspace) == ours.dim
+    assert nullspace.shape[0] == ours.dim
     if ours.dim:
-        their_rref = sympy.Matrix.hstack(*nullspace).T.rref()[0]
+        their_rref = nullspace.rref()[0].to_Matrix()
         assert ours.rows == dense(
             [[_from_sympy(sympy, their_rref[i, j]) for j in range(m.ncols)] for i in range(ours.dim)]
         ).rows
+
+
+def _assert_rref_canonical_under_row_permutations(sympy, m, rng):
+    # the pivot row rref picks depends on row order and row lengths; the
+    # result must not
+    for a in (m, m.transpose()):
+        order = list(range(a.nrows))
+        rng.shuffle(order)
+        shuffled = Matrix.sparse([a.rows[i] for i in order], a.ncols)
+        assert rref(shuffled) == rref(a)
+        _assert_rref_matches_sympy(sympy, shuffled)
 
 
 def _sparse_random_matrices():
@@ -689,19 +710,12 @@ def test_every_result_keeps_only_nonzero_entries_in_range():
 
 
 def test_rref_is_canonical_under_row_permutations():
-    # the pivot row rref picks depends on row order and row lengths; the
-    # result must not
     sympy = pytest.importorskip("sympy")
     rng = random.Random(11)
     matrices = list(_sparse_random_matrices())
     matrices += _corpus_operator_matrices(("d", "del", "delbar"))
     for m in matrices:
-        for a in (m, m.transpose()):
-            order = list(range(a.nrows))
-            rng.shuffle(order)
-            shuffled = Matrix.sparse([a.rows[i] for i in order], a.ncols)
-            assert rref(shuffled) == rref(a)
-            _assert_rref_matches_sympy(sympy, shuffled)
+        _assert_rref_canonical_under_row_permutations(sympy, m, rng)
 
 
 def test_rref_matches_sympy_on_sparse_random_matrices():
@@ -754,3 +768,163 @@ def test_kernel_basis_is_already_the_canonical_subspace():
         assert kb == rebuilt
         assert kb._index == rebuilt._index
         assert kb.ambient == m.ncols
+
+
+# -- elimination on dense rows: the inputs the integer-triple updates serve ------
+
+
+def _coprime_dense_matrices():
+    # dense rows over large pairwise coprime denominators, the last row a
+    # combination of the first two, so entries cancel in the elimination
+    rng = random.Random(47)
+    for nrows, ncols in ((3, 4), (4, 6), (5, 5), (2, 7)):
+        rows = [_coprime_scalars(rng, ncols) for _ in range(nrows)]
+        u, v = _coprime_scalars(rng, 2)
+        rows.append([u * x + v * y for x, y in zip(rows[0], rows[1])])
+        yield dense(rows)
+
+
+def _harmonic_stacks():
+    """The stacks ``harmonic_space`` hands to ``kernel_basis`` on the n=4
+    ladder at Aeppli (3,3) and (2,2), under three seeded random metrics."""
+    from test_cohomology import _ladder
+
+    from liecohom import cohomology
+    from liecohom.hodge import random_positive_metric
+
+    s = _ladder(4)
+    rng = random.Random(48)
+    seen, stacks = [], []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cohomology, "kernel_basis", lambda m: seen.append(m) or kernel_basis(m))
+        for h in [random_positive_metric(4, rng) for _ in range(3)]:
+            for p, q in ((3, 3), (2, 2)):
+                start = len(seen)
+                cohomology.harmonic_space("a", s, h, p, q)
+                stacks.append(seen[start])  # the stack comes before the guard's work
+    # the (2,2) stacks hold the dense conj(M N) rows
+    assert any(len(row) == 36 for m in stacks for row in m.rows)
+    return stacks
+
+
+def test_rref_and_kernel_match_sympy_on_dense_rows():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(12)
+    matrices = list(_dense_gaussian_matrices()) + list(_coprime_dense_matrices())
+    matrices += _harmonic_stacks()
+    for m in matrices:
+        _assert_rref_matches_sympy(sympy, m)
+        _assert_kernel_matches_sympy(sympy, m)
+        _assert_rref_canonical_under_row_permutations(sympy, m, rng)
+
+
+def _assert_canonical_entries(row, size):
+    # every stored entry is a nonzero Scalar in lowest terms, keyed in range
+    for j, x in row.items():
+        a, b, d = parts(x)
+        assert type(x) is Scalar and 0 <= j < size, (j, x)
+        assert (a or b) and d > 0 and gcd(a, b, d) == 1, (j, a, b, d)
+
+
+def _reduce_reference(space, v):
+    """Reference for ``Subspace.reduce`` in Scalar arithmetic over dense
+    coordinates: v minus v[c] times the echelon row of each pivot c."""
+    out = [v.get(j, ZERO) for j in range(space.ambient)]
+    for row in space.rows:
+        factor = v.get(min(row), ZERO)
+        for j, y in row.items():
+            out[j] = out[j] - factor * y
+    return {j: x for j, x in enumerate(out) if x}
+
+
+def _rank_reference(rows, ambient):
+    """Rank by dense Gaussian elimination in Scalar arithmetic."""
+    work = [[r.get(j, ZERO) for j in range(ambient)] for r in rows]
+    rank = 0
+    for c in range(ambient):
+        p = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if p is None:
+            continue
+        work[rank], work[p] = work[p], work[rank]
+        for i in range(rank + 1, len(work)):
+            f = work[i][c] / work[rank][c]
+            work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def _representatives_reference(numerator, images):
+    # numerator row k is a representative when it raises the rank of the
+    # images and rows 0..k-1
+    ambient, rows = numerator.ambient, list(numerator.rows)
+    return [
+        v
+        for k, v in enumerate(rows)
+        if _rank_reference(images + rows[: k + 1], ambient)
+        > _rank_reference(images + rows[:k], ambient)
+    ]
+
+
+def _dense_rows(rng, count, ambient, coprime):
+    if coprime:
+        return [_row(_coprime_scalars(rng, ambient)) for _ in range(count)]
+    return [_row([_random_scalar(rng) for _ in range(ambient)]) for _ in range(count)]
+
+
+def _combination(rng, rows, ambient):
+    coeffs = [_random_scalar(rng) for _ in rows]
+    return _row(
+        [sum((c * r.get(j, ZERO) for c, r in zip(coeffs, rows)), ZERO) for j in range(ambient)]
+    )
+
+
+def test_reduce_contains_and_quotients_match_scalar_reference_on_dense_rows():
+    rng = random.Random(20261021)
+    seen = set()
+    for trial in range(30):
+        ambient = rng.randint(2, 7)
+        gens = _dense_rows(rng, rng.randint(1, ambient - 1), ambient, trial % 3 == 0)
+        space = Subspace(ambient, gens)
+        member = _combination(rng, gens, ambient)
+        unit = {rng.randrange(ambient): ONE}
+        # a member plus a unit vector: the member's entries all cancel
+        shifted = {
+            j: x for j in range(ambient) if (x := member.get(j, ZERO) + unit.get(j, ZERO))
+        }
+        for v in (member, shifted, *_dense_rows(rng, 2, ambient, trial % 2 == 0)):
+            residue = space.reduce(v)
+            assert residue == _reduce_reference(space, v), trial
+            _assert_canonical_entries(residue, ambient)
+            in_span = _rank_reference(gens + [v], ambient) == space.dim
+            assert space.contains(v) == (not residue) == in_span
+            if v and len(residue) < len(v):
+                seen.add("cancelled" if residue else "member")
+        numerator = Subspace(ambient, gens + _dense_rows(rng, 1, ambient, False))
+        images = [_combination(rng, gens, ambient) for _ in range(rng.randint(0, 3))]
+        reps = quotient_representatives(numerator, images)
+        assert reps == _representatives_reference(numerator, images), trial
+        for v in reps:
+            _assert_canonical_entries(v, ambient)
+    assert {"member", "cancelled"} <= seen
+
+
+def test_rref_and_reduce_build_no_scalar_per_update(monkeypatch):
+    # the updates run on integer triples: a dense elimination and a dense
+    # residue call none of Scalar's arithmetic
+    rng = random.Random(49)
+    m = dense([[_random_scalar(rng) for _ in range(9)] for _ in range(7)])
+    space = Subspace(9, m.rows[:4])
+    v = _row([_random_scalar(rng) for _ in range(9)])
+    expected = (rref(m), space.reduce(v))
+    calls = []
+    names = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__")
+    for name in names + ("__truediv__", "__rtruediv__", "__neg__"):
+        original = getattr(Scalar, name)
+        monkeypatch.setattr(
+            Scalar, name, lambda *args, f=original, name=name: calls.append(name) or f(*args)
+        )
+    got = (rref(m), space.reduce(v))
+    monkeypatch.undo()
+    assert calls == []
+    assert got == expected
+    assert expected[0][1] and expected[1]  # both did work
