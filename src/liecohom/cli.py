@@ -76,6 +76,12 @@ def _emit(data: dict, as_json: bool, text_renderer) -> None:
         text_renderer(data)
 
 
+def _flag_line(values: dict) -> str:
+    """The pairs as ``key=value``, each value's text in lower case, joined
+    by spaces."""
+    return " ".join(f"{k}={str(v).lower()}" for k, v in values.items())
+
+
 def cmd_parse(args) -> int:
     lie = _load_input(args.input)
     s = lie.structure
@@ -84,18 +90,15 @@ def cmd_parse(args) -> int:
         print("metric hermitian")
         for row in lie.metric.entries:
             print("  " + "  ".join(str(x) for x in row))
-    print("flags: " + " ".join(f"{k}={str(v).lower()}" for k, v in asdict(s.flags).items()))
+    print("flags: " + _flag_line(asdict(s.flags)))
     return 0
 
 
 def _render_report_text(data: dict) -> None:
     print(f"algebra: {data['algebra']} (n={data['n']}, {data['level']} forms)")
-    print("flags: " + " ".join(f"{k}={str(v).lower()}" for k, v in data["flags"].items()))
+    print("flags: " + _flag_line(data["flags"]))
     if data.get("metric_class"):
-        print(
-            "metric: "
-            + " ".join(f"{k}={str(v).lower()}" for k, v in data["metric_class"].items())
-        )
+        print("metric: " + _flag_line(data["metric_class"]))
     titles = {
         "bc": "bott-chern",
         "a": "aeppli",

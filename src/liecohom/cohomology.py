@@ -90,30 +90,41 @@ def _clip(n: int, p: int, q: int):
 _ADJOINTS = ("del_adj", "delbar_adj")
 
 
-def _single_matrix(
-    name: str, s: StructureEquations, p: int, q: int, h: Optional[HermitianMetric]
+def operator_matrix(
+    name: str,
+    s: StructureEquations,
+    p: int,
+    q: int,
+    h: Optional[HermitianMetric] = None,
 ) -> Matrix:
-    """The one builder and cache (``s._op_matrix_cache``) of the matrices of
-    d, del, delbar, deldelbar and the adjoints out of the (p, q) space.
+    """The exact matrix of a named operator out of the (p, q) space: one
+    column per monomial of ``basis(n, p, q)``, one row per monomial of the
+    target, ``total_basis(n, p+q+1)`` for d and the shifted bidegree's
+    basis for the others (empty out of range).
 
-    d is assembled once per (p, q), from the per-monomial differentials
-    ``s._d_monomial``, into the full space of degree p+q+1; it needs no
-    integrability.  del and delbar are the (p+1, q) and (p, q+1) row
-    blocks of that d entry (sharing its rows), which is all of d on an
-    integrable structure.  deldelbar is the cached del at (p, q+1) times
-    the cached delbar at (p, q).  The adjoint of P = del or delbar,
-    a -> -*(P *a), is built by ``HermitianMetric.adjoint_matrix`` from the
-    cached P out of (n-p, n-q), as ``hodge``'s module docstring states.
-    No Form is built here: ``analysis.closed_p0_space`` assembles its d
-    matrix through the Form-level ``s.d`` on purpose, as the independent
-    route that checks H_BC^(p,0) against this one.  Every matrix is built
-    whole and cached once, an adjoint once per metric.
+    Names: d, del, delbar, del_adj, delbar_adj, deldelbar; any other raises
+    ValueError.  The adjoints need a metric over the structure's n and are
+    cached per metric, the others per structure; bigraded operators need an
+    integrable structure (d does not).
+
+    This is the one builder and cache (``s._op_matrix_cache``) of these
+    matrices, each built whole.  d is assembled once per (p, q), from the
+    per-monomial differentials ``s._d_monomial``, into the full space of
+    degree p+q+1.  del and delbar are the (p+1, q) and (p, q+1) row blocks
+    of that d entry (sharing its rows), which is all of d on an integrable
+    structure.  deldelbar is the cached del at (p, q+1) times the cached
+    delbar at (p, q).  The adjoint of P = del or delbar, a -> -*(P *a), is
+    built by ``HermitianMetric.adjoint_matrix`` from the cached P out of
+    (n-p, n-q), as ``hodge``'s module docstring states.  No Form is built
+    here: ``analysis.closed_p0_space`` assembles its d matrix through the
+    Form-level ``s.d`` on purpose, as the independent route that checks
+    H_BC^(p,0) against this one.
 
     Each refusal is raised by the branch that meets it, so no refused
-    matrix is cached: an unknown name, ValueError; an adjoint, a missing metric, one
-    over another n, and on a nonempty source one that is not positive; del
-    and delbar on a nonempty source, IntegrabilityError, which deldelbar
-    and the adjoints raise through the factors they build."""
+    matrix is cached: an unknown name, ValueError; an adjoint, a missing
+    metric, one over another n, and on a nonempty source one that is not
+    positive; del and delbar on a nonempty source, IntegrabilityError,
+    which deldelbar and the adjoints raise through the factors they build."""
     key = (name, p, q, h if name in _ADJOINTS else None)
     cached = s._op_matrix_cache.get(key)
     if cached is not None:
@@ -125,7 +136,7 @@ def _single_matrix(
     if name == "d":
         out = _matrix_for(s._d_monomial, n, src, total_basis(n, p + q + 1))
     elif name == "deldelbar":
-        out = _single_matrix("del", s, p, q + 1, None) @ _single_matrix("delbar", s, p, q, None)
+        out = operator_matrix("del", s, p, q + 1) @ operator_matrix("delbar", s, p, q)
     else:
         dp, dq = _OP_SHIFT[name]
         dst = _clip(n, p + dp, q + dq)
@@ -137,7 +148,7 @@ def _single_matrix(
                 start = sum(
                     len(basis(n, b, c)) for b, c in bidegrees_of_total(n, k) if b > p + dp
                 )
-                d = _single_matrix("d", s, p, q, None)
+                d = operator_matrix("d", s, p, q)
                 out = Matrix.sparse(d.rows[start : start + len(dst)], len(src))
             else:
                 out = Matrix.zeros(len(dst), 0)
@@ -148,7 +159,7 @@ def _single_matrix(
             if src:
                 h.require_positive()  # as the star of each source monomial would
             # a -> -*(D *a) with the conjugate-linear star
-            d = _single_matrix(name[: -len("_adj")], s, n - p, n - q, None)
+            d = operator_matrix(name[: -len("_adj")], s, n - p, n - q)
             if d.is_zero():
                 out = Matrix.zeros(len(dst), len(src))
             else:
@@ -168,7 +179,7 @@ def chain_matrix(
     as an endo/exo-morphism out of the (p, q) space: the whole matrices of
     the factors, each multiplied onto the product from the left in the
     order the factors apply.  A factor's guards run when it is built
-    (``_single_matrix``), so the rightmost factor that refuses raises its
+    (``operator_matrix``), so the rightmost factor that refuses raises its
     own error, and a refusal is never turned into a zero matrix.  A chain
     with no operator, with d (not bigraded) or with an unknown name raises
     ValueError."""
@@ -176,7 +187,7 @@ def chain_matrix(
         raise ValueError(f"a chain takes one or more of {', '.join(_OP_SHIFT)}, not {ops!r}")
     total = None
     for name in reversed(ops):
-        factor = _single_matrix(name, s, p, q, h)
+        factor = operator_matrix(name, s, p, q, h)
         total = factor if total is None else factor @ total
         p, q = p + _OP_SHIFT[name][0], q + _OP_SHIFT[name][1]
     return total
@@ -243,30 +254,10 @@ def aeppli_laplacian_matrix(s: StructureEquations, h: HermitianMetric, p: int, q
     return sum(rest, first)
 
 
-def operator_matrix(
-    name: str,
-    s: StructureEquations,
-    p: int,
-    q: int,
-    h: Optional[HermitianMetric] = None,
-) -> Matrix:
-    """The exact matrix of a named operator out of the (p, q) space: one
-    column per monomial of ``basis(n, p, q)``, one row per monomial of the
-    target, ``total_basis(n, p+q+1)`` for d and the shifted bidegree's
-    basis for the others (empty out of range).
-
-    Names: d, del, delbar, del_adj, delbar_adj, deldelbar; any other raises
-    ValueError.  The adjoints need a metric over the structure's n and are
-    cached per metric, the others per structure; bigraded operators need an
-    integrable structure (d does not).
-    """
-    return _single_matrix(name, s, p, q, h)
-
-
 def d_matrix_total(s: StructureEquations, k: int) -> Matrix:
     """d on the full degree-k space, in the canonical total-degree basis:
     the cached (p, q) blocks side by side, in ``total_basis`` order."""
-    return hstack([_single_matrix("d", s, p, q, None) for p, q in bidegrees_of_total(s.n, k)])
+    return hstack([operator_matrix("d", s, p, q) for p, q in bidegrees_of_total(s.n, k)])
 
 
 # -- quotient cohomologies ----------------------------------------------------
@@ -324,13 +315,13 @@ def _quotient(
 def _images(kind: str, s: StructureEquations, p: int, q: int) -> list[Matrix]:
     """The matrices whose columns span the (p, q) quotient's denominator."""
     shifts = [(op, *_OP_SHIFT[op]) for op in _theory(kind)["harmonic"][1]]
-    return [_single_matrix(op, s, p - a, q - b, None) for op, a, b in shifts if a <= p and b <= q]
+    return [operator_matrix(op, s, p - a, q - b) for op, a, b in shifts if a <= p and b <= q]
 
 
 def _bigraded_quotient(kind: str, s: StructureEquations, p: int, q: int) -> CohomologyGroup:
     """The Bott-Chern or Aeppli quotient, its dimension kept per structure
     (``s._quotient_dims``) for the harmonic guard."""
-    kernel_of = [_single_matrix(op, s, p, q, None) for op in _theory(kind)["harmonic"][0]]
+    kernel_of = [operator_matrix(op, s, p, q) for op in _theory(kind)["harmonic"][0]]
     group = _quotient(kind, s.n, p, q, basis(s.n, p, q), kernel_of, _images(kind, s, p, q))
     s._quotient_dims[kind, p, q] = group.dim
     return group
@@ -348,8 +339,8 @@ def aeppli_cohomology(s: StructureEquations, p: int, q: int) -> CohomologyGroup:
 
 def dolbeault_cohomology(s: StructureEquations, p: int, q: int) -> CohomologyGroup:
     """ker delbar / im delbar on (p, q)-forms."""
-    image_of = [_single_matrix("delbar", s, p, q - 1, None)] if q else []
-    kernel_of = [_single_matrix("delbar", s, p, q, None)]
+    image_of = [operator_matrix("delbar", s, p, q - 1)] if q else []
+    kernel_of = [operator_matrix("delbar", s, p, q)]
     return _quotient("dolbeault", s.n, p, q, basis(s.n, p, q), kernel_of, image_of)
 
 
@@ -358,7 +349,7 @@ def de_rham_cohomology(s: StructureEquations, k: int) -> CohomologyGroup:
     if not 0 <= k <= 2 * s.n:
         raise ValueError(f"degree {k} out of range for n={s.n}")
     # the columns of d on degree k-1 are those of its (p, q) blocks in turn
-    image_of = [_single_matrix("d", s, p, q, None) for p, q in bidegrees_of_total(s.n, k - 1)]
+    image_of = [operator_matrix("d", s, p, q) for p, q in bidegrees_of_total(s.n, k - 1)]
     return _quotient(
         "derham", s.n, k, -1, total_basis(s.n, k), [d_matrix_total(s, k)], image_of
     )
@@ -394,9 +385,9 @@ def harmonic_space(
     direct, starred = _theory(kind)["harmonic"]
     n = s.n
     width = len(basis(n, p, q))  # refuses a bidegree out of range
-    rows = [row for op in direct for row in _single_matrix(op, s, p, q, None).rows]
+    rows = [row for op in direct for row in operator_matrix(op, s, p, q).rows]
     for op in starred:
-        rows += h.adjoint_kernel_rows(_single_matrix(op, s, n - p, n - q, None), (p, q))
+        rows += h.adjoint_kernel_rows(operator_matrix(op, s, n - p, n - q), (p, q))
     space = kernel_basis(Matrix.sparse(rows, width))
     _harmonic_guard(kind, s, h, p, q, space)
     return space
@@ -414,7 +405,7 @@ def _harmonic_guard(
     harmonic space's."""
     if (kind, p, q) not in s._quotient_dims:
         (bc_cohomology if kind == "bc" else aeppli_cohomology)(s, p, q)
-    direct = [_single_matrix(op, s, p, q, None) for op in _theory(kind)["harmonic"][0]]
+    direct = [operator_matrix(op, s, p, q) for op in _theory(kind)["harmonic"][0]]
     columns = [c for m in _images(kind, s, p, q) for c in m.transpose().rows if c]
     if (
         space.dim != s._quotient_dims[kind, p, q]

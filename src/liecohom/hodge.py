@@ -58,8 +58,8 @@ The adjoints.  Let P be del or delbar with matrix M out of the
 with S the star matrix of (p, q) and S' that of (n-p', n-q'), the star
 back from P's target; the star is conjugate-linear, hence the conjugate.
 ``adjoint_matrix`` builds it whole with two Matrix products, only for
-``operator_matrix``, the decompositions and the tests' Laplacians, and
-each is kept once per metric (``cohomology._single_matrix``).
+``cohomology.operator_matrix``, which keeps each once per metric and which
+the decompositions and the tests' Laplacians read.
 
   * S' is invertible, so the adjoint's kernel is that of conj(M S), and
     so of conj(M N).  The harmonic spaces read those rows alone

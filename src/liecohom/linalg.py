@@ -36,29 +36,31 @@ free column's kernel vector has that column as its smallest key, with value
 1, and no other vector holds it.  Those vectors, by free column, are already
 the echelon rows of the null space, and nothing reduces them again.
 ``Subspace`` reduces any other rows once with ``rref`` and keeps the echelon
-rows, and ``Subspace.reduce`` and ``quotient_representatives`` walk the
-entries of those rows.  Since ``x - f*0 == x`` and ``x + 0 == x`` exactly
-and RREF is unique, the results are those of dense arithmetic.  Vectors
-are sparse rows everywhere: ``Matrix.apply`` and ``solve`` take and return
-a ``Row`` holding the nonzero coordinates only.
+rows.  Since ``x - f*0 == x`` and ``x + 0 == x`` exactly and RREF is
+unique, the results are those of dense arithmetic.  Vectors are sparse rows
+everywhere: ``Matrix.apply`` and ``solve`` take and return a ``Row``
+holding the nonzero coordinates only.
 
-``rref`` is the only elimination.  An echelon row is zero at every other
-pivot, so the entries of a span vector at the pivots are its coordinates:
-``Subspace.reduce`` subtracts those multiples of the rows.
-``quotient_representatives`` takes the raw image rows of a quotient, checks
-each one against the numerator with ``reduce`` and row-reduces their
-coordinates once; the span of the images is never reduced on its own.
+``rref`` is the only elimination; containment is a rebuild through the
+product.  An echelon row is 1 at its pivot and 0 at every other pivot, so a
+vector lies in the span exactly when its entries at the pivots, its
+coordinates, times the echelon rows give the vector back (``_coordinates``,
+one product for a whole batch).  ``Subspace.contains`` and
+``quotient_representatives`` share that check; the quotient takes the raw
+image rows, checks them against the numerator and row-reduces their
+coordinates once, so the span of the images is never reduced on its own.
 The operators are mostly zero on a bidegree, so known answers skip the
 work: a matrix with no nonzero row has the whole space (the unit rows) as
 kernel, no nonzero image keeps every numerator row, and against the whole
-space an image's residue is its entries outside ``range(ambient)``.
+space a vector is its own coordinates and lies in it exactly when its keys
+lie in ``range(ambient)``.
 
-``rref`` and ``Subspace.reduce`` update entries as canonical triples
-``(a, b, d)`` = (a + b*i)/d, read with ``scalars.parts`` when an update
-first reaches an entry.  Every update ``x - f*y``, pivot scaling included,
-runs in ``_subtract``: int products and one gcd per entry, an entry that
-cancels deleted.  Each updated entry becomes a Scalar once, through
-``from_parts``; entries no update reaches stay as they were.
+``rref`` updates entries as canonical triples ``(a, b, d)`` = (a + b*i)/d,
+read with ``scalars.parts`` when an update first reaches an entry.  Every
+update ``x - f*y``, pivot scaling included, runs in ``_subtract``: int
+products and one gcd per entry, an entry that cancels deleted.  Each
+updated entry becomes a Scalar once, through ``from_parts``; entries no
+update reaches stay as they were.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from collections import defaultdict
 from math import gcd
 from typing import Sequence
 
+from .errors import PreconditionError
 from .scalars import (
     ONE, ZERO, Scalar, common_denominator, format_scalar, from_parts, numerators, parts
 )
@@ -240,11 +243,6 @@ def _subtract(row: dict, fa: int, fb: int, fd: int, other: list) -> list[int]:
     return changed
 
 
-def _scalars(row: dict) -> Row:
-    """The row with each triple entry built into its Scalar."""
-    return {j: from_parts(*x) if type(x) is tuple else x for j, x in row.items()}
-
-
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (canonical RREF, pivot column
     indices).  The pivot rows come first, in pivot order, then the zero
@@ -294,7 +292,10 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
         pivots.append(c)
         pivot_rows.append(p)
         done.add(p)
-    echelon = [_scalars(rows[i]) if i in mine else rows[i] for i in pivot_rows]
+    # each updated entry becomes its Scalar once (the rows left over are empty)
+    for i in mine:
+        rows[i] = {j: from_parts(*x) if type(x) is tuple else x for j, x in rows[i].items()}
+    echelon = [rows[i] for i in pivot_rows]
     echelon += [{} for _ in range(matrix.nrows - len(pivots))]
     return Matrix.sparse(echelon, matrix.ncols), pivots
 
@@ -378,20 +379,8 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: Row) -> Row:
-        """Residue of v after elimination against the echelon basis: v minus
-        v[c] times the row of each pivot c, which is zero at every pivot."""
-        rows, index = self.rows, self._index
-        multiples = [
-            (rows[k], x) for c, x in v.items() if (k := index.get(c)) is not None
-        ]
-        v = dict(v)
-        for row, factor in multiples:
-            _subtract(v, *parts(factor), [(j, *parts(y)) for j, y in row.items()])
-        return _scalars(v)
-
     def contains(self, v: Row) -> bool:
-        return not self.reduce(v)
+        return _coordinates(self, [v])[1] is None
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -402,35 +391,50 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
 
+def _coordinates(space: Subspace, vectors: Sequence[Row]) -> tuple[list[Row], int | None]:
+    """The coordinates of each vector in the echelon rows of the space, the
+    coordinate of row k keyed m-1-k (m = space.dim), and the index of the
+    first vector not in the space, or None.
+
+    A vector's coordinates are its entries at the pivots, and it lies in
+    the space exactly when they rebuild it: one product for the batch.  The
+    whole space's rows are the unit rows, so there only the keys are
+    checked."""
+    m, index = space.dim, space._index
+    coords = [
+        {m - 1 - k: x for c, x in v.items() if (k := index.get(c)) is not None} for v in vectors
+    ]
+    if m == space.ambient:
+        # the unit rows rebuild a vector exactly when each of its keys is a pivot
+        missing = (i for i, (v, c) in enumerate(zip(vectors, coords)) if len(v) != len(c))
+    else:
+        rebuilt = Matrix.sparse(coords, m) @ Matrix.sparse(space.rows[::-1], space.ambient)
+        missing = (i for i, (v, w) in enumerate(zip(vectors, rebuilt.rows)) if v != w)
+    return coords, next(missing, None)
+
+
 def quotient_representatives(numerator: Subspace, images: Sequence[Row]) -> list[Row]:
     """Rows of the numerator's echelon basis completing the span of the
     image rows (sparse rows keyed in range(numerator.ambient)), from at most
     one ``rref``; the quotient's dimension is the length of the list.
 
-    Each nonzero image is reduced against the numerator: an image with a
-    residue raises PreconditionError with that image as the witness (the
-    whole space's rows are the unit rows, so there only the keys are
-    checked).  An image in the numerator is the sum of its entries at the
-    numerator's pivots times the matching rows, so those entries are its
-    coordinates, and one ``rref`` of the coordinates, if any, picks the
-    rows it does not reach.
+    The nonzero images are checked against the numerator together
+    (``_coordinates``): the first one not in it raises PreconditionError
+    as the witness.  One ``rref`` of their coordinates, if any, picks the
+    rows they do not reach.
     """
-    from .errors import PreconditionError
-
-    m, index = numerator.dim, numerator._index
-    whole = m == numerator.ambient
-    coords = []
-    for d in images:
-        if not d:
-            continue
-        if (min(d) < 0 or max(d) >= m) if whole else numerator.reduce(d):
-            entries = ", ".join(f"{j}: {format_scalar(x)}" for j, x in sorted(d.items()))
-            raise PreconditionError(
-                f"denominator is not contained in numerator; witness {{{entries}}}"
-            )
-        coords.append({m - 1 - index[c]: x for c, x in d.items() if c in index})
+    images = [d for d in images if d]
+    if not images:
+        return list(numerator.rows)
+    coords, missing = _coordinates(numerator, images)
+    if missing is not None:
+        entries = ", ".join(f"{j}: {format_scalar(x)}" for j, x in sorted(images[missing].items()))
+        raise PreconditionError(
+            f"denominator is not contained in numerator; witness {{{entries}}}"
+        )
     # numerator row k is in the span of the images and rows 0..k-1 exactly
     # when some image's last nonzero coordinate is at k; with coordinate k
     # in column m-1-k that is a pivot of one RREF
-    taken = {m - 1 - p for p in rref(Matrix.sparse(coords, m))[1]} if coords else ()
+    m = numerator.dim
+    taken = {m - 1 - p for p in rref(Matrix.sparse(coords, m))[1]}
     return [v for k, v in enumerate(numerator.rows) if k not in taken]

@@ -15,7 +15,7 @@ The triple stays private to this module; other code reads it only through
 ``parts``.  Two kernels compute on plain integers and build each result
 once with ``from_parts``: the product ``linalg.Matrix.__matmul__`` (inputs
 over a common denominator, via ``common_denominator`` and ``numerators``)
-and the eliminations ``linalg.rref`` and ``Subspace.reduce`` (triples).
+and the elimination ``linalg.rref`` (triples).
 """
 
 from __future__ import annotations

@@ -11,7 +11,6 @@ from liecohom.cohomology import (
     _clip,
     _harmonic_guard,
     _matrix_for,
-    _single_matrix,
     aeppli_cohomology,
     aeppli_laplacian_matrix,
     bc_cohomology,
@@ -105,8 +104,7 @@ def test_deldelbar_entry_matches_form_route():
                 want = _matrix_for(
                     form_route(s.del_delbar, n), n, _clip(n, p, q), _clip(n, p + 1, q + 1)
                 )
-                assert _single_matrix("deldelbar", s, p, q, None) == want, (s.name, p, q)
-                assert operator_matrix("deldelbar", s, p, q) == want
+                assert operator_matrix("deldelbar", s, p, q) == want, (s.name, p, q)
 
 
 def test_del_and_delbar_entries_match_form_route():
@@ -123,15 +121,14 @@ def test_del_and_delbar_entries_match_form_route():
                     src, dst = _clip(n, p, q), _clip(n, p + dp, q + dq)
                     if src and not s.flags.integrable:
                         for build in (
-                            lambda: _single_matrix(name, s, p, q, None),
+                            lambda: operator_matrix(name, s, p, q),
                             lambda: _matrix_for(form_route(op, n), n, src, dst),
                         ):
                             with pytest.raises(IntegrabilityError):
                                 build()
                         continue
                     want = _matrix_for(form_route(op, n), n, src, dst)
-                    assert _single_matrix(name, s, p, q, None) == want, (s.name, name, p, q)
-                    assert operator_matrix(name, s, p, q) == want
+                    assert operator_matrix(name, s, p, q) == want, (s.name, name, p, q)
 
 
 def test_cohomology_groups_never_call_the_form_level_differential(monkeypatch):
@@ -173,16 +170,21 @@ def test_bc_and_aeppli_build_each_deldelbar_product_once(monkeypatch):
     from liecohom.linalg import Matrix
 
     s = parse_structure("algebra heisenberg-4\ndim 4\nd f4 = f1^f2\n")
-    calls = []
+    builds = []
     matmul = Matrix.__matmul__
 
     def counting_matmul(a, b):
-        calls.append((a.shape, b.shape))
+        # a deldelbar build: a cached del times a cached delbar; other
+        # products (the containment checks) do not count
+        names = {id(m): key[0] for key, m in s._op_matrix_cache.items()}
+        if (names.get(id(a)), names.get(id(b))) == ("del", "delbar"):
+            builds.append((a.shape, b.shape))
         return matmul(a, b)
 
     monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
     full_report(s, groups=("bc", "a"))
-    assert len(calls) <= 25
+    cached = [key for key in s._op_matrix_cache if key[0] == "deldelbar"]
+    assert len(builds) == len(cached) <= 25
 
 
 def test_laplacian_needs_metric():
@@ -793,7 +795,7 @@ def test_each_guard_condition_refuses_a_space_the_other_two_pass():
                 rows = [
                     r
                     for op in starred
-                    for m in [_single_matrix(op, s, 4 - p, 4 - q, None)]
+                    for m in [operator_matrix(op, s, 4 - p, 4 - q)]
                     for r in h.adjoint_kernel_rows(m, (p, q))
                 ]
                 perp = kernel_basis(Matrix.sparse(rows, width))

@@ -12,7 +12,6 @@ from liecohom.cohomology import (
     _THEORIES,
     _clip,
     _matrix_for,
-    _single_matrix,
     chain_matrix,
     operator_matrix,
 )
@@ -444,7 +443,7 @@ def assert_tables_match_references(s, seed, count=3):
                 assert h.gram(p, q) == reference_gram(h, p, q)
                 assert h._star_matrix(p, q) == reference_star_matrix(h, p, q)
                 for name in ("del_adj", "delbar_adj"):
-                    got = _single_matrix(name, s, p, q, h)
+                    got = operator_matrix(name, s, p, q, h)
                     assert got == reference_adjoint_matrix(name, s, h, p, q)
 
 
@@ -558,7 +557,7 @@ def test_adjoint_kernel_rows_are_the_primitive_rows_of_m_times_the_star(name):
         for p in range(n + 1):
             for q in range(n + 1):
                 for op in ("del", "delbar", "deldelbar"):
-                    m = _single_matrix(op, s, n - p, n - q, None)
+                    m = operator_matrix(op, s, n - p, n - q)
                     want = reference_kernel_rows(h, m, p, q)
                     assert h.adjoint_kernel_rows(m, (p, q)) == want, (op, p, q)
                     compared += len(want)

@@ -16,7 +16,7 @@ from liecohom.linalg import (
     solve,
     vstack,
 )
-from liecohom.scalars import I, ONE, ZERO, Scalar, parts
+from liecohom.scalars import I, ONE, ZERO, Scalar, format_scalar, parts
 
 
 def _row(values):
@@ -202,6 +202,20 @@ def _quotient_reference(numerator, denominator):
     return reps
 
 
+def _reduce_reference(space, v):
+    """The residue of v in Scalar arithmetic over dense coordinates: v minus
+    v[c] times the echelon row of each pivot c, with v's entries at keys
+    outside range(ambient) kept.  v lies in the space exactly when it is
+    empty."""
+    out = [v.get(j, ZERO) for j in range(space.ambient)]
+    for row in space.rows:
+        factor = v.get(min(row), ZERO)
+        for j, y in row.items():
+            out[j] = out[j] - factor * y
+    outside = {j: x for j, x in v.items() if j not in range(space.ambient)}
+    return {j: x for j, x in enumerate(out) if x} | outside
+
+
 def _random_scalar(rng, density=1.0):
     if rng.random() >= density:
         return ZERO
@@ -216,7 +230,7 @@ def test_quotient_scales_residues_with_non_unit_leading_entry():
     # would fail to eliminate e2, which lies in the span
     numerator = Subspace(3, [_row([1, 0, 0]), _row([0, 1, 0]), _row([0, 0, 1])])
     denominator = Subspace(3, [_row([1, 2, 0])])
-    assert denominator.reduce(numerator.rows[0]) == _row([0, -2, 0])
+    assert _reduce_reference(denominator, numerator.rows[0]) == _row([0, -2, 0])
     reps = quotient_representatives(numerator, denominator.rows)
     assert reps == [_row([1, 0, 0]), _row([0, 0, 1])]
     assert reps == _quotient_reference(numerator, denominator)
@@ -252,7 +266,7 @@ def test_quotient_matches_rebuild_reference_on_random_pairs():
         seen_zero_denominator |= denominator.dim == 0
         seen_equal |= denominator == numerator
         seen_non_unit_residue |= any(
-            (r := denominator.reduce(v))[min(r)] != ONE for v in expected
+            (r := _reduce_reference(denominator, v))[min(r)] != ONE for v in expected
         )
     assert seen_zero_denominator and seen_equal and seen_non_unit_residue
 
@@ -330,10 +344,11 @@ def test_whole_space_quotient_matches_reference_and_reduces_nothing(monkeypatch)
     assert any(expected == [] for _, _, expected in cases)
     assert any(0 < len(expected) < n.dim for n, _, expected in cases)
 
-    def no_reduce(self, v):
-        raise AssertionError("reduced against a whole-space numerator")
+    def no_product(a, b):
+        raise AssertionError("a product against a whole-space numerator")
 
-    monkeypatch.setattr(linalg.Subspace, "reduce", no_reduce)
+    # the whole space's rows are the unit rows: only the keys are checked
+    monkeypatch.setattr(linalg.Matrix, "__matmul__", no_product)
     for numerator, images, expected in cases:
         assert quotient_representatives(numerator, images) == expected
 
@@ -347,7 +362,10 @@ def test_whole_space_numerator_refuses_keys_outside_its_range():
         ({-1: ONE}, "{-1: 1}"),
         ({1: I, 5: Scalar(2)}, "{1: 1i, 5: 2}"),
     ):
-        assert whole.reduce(image) == {j: x for j, x in image.items() if j not in range(3)}
+        assert _reduce_reference(whole, image) == {
+            j: x for j, x in image.items() if j not in range(3)
+        }
+        assert not whole.contains(image)
         with pytest.raises(PreconditionError) as info:
             quotient_representatives(whole, [{1: ONE}, image])
         assert str(info.value) == (
@@ -355,46 +373,87 @@ def test_whole_space_numerator_refuses_keys_outside_its_range():
         )
 
 
-def test_subspace_reduce_properties_on_random_sparse_subspaces():
-    rng = random.Random(20261019)
-    seen_member = seen_nonmember = False
-    for _ in range(80):
-        ambient = rng.randint(1, 8)
-        space = Subspace(
-            ambient,
-            [
-                _row([_random_scalar(rng, 0.3) for _ in range(ambient)])
-                for _ in range(rng.randint(0, ambient))
-            ],
-        )
-
-        def in_span(w):
-            # membership by an independent route: a rebuild keeps the dim
-            return Subspace(ambient, list(space.rows) + [w]).dim == space.dim
-
-        if rng.random() < 0.4 and space.dim:
-            # a combination of the basis rows, so a member
-            coeffs = [_random_scalar(rng, 0.7) for _ in space.rows]
-            v = {}
-            for c, row in zip(coeffs, space.rows):
-                for j, y in row.items():
-                    v[j] = v.get(j, ZERO) + c * y
-            v = {j: x for j, x in v.items() if x}
+def _random_subspaces(rng, count):
+    """Seeded (kind, Subspace) pairs: sparse and dense spans, the zero
+    space and the whole space, in turn."""
+    kinds = ("sparse", "dense", "zero", "whole")
+    for trial in range(count):
+        kind, ambient = kinds[trial % 4], rng.randint(1, 7)
+        if kind == "zero":
+            yield kind, Subspace(ambient)
+        elif kind == "whole":
+            yield kind, kernel_basis(Matrix.zeros(rng.randint(0, 2), ambient))
         else:
-            v = _row([_random_scalar(rng, 0.4) for _ in range(ambient)])
-        residue = space.reduce(v)
-        assert all(x for x in residue.values())
-        pivots = [min(row) for row in space.rows]
-        assert not any(c in residue for c in pivots)
-        difference = {
-            j: y for j in range(ambient) if (y := v.get(j, ZERO) - residue.get(j, ZERO))
-        }
-        assert in_span(difference)
-        member = space.contains(v)
-        assert member == in_span(v)
-        seen_member |= member and bool(v)
-        seen_nonmember |= not member
-    assert seen_member and seen_nonmember
+            density = 0.3 if kind == "sparse" else 1.0
+            rows = [
+                _row([_random_scalar(rng, density) for _ in range(ambient)])
+                for _ in range(rng.randint(1, ambient))
+            ]
+            yield kind, Subspace(ambient, rows)
+
+
+def _cancelling_member(rng, space):
+    """A combination of two echelon rows whose entries at a column they share
+    (not a pivot) cancel, so its rebuild sums to zero there; or None."""
+    shared = [
+        (r, s, j)
+        for k, r in enumerate(space.rows)
+        for s in space.rows[k + 1 :]
+        for j in sorted(r.keys() & s.keys())
+    ]
+    if not shared:
+        return None
+    r, s, j = rng.choice(shared)
+    a = _random_scalar(rng) or ONE
+    b = -a * r[j] / s[j]
+    keys = sorted(r.keys() | s.keys())
+    v = {k: x for k in keys if (x := a * r.get(k, ZERO) + b * s.get(k, ZERO))}
+    assert j not in v
+    return v
+
+
+def test_subspace_contains_matches_reference_on_random_subspaces():
+    rng = random.Random(20261019)
+    seen = set()
+    for kind, space in _random_subspaces(rng, 120):
+        ambient = space.ambient
+        member = _combination(rng, space.rows, ambient)
+        unit = {rng.randrange(ambient): ONE}
+        vectors = [
+            {},
+            member,
+            # a member plus a unit vector, in the space only when the unit is
+            {j: x for j in range(ambient) if (x := member.get(j, ZERO) + unit.get(j, ZERO))},
+            _row([_random_scalar(rng, 0.4) for _ in range(ambient)]),
+            # keys below 0 and at or above ambient are never in the space
+            {**member, -1 - rng.randrange(2): _random_scalar(rng) or ONE},
+            {**member, ambient + rng.randrange(2): _random_scalar(rng) or ONE},
+        ]
+        if (cancelling := _cancelling_member(rng, space)) is not None:
+            vectors.append(cancelling)
+            seen.add("cancelling")
+        for v in vectors:
+            contained = space.contains(v)
+            assert contained == (not _reduce_reference(space, v)), (kind, v)
+            if all(j in range(ambient) for j in v):
+                # membership by an independent route: a rebuild keeps the dim
+                assert contained == (Subspace(ambient, list(space.rows) + [v]).dim == space.dim)
+            seen.add((kind, contained and bool(v)))
+        # the quotient's witness is the first nonzero image not in the space
+        # (the vectors with keys out of range never are), after any number
+        # of zero and contained images
+        images = [{}, member] + rng.sample(vectors, len(vectors))
+        witness = next(v for v in images if _reduce_reference(space, v))
+        with pytest.raises(PreconditionError) as info:
+            quotient_representatives(space, images)
+        entries = ", ".join(f"{j}: {format_scalar(x)}" for j, x in sorted(witness.items()))
+        assert str(info.value) == (
+            f"denominator is not contained in numerator; witness {{{entries}}}"
+        )
+        if member and images.index(witness) > 1:
+            seen.add("witness after a member")
+    assert {(kind, c) for kind in ("sparse", "dense", "whole") for c in (True, False)} <= seen
+    assert {("zero", False), "cancelling", "witness after a member"} <= seen
 
 
 # -- rref and kernel_basis against an independent oracle (sympy, test-only) -----
@@ -826,17 +885,6 @@ def _assert_canonical_entries(row, size):
         assert (a or b) and d > 0 and gcd(a, b, d) == 1, (j, a, b, d)
 
 
-def _reduce_reference(space, v):
-    """Reference for ``Subspace.reduce`` in Scalar arithmetic over dense
-    coordinates: v minus v[c] times the echelon row of each pivot c."""
-    out = [v.get(j, ZERO) for j in range(space.ambient)]
-    for row in space.rows:
-        factor = v.get(min(row), ZERO)
-        for j, y in row.items():
-            out[j] = out[j] - factor * y
-    return {j: x for j, x in enumerate(out) if x}
-
-
 def _rank_reference(rows, ambient):
     """Rank by dense Gaussian elimination in Scalar arithmetic."""
     work = [[r.get(j, ZERO) for j in range(ambient)] for r in rows]
@@ -878,7 +926,7 @@ def _combination(rng, rows, ambient):
     )
 
 
-def test_reduce_contains_and_quotients_match_scalar_reference_on_dense_rows():
+def test_contains_and_quotients_match_scalar_reference_on_dense_rows():
     rng = random.Random(20261021)
     seen = set()
     for trial in range(30):
@@ -892,11 +940,9 @@ def test_reduce_contains_and_quotients_match_scalar_reference_on_dense_rows():
             j: x for j in range(ambient) if (x := member.get(j, ZERO) + unit.get(j, ZERO))
         }
         for v in (member, shifted, *_dense_rows(rng, 2, ambient, trial % 2 == 0)):
-            residue = space.reduce(v)
-            assert residue == _reduce_reference(space, v), trial
-            _assert_canonical_entries(residue, ambient)
+            residue = _reduce_reference(space, v)
             in_span = _rank_reference(gens + [v], ambient) == space.dim
-            assert space.contains(v) == (not residue) == in_span
+            assert space.contains(v) == (not residue) == in_span, trial
             if v and len(residue) < len(v):
                 seen.add("cancelled" if residue else "member")
         numerator = Subspace(ambient, gens + _dense_rows(rng, 1, ambient, False))
@@ -908,14 +954,12 @@ def test_reduce_contains_and_quotients_match_scalar_reference_on_dense_rows():
     assert {"member", "cancelled"} <= seen
 
 
-def test_rref_and_reduce_build_no_scalar_per_update(monkeypatch):
-    # the updates run on integer triples: a dense elimination and a dense
-    # residue call none of Scalar's arithmetic
+def test_rref_builds_no_scalar_per_update(monkeypatch):
+    # the updates run on integer triples: a dense elimination calls none of
+    # Scalar's arithmetic
     rng = random.Random(49)
     m = dense([[_random_scalar(rng) for _ in range(9)] for _ in range(7)])
-    space = Subspace(9, m.rows[:4])
-    v = _row([_random_scalar(rng) for _ in range(9)])
-    expected = (rref(m), space.reduce(v))
+    expected = rref(m)
     calls = []
     names = ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__")
     for name in names + ("__truediv__", "__rtruediv__", "__neg__"):
@@ -923,8 +967,8 @@ def test_rref_and_reduce_build_no_scalar_per_update(monkeypatch):
         monkeypatch.setattr(
             Scalar, name, lambda *args, f=original, name=name: calls.append(name) or f(*args)
         )
-    got = (rref(m), space.reduce(v))
+    got = rref(m)
     monkeypatch.undo()
     assert calls == []
     assert got == expected
-    assert expected[0][1] and expected[1]  # both did work
+    assert expected[1]  # it did work

@@ -173,6 +173,31 @@ def _attribute_reads(node, enclosing=()):
         yield from _attribute_reads(child, enclosing)
 
 
+def _name_reads(node, enclosing=()):
+    """(name, enclosing definitions) for each bare ``name`` and each
+    ``x.name`` in the tree."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing = enclosing + (node,)
+    if isinstance(node, ast.Name):
+        yield node.id, enclosing
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, enclosing
+    for child in ast.iter_child_nodes(node):
+        yield from _name_reads(child, enclosing)
+
+
+def test_only_rref_calls_the_row_update():
+    # rref is the one elimination: the integer-triple row update is read
+    # inside it only, so a second residue loop cannot quietly return
+    sites = [
+        (path.name, [node.name for node in enclosing])
+        for path in SOURCES
+        for name, enclosing in _name_reads(ast.parse(path.read_text(encoding="utf-8")))
+        if name == "_subtract"
+    ]
+    assert sites and all(s == ("linalg.py", ["rref"]) for s in sites)
+
+
 def test_every_matrix_attribute_is_used_by_the_engine():
     # linalg.Matrix carries no surface the engine does not call: each
     # non-dunder method, property and slot is read as ``x.name`` somewhere
