@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,7 +36,7 @@ from .errors import (
     ParseError,
 )
 from .exterior import BasisMonomial, Form, monomial_wedge
-from .linalg import Row, Subspace
+from .linalg import Matrix, Row, Subspace
 from .scalars import ONE, ZERO, Scalar, format_scalar
 
 
@@ -81,11 +82,15 @@ class StructureEquations:
                 raise JacobiViolation(
                     f"Jacobi violation: d(d f{k}) != 0 for generator f{k}", generator=k
                 )
-        table = self._bracket_table()
+        ad = self._ad_matrices()
         self.flags = AlgebraFlags(
             integrable=self._compute_integrable(),
-            unimodular=self._compute_unimodular(table),
-            nilpotent=self._compute_nilpotent(table),
+            # tr ad(e_c), over the diagonal entries that are stored
+            unimodular=not any(
+                sum((row[b] for b, row in enumerate(m.rows) if b in row), ZERO)
+                for m in ad.values()
+            ),
+            nilpotent=self._compute_nilpotent(ad),
         )
 
     # -- differential -----------------------------------------------------
@@ -187,47 +192,32 @@ class StructureEquations:
     # The brackets are read off the equations: a canonical monomial of
     # degree 2 has its factors at basis indices a < b (f_i -> i-1 before
     # F_j -> n+j-1), it evaluates to 1 on (e_a, e_b), so a term c*m of
-    # d e^k gives [e_a, e_b]_k = -c.  Antisymmetry ([e_b, e_a] = -[e_a, e_b],
-    # [e_a, e_a] = 0) supplies the rest, so the table keeps only a < b.
+    # d e^k gives [e_a, e_b]_k = -c and [e_b, e_a]_k = c.  Both flags read
+    # the matrices ad(e_c), whose row b is [e_c, e_b]: unimodular when every
+    # trace is zero, nilpotent when the lower central series reaches zero.
 
-    def _bracket_table(self) -> dict[tuple[int, int], Row]:
-        """The nonzero brackets [e_a, e_b], a < b, over the 2n basis vectors,
-        each as a sparse row {k: [e_a, e_b]_k}."""
-        table: dict[tuple[int, int], Row] = {}
+    def _ad_matrices(self) -> dict[int, Matrix]:
+        """ad(e_c) for each basis vector e_c with a nonzero bracket, keyed c;
+        row b is [e_c, e_b] as a sparse row {k: [e_c, e_b]_k}.  Each entry is
+        written by exactly one term of the equations."""
+        dim = 2 * self.n
+        rows: defaultdict[int, list[Row]] = defaultdict(lambda: [{} for _ in range(dim)])
         for k, g in enumerate(self.dgen + self.dgen_conj):
             for mono, coeff in g.terms.items():
                 a, b = [i - 1 for i in mono.holo] + [self.n + j - 1 for j in mono.anti]
-                table.setdefault((a, b), {})[k] = -coeff
-        return table
+                rows[a][b][k] = -coeff
+                rows[b][a][k] = coeff
+        return {c: Matrix.sparse(r, dim) for c, r in rows.items()}
 
-    def _compute_unimodular(self, table: dict) -> bool:
-        # tr ad(e_a) = sum_b [e_a, e_b]_b; entry (a, b) adds to a's trace
-        # and, as [e_b, e_a] = -[e_a, e_b], subtracts from b's
-        trace = [ZERO] * (2 * self.n)
-        for (a, b), v in table.items():
-            trace[a] = trace[a] + v.get(b, ZERO)
-            trace[b] = trace[b] - v.get(a, ZERO)
-        return not any(trace)
-
-    def _compute_nilpotent(self, table: dict) -> bool:
+    def _compute_nilpotent(self, ad: dict[int, Matrix]) -> bool:
         dim = 2 * self.n
-        layer = Subspace(dim, list(table.values()))
+        # [g, g] is spanned by the rows b > c of the ad(e_c), the others
+        # being their negatives; row i of v @ ad(e_c) is [e_c, v_i], so the
+        # rows of those products span [g, layer]
+        layer = Subspace(dim, [row for c, m in ad.items() for row in m.rows[c + 1 :] if row])
         while layer.dim:
-            images = []
-            for v in layer.rows:
-                # row c is [e_c, v] = sum_b v_b [e_c, e_b]: entry (a, b) adds
-                # v_b w to row a and, by antisymmetry, -v_a w to row b
-                ad: list[Row] = [{} for _ in range(dim)]
-                for (a, b), w in table.items():
-                    for c, f in ((a, v.get(b, ZERO)), (b, -v.get(a, ZERO))):
-                        if f:
-                            row = ad[c]
-                            for j, y in w.items():
-                                z = row.pop(j, ZERO) + f * y
-                                if z:
-                                    row[j] = z
-                images.extend(row for row in ad if row)
-            next_layer = Subspace(dim, images)
+            v = Matrix.sparse(layer.rows, dim)
+            next_layer = Subspace(dim, [row for m in ad.values() for row in (v @ m).rows if row])
             if next_layer.dim == layer.dim:
                 return False  # lower central series stabilized above zero
             layer = next_layer
@@ -330,54 +320,84 @@ def _too_long(tok: _Token) -> ParseError:
 
 
 def _parse_scalar_atom(ts: _TokenStream, allow_sign: bool = True) -> Scalar:
-    tok = ts.peek()
-    if tok is None:
-        raise ParseError("expected a scalar", ts.line, ts._end_col())
-    sign = ONE
-    if allow_sign and tok.kind in ("+", "-"):
-        ts.next()
-        if tok.kind == "-":
-            sign = -ONE
+    """One COEF, with an optional leading sign when `allow_sign`.  A '('
+    opens a group, a sum of signed COEFs up to its ')'; the open groups are
+    kept on a stack, so nesting depth costs no recursion."""
+    groups: list[tuple[Scalar, _Token, Scalar]] = []  # (sign, '(' token, sum so far)
+    while True:
         tok = ts.peek()
         if tok is None:
-            raise ParseError("dangling sign", ts.line, ts._end_col())
-    if tok.kind == "num":
+            raise ParseError("expected a scalar", ts.line, ts._end_col())
+        sign = ONE
+        if allow_sign and tok.kind in ("+", "-"):
+            ts.next()
+            if tok.kind == "-":
+                sign = -ONE
+            tok = ts.peek()
+            if tok is None:
+                raise ParseError("dangling sign", ts.line, ts._end_col())
+        allow_sign = True
+        if tok.kind == "(":
+            ts.next()
+            groups.append((sign, tok, ZERO))
+            continue
+        if tok.kind == "num":
+            value = sign * _parse_rational(tok)
+        elif tok.kind == "imagnum":
+            value = sign * Scalar(0, _parse_rational(tok).re)
+        elif tok.kind == "word" and tok.text == "i":
+            value = sign * Scalar(0, 1)
+        else:
+            raise ParseError(f"expected a scalar, found {tok.text!r}", tok.line, tok.col)
         ts.next()
-        return sign * _parse_rational(tok)
-    if tok.kind == "imagnum":
-        ts.next()
-        return sign * Scalar(0, _parse_rational(tok).re)
-    if tok.kind == "word" and tok.text == "i":
-        ts.next()
-        return sign * Scalar(0, 1)
-    if tok.kind == "(":
-        ts.next()
-        total = _parse_scalar_atom(ts, allow_sign=True)
-        while True:
+        # add the value to the innermost group; each ')' closes one group,
+        # whose signed sum is added to the next one out
+        while groups:
+            sign, open_tok, total = groups.pop()
+            total = total + value
             nxt = ts.peek()
             if nxt is None:
-                raise ParseError("unclosed '(' in scalar", tok.line, tok.col)
-            if nxt.kind == ")":
-                ts.next()
-                return sign * total
+                raise ParseError("unclosed '(' in scalar", open_tok.line, open_tok.col)
             if nxt.kind in ("+", "-"):
-                total = total + _parse_scalar_atom(ts, allow_sign=True)
-            else:
-                raise ParseError(
-                    f"unexpected {nxt.text!r} inside scalar", nxt.line, nxt.col
-                )
-    raise ParseError(f"expected a scalar, found {tok.text!r}", tok.line, tok.col)
+                groups.append((sign, open_tok, total))
+                break
+            if nxt.kind != ")":
+                raise ParseError(f"unexpected {nxt.text!r} inside scalar", nxt.line, nxt.col)
+            ts.next()
+            value = sign * total
+        else:
+            return value
+
+
+_GENERATOR_RE = re.compile(r"([fF])(\d+)")
+
+
+def _generator(tok: Optional[_Token], n: int, letters: str = "fF") -> Optional[tuple[str, int]]:
+    """(letter, index) of a generator token fJ or FJ whose letter is one of
+    `letters`, or None for any other token; an index too long for int() or
+    outside 1..n is a ParseError at the token."""
+    m = _GENERATOR_RE.fullmatch(tok.text) if tok is not None and tok.kind == "word" else None
+    if m is None or m.group(1) not in letters:
+        return None
+    digits = m.group(2)
+    try:
+        idx = int(digits)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(
+            f"generator index too long ({len(digits)} digits)", tok.line, tok.col
+        ) from None
+    if not (1 <= idx <= n):
+        raise ParseError(f"generator index {idx} out of 1..{n}", tok.line, tok.col)
+    return m.group(1), idx
 
 
 def _parse_generator(ts: _TokenStream, n: int) -> Form:
     tok = ts.expect("word")
-    m = re.fullmatch(r"([fF])(\d+)", tok.text)
-    if m is None:
+    gen = _generator(tok, n)
+    if gen is None:
         raise ParseError(f"expected a generator fJ or FJ, found {tok.text!r}", tok.line, tok.col)
-    idx = int(m.group(2))
-    if not (1 <= idx <= n):
-        raise ParseError(f"generator index {idx} out of 1..{n}", tok.line, tok.col)
-    if m.group(1) == "f":
+    letter, idx = gen
+    if letter == "f":
         return Form.monomial(n, [idx], [])
     return Form.monomial(n, [], [idx])
 
@@ -393,17 +413,8 @@ def _parse_monomial(ts: _TokenStream, n: int) -> Form:
             return out
 
 
-def _starts_generator(tok: Optional[_Token]) -> bool:
-    return (
-        tok is not None
-        and tok.kind == "word"
-        and re.fullmatch(r"[fF]\d+", tok.text) is not None
-    )
-
-
 def _parse_term(ts: _TokenStream, n: int) -> Form:
-    tok = ts.peek()
-    if _starts_generator(tok):
+    if _generator(ts.peek(), n) is not None:
         return _parse_monomial(ts, n)
     coeff = _parse_scalar_atom(ts, allow_sign=False)
     nxt = ts.peek()
@@ -572,16 +583,14 @@ def parse_lie(text: str, name: Optional[str] = None) -> LieFile:
             if n is None:
                 raise ParseError("dim must be declared before equations", head.line, head.col)
             gen_tok = ts.expect("word")
-            m = re.fullmatch(r"f(\d+)", gen_tok.text)
-            if m is None:
+            gen = _generator(gen_tok, n, letters="f")
+            if gen is None:
                 raise ParseError(
                     f"only holomorphic generators fK may be assigned, found {gen_tok.text!r}",
                     gen_tok.line,
                     gen_tok.col,
                 )
-            k = int(m.group(1))
-            if not (1 <= k <= n):
-                raise ParseError(f"generator index {k} out of 1..{n}", gen_tok.line, gen_tok.col)
+            k = gen[1]
             if k in equations:
                 raise ParseError(f"duplicate definition of d f{k}", gen_tok.line, gen_tok.col)
             ts.expect("=")

@@ -354,9 +354,7 @@ def check_skt_family(seed: int = DEFAULT_SEED) -> CheckResult:
             )
         if condition:
             satisfied += 1
-            f1f2 = Form.monomial(3, [1, 2], [])
-            v = form_to_row(f1f2, basis(3, 2, 0))
-            if not closed_p0_space(s, 2).contains(v):
+            if not _f1f2_closed(s):
                 return CheckResult(
                     "skt-family", False, f"f1^f2 not closed at {nums}"
                 )

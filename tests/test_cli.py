@@ -47,6 +47,36 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert "line 3" in err
 
 
+@pytest.mark.parametrize(
+    "equation, col",
+    [("d f1 = f" + "1" * 5000 + "^f2", 8), ("d f" + "1" * 5000 + " = f1^f2", 3)],
+    ids=["factor", "assigned"],
+)
+def test_parse_overlong_generator_index_exit_2(tmp_path, capsys, equation, col):
+    path = tmp_path / "long.lie"
+    path.write_text(f"algebra long\ndim 2\n{equation}\n")
+    code, out, err = run(capsys, "parse", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: line 3, col {col}: generator index too long")
+    assert "Traceback" not in err
+
+
+def test_parse_deeply_nested_scalars(tmp_path, capsys):
+    nest = "(" * 3000 + "{}" + ")" * 3000
+    path = tmp_path / "nested.lie"
+    path.write_text(
+        f"algebra nested\ndim 3\nd f3 = {nest.format('1/2')}*f1^f2\n"
+        f"metric hermitian\n{nest.format(2)} 0 0\n0 1 0\n0 0 1\n"
+    )
+    code, out, _ = run(capsys, "parse", str(path))
+    assert code == 0
+    assert "d f3 = 1/2*f1^f2\n" in out and "metric hermitian\n  2  0  0\n" in out
+    path.write_text(f"algebra nested\ndim 3\nd f3 = {nest.format('1/2')[:-1]}*f1^f2\n")
+    code, out, err = run(capsys, "parse", str(path))
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 3, col 6010: unexpected '*' inside scalar\n"
+
+
 @pytest.mark.parametrize("dim", ["257", "99999999999999999999"])
 def test_parse_refuses_a_dim_above_the_ceiling_at_once(tmp_path, capsys, dim):
     # one zero form per generator would be built before anything else failed

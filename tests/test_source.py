@@ -198,6 +198,22 @@ def test_only_rref_calls_the_row_update():
     assert sites and all(s == ("linalg.py", ["rref"]) for s in sites)
 
 
+def test_only_linalg_sums_sparse_rows_by_hand():
+    # the sparse-row accumulation ``row.pop(key, ZERO) + ...`` lives in
+    # linalg; anywhere else a row sum is a product or a Subspace of linalg's
+    sites = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for folder in ("src", "perfbench", "demos")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _calls(node, "pop")
+        and len(node.args) == 2
+        and isinstance(node.args[1], ast.Name)
+        and node.args[1].id == "ZERO"
+    ]
+    assert sites and all(site.startswith("src/liecohom/linalg.py:") for site in sites)
+
+
 def test_every_matrix_attribute_is_used_by_the_engine():
     # linalg.Matrix carries no surface the engine does not call: each
     # non-dunder method, property and slot is read as ``x.name`` somewhere

@@ -458,17 +458,17 @@ def test_bracket_table_and_flags_match_reference_route():
     seen = set()
     for s in structures:
         dim = 2 * s.n
-        table = s._bracket_table()
-        assert all(a < b and v and all(v.values()) for (a, b), v in table.items()), s.name
+        ad = s._ad_matrices()
         brackets = {(a, b): _ref_bracket(s, a, b) for a in range(dim) for b in range(dim)}
-        for (a, b), want in brackets.items():
-            if (a, b) in table:
-                got = tuple(table[a, b].get(k, ZERO) for k in range(dim))
-            elif (b, a) in table:
-                got = tuple(-table[b, a].get(k, ZERO) for k in range(dim))
-            else:
-                got = (ZERO,) * dim
-            assert got == want, (s.name, render_structure(s), a, b)
+        # ad(e_c) exists exactly when some bracket with e_c is nonzero, and
+        # it stores nonzero entries only
+        assert set(ad) == {a for (a, _), v in brackets.items() if any(v)}, s.name
+        for m in ad.values():
+            assert m.shape == (dim, dim) and all(all(row.values()) for row in m.rows), s.name
+        for (c, b), want in brackets.items():
+            row = ad[c].rows[b] if c in ad else {}
+            got = tuple(row.get(k, ZERO) for k in range(dim))
+            assert got == want, (s.name, render_structure(s), c, b)
         unimodular, nilpotent = _ref_flags(brackets, dim)
         assert (s.flags.unimodular, s.flags.nilpotent) == (unimodular, nilpotent), (
             render_structure(s)
@@ -589,11 +589,54 @@ def test_parsers_fuzzed_over_the_token_alphabet():
         (parse_scalar, "1/" + "1" * 5000),
         (parse_lie, "algebra a\ndim " + "1" * 5000),
         (parse_lie, "algebra a\ndim 2\nd f2 = " + "3" * 5000 + "*f1^F1"),
+        (parse_lie, "algebra a\ndim 2\nd f1 = f" + "1" * 5000 + "^f2"),
+        (parse_lie, "algebra a\ndim 2\nd f" + "1" * 5000 + " = f1^f2"),
+        (lambda text: parse_form_expr(text, 2), "F" + "9" * 5000),
     ],
-    ids=["integer", "denominator", "dim", "coefficient"],
+    ids=["integer", "denominator", "dim", "coefficient", "factor index", "assigned index",
+         "expression index"],
 )
 def test_overlong_numbers_are_parse_errors(parse, text):
     # more digits than int() converts: a positioned ParseError, no ValueError
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.line is not None and "too long" in str(err.value)
+
+
+def test_a_conjugate_generator_is_never_assigned_however_long_its_index():
+    # the letter is checked before the index is converted
+    with pytest.raises(ParseError, match="only holomorphic generators fK may be assigned"):
+        parse_lie("algebra a\ndim 2\nd F" + "1" * 5000 + " = f1^f2")
+
+
+def _nested(text, depth):
+    return "(" * depth + text + ")" * depth
+
+
+@pytest.mark.parametrize("text", ["1", "-1/2", "(1/2-3i)", "-i", "(2 - (3i) + (1/3))", "+(-1)"])
+def test_deeply_nested_scalars_parse_to_their_value(text):
+    # a parenthesized group costs no recursion, so nesting has no depth limit
+    want = parse_scalar(text)
+    assert parse_scalar(_nested(text, 3000)) == want
+    assert parse_scalar("-" + _nested(text, 3000)) == -want
+    assert parse_scalar("(" + _nested(text, 3000) + "+" + _nested(text, 2999) + ")") == want + want
+    lie = parse_lie(f"algebra a\ndim 3\nd f3 = {_nested(text, 3000)}*f1^f2\n")
+    assert lie.structure.dgen[2] == parse_form_expr(f"{text}*f1^f2", 3)
+    metric = parse_metric(f"{_nested('2', 3000)} 0\n0 {_nested('1', 3000)}\n", 2)
+    assert metric.entries == ((Scalar(2), ZERO), (ZERO, ONE))
+
+
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        (_nested("1", 3000)[:-1], "unclosed '(' in scalar", 1),
+        (_nested("1", 3000) + ")", "trailing input ')'", 6002),
+        (_nested("1 x", 3000), "unexpected 'x' inside scalar", 3003),
+        ("(" * 3000 + ")" * 3000, "expected a scalar, found ')'", 3001),
+    ],
+    ids=["unclosed", "extra close", "stray word", "empty"],
+)
+def test_deeply_nested_malformed_scalars_are_positioned_parse_errors(text, message, col):
+    with pytest.raises(ParseError) as err:
+        parse_scalar(text)
+    assert (err.value.line, err.value.col) == (1, col) and message in str(err.value)
