@@ -19,6 +19,10 @@ Grammar (UTF-8, line oriented, `#` starts a comment):
     MONO  := GEN ('^' GEN)*          GEN := fJ | FJ   (FJ = conjugate)
     COEF  := '(' A [('+'|'-') B 'i'] ')' | A | B'i' | 'i'
              with A, B rationals like -1/2   (so `1/2i` means (1/2)*i)
+
+Numbers (N, J, K, A, B) are written in the ASCII digits 0-9.  Outside a
+comment, a character that starts no token, a Unicode digit such as `١`
+included, is a ParseError "unexpected character" at its column.
 """
 
 from __future__ import annotations
@@ -232,10 +236,10 @@ class StructureEquations:
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<num>\d+(?:/\d+)?i?)
+    r"""(?P<num>[0-9]+(?:/[0-9]+)?i?)
       | (?P<word>[A-Za-z][A-Za-z0-9_]*)
       | (?P<sym>[-+*^()=])
+      | (?P<other>\S)
     """,
     re.VERBOSE,
 )
@@ -243,7 +247,7 @@ _TOKEN_RE = re.compile(
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # 'num', 'imagnum', 'word', or the symbol itself
+    kind: str  # 'num', 'word', or the symbol itself
     text: str
     line: int
     col: int
@@ -251,25 +255,11 @@ class _Token:
 
 def _tokenize_line(text: str, line_no: int) -> list[_Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
-        pos = m.end()
-        if m.lastgroup == "ws":
-            continue
-        col = m.start() + 1
-        if m.lastgroup == "num":
-            raw = m.group()
-            if raw.endswith("i"):
-                tokens.append(_Token("imagnum", raw[:-1], line_no, col))
-            else:
-                tokens.append(_Token("num", raw, line_no, col))
-        elif m.lastgroup == "word":
-            tokens.append(_Token("word", m.group(), line_no, col))
-        else:
-            tokens.append(_Token(m.group(), m.group(), line_no, col))
+    for m in _TOKEN_RE.finditer(text):  # blanks match no group and are skipped
+        if m.lastgroup == "other":
+            raise ParseError(f"unexpected character {m.group()!r}", line_no, m.start() + 1)
+        kind = m.group() if m.lastgroup == "sym" else m.lastgroup
+        tokens.append(_Token(kind, m.group(), line_no, m.start() + 1))
     return tokens
 
 
@@ -304,11 +294,12 @@ class _TokenStream:
         return self.tokens[-1].col + len(self.tokens[-1].text) if self.tokens else 1
 
 
-def _parse_rational(tok: _Token) -> Scalar:
-    from fractions import Fraction
-
+def _number(tok: _Token) -> Scalar:
+    """The value of a `num` token or of the word 'i': its rational, times i
+    when the text ends in 'i' (a bare 'i' is 1*i)."""
+    rational = tok.text.removesuffix("i") or "1"
     try:
-        return Scalar(Fraction(tok.text))
+        return Scalar(rational) if rational == tok.text else Scalar(0, rational)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {tok.text!r}", tok.line, tok.col) from None
     except ValueError:  # more digits than int() converts
@@ -319,37 +310,35 @@ def _too_long(tok: _Token) -> ParseError:
     return ParseError(f"number too long ({len(tok.text)} characters)", tok.line, tok.col)
 
 
+def _sign(ts: _TokenStream) -> Optional[Scalar]:
+    """Consume an optional '+' or '-': ONE or -ONE, or None if there is none."""
+    tok = ts.peek()
+    if tok is None or tok.kind not in ("+", "-"):
+        return None
+    ts.next()
+    return ONE if tok.kind == "+" else -ONE
+
+
 def _parse_scalar_atom(ts: _TokenStream, allow_sign: bool = True) -> Scalar:
     """One COEF, with an optional leading sign when `allow_sign`.  A '('
     opens a group, a sum of signed COEFs up to its ')'; the open groups are
     kept on a stack, so nesting depth costs no recursion."""
     groups: list[tuple[Scalar, _Token, Scalar]] = []  # (sign, '(' token, sum so far)
     while True:
+        sign = _sign(ts) if allow_sign else None
+        allow_sign = True
         tok = ts.peek()
         if tok is None:
-            raise ParseError("expected a scalar", ts.line, ts._end_col())
-        sign = ONE
-        if allow_sign and tok.kind in ("+", "-"):
-            ts.next()
-            if tok.kind == "-":
-                sign = -ONE
-            tok = ts.peek()
-            if tok is None:
-                raise ParseError("dangling sign", ts.line, ts._end_col())
-        allow_sign = True
+            message = "expected a scalar" if sign is None else "dangling sign"
+            raise ParseError(message, ts.line, ts._end_col())
+        ts.next()
+        sign = sign or ONE
         if tok.kind == "(":
-            ts.next()
             groups.append((sign, tok, ZERO))
             continue
-        if tok.kind == "num":
-            value = sign * _parse_rational(tok)
-        elif tok.kind == "imagnum":
-            value = sign * Scalar(0, _parse_rational(tok).re)
-        elif tok.kind == "word" and tok.text == "i":
-            value = sign * Scalar(0, 1)
-        else:
+        if tok.kind != "num" and tok.text != "i":
             raise ParseError(f"expected a scalar, found {tok.text!r}", tok.line, tok.col)
-        ts.next()
+        value = sign * _number(tok)
         # add the value to the innermost group; each ')' closes one group,
         # whose signed sum is added to the next one out
         while groups:
@@ -369,7 +358,7 @@ def _parse_scalar_atom(ts: _TokenStream, allow_sign: bool = True) -> Scalar:
             return value
 
 
-_GENERATOR_RE = re.compile(r"([fF])(\d+)")
+_GENERATOR_RE = re.compile(r"([fF])([0-9]+)")
 
 
 def _generator(tok: Optional[_Token], n: int, letters: str = "fF") -> Optional[tuple[str, int]]:
@@ -391,26 +380,23 @@ def _generator(tok: Optional[_Token], n: int, letters: str = "fF") -> Optional[t
     return m.group(1), idx
 
 
-def _parse_generator(ts: _TokenStream, n: int) -> Form:
-    tok = ts.expect("word")
-    gen = _generator(tok, n)
-    if gen is None:
-        raise ParseError(f"expected a generator fJ or FJ, found {tok.text!r}", tok.line, tok.col)
-    letter, idx = gen
-    if letter == "f":
-        return Form.monomial(n, [idx], [])
-    return Form.monomial(n, [], [idx])
-
-
 def _parse_monomial(ts: _TokenStream, n: int) -> Form:
-    out = _parse_generator(ts, n)
+    """GEN ('^' GEN)*: the wedge of the generators in the order written."""
+    out = None
     while True:
+        tok = ts.expect("word")
+        gen = _generator(tok, n)
+        if gen is None:
+            raise ParseError(
+                f"expected a generator fJ or FJ, found {tok.text!r}", tok.line, tok.col
+            )
+        letter, idx = gen
+        factor = Form.monomial(n, [idx], []) if letter == "f" else Form.monomial(n, [], [idx])
+        out = factor if out is None else out.wedge(factor)
         tok = ts.peek()
-        if tok is not None and tok.kind == "^":
-            ts.next()
-            out = out.wedge(_parse_generator(ts, n))
-        else:
+        if tok is None or tok.kind != "^":
             return out
+        ts.next()
 
 
 def _parse_term(ts: _TokenStream, n: int) -> Form:
@@ -426,24 +412,15 @@ def _parse_term(ts: _TokenStream, n: int) -> Form:
 
 def _parse_expr(ts: _TokenStream, n: int) -> Form:
     out = Form.zero(n)
-    sign = ONE
-    tok = ts.peek()
-    if tok is not None and tok.kind in ("+", "-"):
-        ts.next()
-        if tok.kind == "-":
-            sign = -ONE
+    sign = _sign(ts) or ONE
     while True:
         out = out + _parse_term(ts, n).scale(sign)
         tok = ts.peek()
         if tok is None:
             return out
-        if tok.kind == "+":
-            sign = ONE
-        elif tok.kind == "-":
-            sign = -ONE
-        else:
+        sign = _sign(ts)
+        if sign is None:
             raise ParseError(f"expected '+', '-' or end, found {tok.text!r}", tok.line, tok.col)
-        ts.next()
 
 
 def parse_form_expr(text: str, n: int, line_no: int = 1) -> Form:
@@ -490,34 +467,29 @@ def _read_metric(ts: _TokenStream, lines, n: int, last_line: int):
         )
     ts.expect_end()
     if kind.text == "identity":
-        return _hermitian_metric(None, n, kind.line)
+        from .hodge import HermitianMetric  # deferred to avoid an import cycle
+
+        return HermitianMetric.identity(n)
     return _read_metric_rows(lines, n, last_line, kind.line)
 
 
 def _read_metric_rows(lines, n: int, last_line: int, block_line: int):
+    """The metric of the next n rows of `lines`; a matrix that is not
+    Hermitian is a parse error at `block_line`."""
+    from .hodge import HermitianMetric  # deferred to avoid an import cycle
+
     rows = []
     for _, _, ts in lines:
-        row = [_parse_scalar_atom(ts, allow_sign=True) for _ in range(n)]
+        rows.append([_parse_scalar_atom(ts, allow_sign=True) for _ in range(n)])
         ts.expect_end()
-        rows.append(row)
         if len(rows) == n:
-            return _hermitian_metric(rows, n, block_line)
+            try:
+                return HermitianMetric(rows)
+            except MetricError as exc:
+                raise ParseError(f"invalid metric: {exc}", block_line, 1) from exc
     raise ParseError(
         f"metric matrix ended early: {n - len(rows)} row(s) missing", last_line, 1
     )
-
-
-def _hermitian_metric(rows, n: int, line: int):
-    """The metric with these rows (the identity for None); a matrix that is
-    not Hermitian is a parse error at `line`."""
-    from .hodge import HermitianMetric  # deferred to avoid an import cycle
-
-    if rows is None:
-        return HermitianMetric.identity(n)
-    try:
-        return HermitianMetric(rows)
-    except MetricError as exc:
-        raise ParseError(f"invalid metric: {exc}", line, 1) from exc
 
 
 def parse_metric(text: str, n: int):
@@ -533,8 +505,7 @@ def parse_metric(text: str, n: int):
     if first is None:
         raise ParseError("empty metric", last_line, 1)
     line_no, _, ts = first
-    head = ts.peek()
-    if head.kind == "word" and head.text == "metric":
+    if ts.peek().text == "metric":
         ts.next()
         metric = _read_metric(ts, lines, n, last_line)
     else:
@@ -566,7 +537,7 @@ def parse_lie(text: str, name: Optional[str] = None) -> LieFile:
             algebra_name = rest
         elif head.text == "dim":
             tok = ts.expect("num")
-            if "/" in tok.text:
+            if not tok.text.isdigit():  # a fraction or an imaginary number
                 raise ParseError("dim must be an integer", tok.line, tok.col)
             if n is not None:
                 raise ParseError("duplicate dim declaration", tok.line, tok.col)

@@ -94,6 +94,32 @@ def test_parse_accepts_the_dim_ceiling(capsys):
     assert lie.structure.n == lie.metric.n == MAX_DIM
 
 
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("algebra a\ndim \u0663\n", "line 2, col 5"),
+        ("algebra a\ndim 3\nd f3 = \u0662*f1^f2\n", "line 3, col 8"),
+        ("algebra a\ndim 2\nmetric hermitian\n1 0\n0 \u0661\n", "line 5, col 3"),
+    ],
+    ids=["dim", "coefficient", "metric row"],
+)
+def test_parse_unicode_digit_exit_2(tmp_path, capsys, text, where):
+    # numbers are ASCII: an Arabic-Indic digit is an unexpected character
+    path = tmp_path / "digits.lie"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "parse", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {where}: unexpected character") and "Traceback" not in err
+
+
+def test_metric_file_unicode_digit_exit_2(tmp_path, capsys):
+    metric = tmp_path / "metric.txt"
+    metric.write_text("1 0 0\n0 1 0\n0 0 \u0661\n", encoding="utf-8")
+    code, out, err = run(capsys, "classify", "corpus:sl2c", "--metric", str(metric))
+    assert (code, out) == (2, "")
+    assert "line 3, col 5: unexpected character" in err and "Traceback" not in err
+
 def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "parse", "does-not-exist.lie")
     assert code == 2

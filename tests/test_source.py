@@ -214,6 +214,24 @@ def test_only_linalg_sums_sparse_rows_by_hand():
     assert sites and all(site.startswith("src/liecohom/linalg.py:") for site in sites)
 
 
+def test_no_pattern_uses_unicode_digit_or_word_classes():
+    # the `.lie` grammar is ASCII, and ``\d`` and ``\w`` match every Unicode
+    # digit and letter, so a pattern spells its classes out (``[0-9]``)
+    patterns = [
+        (f"{path.relative_to(ROOT)}:{node.lineno}", node.args[0].value)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "re"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str)
+    ]
+    assert patterns and not [site for site, text in patterns if re.search(r"\\[dw]", text)]
+
+
 def test_every_matrix_attribute_is_used_by_the_engine():
     # linalg.Matrix carries no surface the engine does not call: each
     # non-dunder method, property and slot is read as ``x.name`` somewhere

@@ -525,7 +525,7 @@ LIE_ALPHABET = [
     "f1", "f2", "f3", "f4", "F1", "F2", "F4", "f0", "f5", "F9",
     "^", "+", "-", "/", "i", "(", ")", "=", "*", "#",
     "0", "1", "2", "3", "4", "1/2", "1/0", "0/0", "3i", "1/0i",
-    " ", " ", "\n",
+    " ", " ", "\n", "\u0661",  # ARABIC-INDIC DIGIT ONE: not a number here
 ]
 
 
@@ -640,3 +640,92 @@ def test_deeply_nested_malformed_scalars_are_positioned_parse_errors(text, messa
     with pytest.raises(ParseError) as err:
         parse_scalar(text)
     assert (err.value.line, err.value.col) == (1, col) and message in str(err.value)
+
+
+# -- one input per ParseError raise site of the parser: (line, col) and text ---
+
+
+def _form2(text):
+    return parse_form_expr(text, 2)
+
+
+def _metric2(text):
+    return parse_metric(text, 2)
+
+
+RAISE_SITES = [
+    # (parser, input, line, col, message substring)
+    (parse_scalar, "1 ? 2", 1, 3, "unexpected character '?'"),
+    (parse_lie, "algebra a\ndim", 2, 4, "unexpected end of line"),
+    (parse_lie, "algebra a\ndim x", 2, 5, "expected 'num', found 'x'"),
+    (parse_scalar, "1 2", 1, 3, "trailing input '2'"),
+    (parse_scalar, "1/0", 1, 1, "zero denominator in '1/0'"),
+    (parse_scalar, "1" * 5000, 1, 1, "number too long (5000 characters)"),
+    (_form2, "f1^f2 +", 1, 8, "expected a scalar"),
+    (parse_scalar, "-", 1, 2, "dangling sign"),
+    (parse_scalar, "*", 1, 1, "expected a scalar, found '*'"),
+    (parse_scalar, "(1", 1, 1, "unclosed '(' in scalar"),
+    (parse_scalar, "(1 2)", 1, 4, "unexpected '2' inside scalar"),
+    (_form2, "f" + "1" * 5000, 1, 1, "generator index too long (5000 digits)"),
+    (_form2, "f3", 1, 1, "generator index 3 out of 1..2"),
+    (_form2, "2*x", 1, 3, "expected a generator fJ or FJ, found 'x'"),
+    (_form2, "f1 f2", 1, 4, "expected '+', '-' or end, found 'f2'"),
+    (_metric2, "metric bogus", 1, 8, "metric kind must be 'identity' or 'hermitian'"),
+    (_metric2, "metric hermitian\n1 0", 2, 1, "metric matrix ended early: 1 row(s) missing"),
+    (_metric2, "1 1\n0 1", 1, 1, "invalid metric"),
+    (_metric2, "# none", 1, 1, "empty metric"),
+    (_metric2, "metric identity\n1", 2, 1, "unexpected input after the metric"),
+    (parse_lie, "algebra a\n= 1", 2, 1, "unexpected '='"),
+    (parse_lie, "algebra", 1, 1, "missing algebra name"),
+    (parse_lie, "algebra a\ndim 1/2", 2, 5, "dim must be an integer"),
+    (parse_lie, "algebra a\ndim 2\ndim 2", 3, 5, "duplicate dim declaration"),
+    (parse_lie, "algebra a\ndim " + "1" * 4999, 2, 5, "number too long (4999 characters)"),
+    (parse_lie, "algebra a\ndim 0", 2, 5, "dim must be at least 1"),
+    (parse_lie, "algebra a\ndim 257", 2, 5, "dim must be at most 256"),
+    (parse_lie, "algebra a\nd f1 = 0", 2, 1, "dim must be declared before equations"),
+    (parse_lie, "algebra a\ndim 2\nd F1 = f1^f2", 3, 3, "only holomorphic generators fK"),
+    (parse_lie, "algebra a\ndim 2\nd f2 = 0\nd f2 = 0", 4, 3, "duplicate definition of d f2"),
+    (parse_lie, "algebra a\ndim 2\nd f2 = f1", 3, 3, "d f2 must have total degree 2"),
+    (parse_lie, "algebra a\nmetric identity", 2, 1, "dim must be declared before the metric"),
+    (parse_lie, "algebra a\nfoo", 2, 1, "unknown statement 'foo'"),
+    (parse_lie, "algebra a\n", 1, 1, "missing 'dim N' declaration"),
+    (parse_lie, "dim 2\n", 1, 1, "missing 'algebra NAME' declaration"),
+    (parse_lie, "algebra a\ndim 3\nd f1 = f2^f3\nd f2 = f1^f2", 3, 3, "Jacobi violation: d(d f1)"),
+]
+
+# an imaginary number keeps its text: its 'i' is quoted and ends the line
+IMAGINARY_NUMBERS = {
+    "dim 3i": (parse_lie, "algebra a\ndim 3i", 2, 5, "dim must be an integer"),
+    "1/0i": (parse_scalar, "1/0i", 1, 1, "zero denominator in '1/0i'"),
+    "metric row 3i": (_metric2, "metric hermitian\n3i\n3i", 2, 3, "expected a scalar"),
+    "metric file 2i": (_metric2, "2i", 1, 3, "expected a scalar"),
+}
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, col, message",
+    RAISE_SITES + list(IMAGINARY_NUMBERS.values()),
+    ids=[row[4] for row in RAISE_SITES] + list(IMAGINARY_NUMBERS),
+)
+def test_each_raise_site_reports_its_position(parse, text, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col) and message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, col",
+    [
+        (parse_scalar, "\u0661\u0662", 1, 1),
+        (parse_lie, "algebra a\ndim \u0663", 2, 5),
+        (parse_lie, "algebra a\ndim 3\nd f3 = \u0662*f1^f2", 3, 8),
+        (_metric2, "\u0661 0\n0 1", 1, 1),
+    ],
+    ids=["scalar", "dim", "coefficient", "metric row"],
+)
+def test_numbers_are_ascii_digits(parse, text, line, col):
+    # Arabic-Indic digits are decimal digits to Unicode, but not to the grammar
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert "unexpected character" in str(err.value)
