@@ -49,11 +49,13 @@ one product for a whole batch).  ``Subspace.contains`` and
 ``quotient_representatives`` share that check; the quotient takes the raw
 image rows, checks them against the numerator and row-reduces their
 coordinates once, so the span of the images is never reduced on its own.
-The operators are mostly zero on a bidegree, so known answers skip the
-work: a matrix with no nonzero row has the whole space (the unit rows) as
-kernel, no nonzero image keeps every numerator row, and against the whole
-space a vector is its own coordinates and lies in it exactly when its keys
-lie in ``range(ambient)``.
+The operators are mostly zero on a bidegree and most of their rows hold
+one entry, so known answers skip the work.  When each row holds at most
+one entry, ``rref`` returns the unit rows at the columns the rows hold and
+``kernel_basis`` those at the other columns, with no arithmetic.  No
+nonzero image keeps every numerator row, and against the whole space a
+vector is its own coordinates and lies in it exactly when its keys lie in
+``range(ambient)``.
 
 ``rref`` updates entries as canonical triples ``(a, b, d)`` = (a + b*i)/d,
 read with ``scalars.parts`` when an update first reaches an entry.  Every
@@ -243,10 +245,21 @@ def _subtract(row: dict, fa: int, fb: int, fd: int, other: list) -> list[int]:
     return changed
 
 
+def _one_entry_rows(matrix: Matrix) -> bool:
+    """Whether every row holds at most one entry."""
+    return all(len(row) < 2 for row in matrix.rows)
+
+
 def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (canonical RREF, pivot column
     indices).  The pivot rows come first, in pivot order, then the zero
-    rows."""
+    rows.  When each row holds at most one entry, the pivots are the
+    columns the rows hold, with no arithmetic."""
+    if _one_entry_rows(matrix):
+        pivots = sorted({j for row in matrix.rows for j in row})
+        echelon = [{c: ONE} for c in pivots]
+        echelon += [{} for _ in range(matrix.nrows - len(pivots))]
+        return Matrix.sparse(echelon, matrix.ncols), pivots
     # rows are shared until changed, then copied (their index in ``mine``)
     rows = list(matrix.rows)
     mine: set[int] = set()
@@ -258,11 +271,12 @@ def rref(matrix: Matrix) -> tuple[Matrix, list[int]]:
     pivots: list[int] = []
     pivot_rows: list[int] = []
     done: set[int] = set()
-    for c in range(matrix.ncols):
+    # an update fills in no column outside the rows' starting support
+    for c in sorted(holders):
         if len(pivots) == matrix.nrows:
             break
-        hold = holders.pop(c, None)
-        free = hold - done if hold else None
+        hold = holders.pop(c)
+        free = hold - done
         if not free:
             continue
         # RREF is unique, so any row not yet a pivot row will do; the
@@ -306,7 +320,8 @@ def rank(matrix: Matrix) -> int:
 
 def kernel_basis(matrix: Matrix) -> "Subspace":
     """The null space, as its canonical ``Subspace``, from at most one
-    ``rref``: none when no row is nonzero, as every column is then free.
+    ``rref``: none when each row holds at most one entry, as the null space
+    is then the unit rows at the columns no row holds.
 
     The rref runs on M with its columns reversed (column j at ncols-1-j).
     There a reduced row holds its pivot and free columns to the right of
@@ -315,14 +330,16 @@ def kernel_basis(matrix: Matrix) -> "Subspace":
     Mapped back, f is that vector's smallest key, with value 1, and no other
     vector holds f: the vectors, by f ascending, are the canonical echelon
     rows of ker M, with the free columns as pivots."""
+    if _one_entry_rows(matrix):
+        held = {j for row in matrix.rows for j in row}
+        free = [f for f in range(matrix.ncols) if f not in held]
+        return Subspace._echelon(matrix.ncols, [{f: ONE} for f in free], free)
     last = matrix.ncols - 1
     # zero rows leave the kernel as it is, and most rows of the stacked
     # operator matrices are zero
     flipped = [{last - j: x for j, x in row.items()} for row in matrix.rows if row]
-    reduced, pivots = (), []
-    if flipped:
-        echelon, pivots = rref(Matrix.sparse(flipped, matrix.ncols))
-        reduced = echelon.rows[: len(pivots)]
+    echelon, pivots = rref(Matrix.sparse(flipped, matrix.ncols))
+    reduced = echelon.rows[: len(pivots)]
     pivot_set = set(pivots)
     out = {f: {f: ONE} for f in range(matrix.ncols) if last - f not in pivot_set}
     # the reduced rows backwards, so each vector is keyed ascending

@@ -8,7 +8,7 @@ and splits as d = del + delbar on integrable structures.
 
 Grammar (UTF-8, line oriented, `#` starts a comment):
 
-    algebra NAME
+    algebra NAME         # NAME: the rest of the line, blanks trimmed
     dim N                # 1 <= N <= MAX_DIM
     d fK = EXPR          # omitted generators have d fK = 0
     metric identity
@@ -20,9 +20,10 @@ Grammar (UTF-8, line oriented, `#` starts a comment):
     COEF  := '(' A [('+'|'-') B 'i'] ')' | A | B'i' | 'i'
              with A, B rationals like -1/2   (so `1/2i` means (1/2)*i)
 
-Numbers (N, J, K, A, B) are written in the ASCII digits 0-9.  Outside a
-comment, a character that starts no token, a Unicode digit such as `١`
-included, is a ParseError "unexpected character" at its column.
+Numbers (N, J, K, A, B) are written in the ASCII digits 0-9.  NAME may
+hold any character but `#` (`sl(2,C)`).  Elsewhere outside a comment, a
+character that starts no token, a Unicode digit such as `١` included, is a
+ParseError "unexpected character" at its column.
 """
 
 from __future__ import annotations
@@ -253,19 +254,15 @@ class _Token:
     col: int
 
 
-def _tokenize_line(text: str, line_no: int) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):  # blanks match no group and are skipped
-        if m.lastgroup == "other":
-            raise ParseError(f"unexpected character {m.group()!r}", line_no, m.start() + 1)
-        kind = m.group() if m.lastgroup == "sym" else m.lastgroup
-        tokens.append(_Token(kind, m.group(), line_no, m.start() + 1))
-    return tokens
-
-
 class _TokenStream:
-    def __init__(self, tokens: list[_Token], line_no: int):
-        self.tokens = tokens
+    def __init__(self, text: str, line_no: int):
+        """All tokens of one line, read before any is parsed."""
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(text):  # blanks match no group and are skipped
+            if m.lastgroup == "other":
+                raise ParseError(f"unexpected character {m.group()!r}", line_no, m.start() + 1)
+            kind = m.group() if m.lastgroup == "sym" else m.lastgroup
+            self.tokens.append(_Token(kind, m.group(), line_no, m.start() + 1))
         self.pos = 0
         self.line = line_no
 
@@ -425,7 +422,7 @@ def _parse_expr(ts: _TokenStream, n: int) -> Form:
 
 def parse_form_expr(text: str, n: int, line_no: int = 1) -> Form:
     """Parse a standalone form expression (the DSL's EXPR production)."""
-    ts = _TokenStream(_tokenize_line(text, line_no), line_no)
+    ts = _TokenStream(text, line_no)
     form = _parse_expr(ts, n)
     ts.expect_end()
     return form
@@ -433,7 +430,7 @@ def parse_form_expr(text: str, n: int, line_no: int = 1) -> Form:
 
 def parse_scalar(text: str) -> Scalar:
     """Parse a scalar literal like ``-1/2``, ``3i`` or ``(1/2-3i)``."""
-    ts = _TokenStream(_tokenize_line(text, 1), 1)
+    ts = _TokenStream(text, 1)
     value = _parse_scalar_atom(ts, allow_sign=True)
     ts.expect_end()
     return value
@@ -446,12 +443,12 @@ class LieFile:
 
 
 def _content_lines(text: str):
-    """Yield (line number, comment-free text, token stream) for every line
-    that holds more than a comment."""
+    """Yield (line number, comment-free text) for every line that holds more
+    than a comment."""
     for line_no, raw in enumerate(text.splitlines(), start=1):
         content = raw.split("#", 1)[0]
         if content.strip():
-            yield line_no, content, _TokenStream(_tokenize_line(content, line_no), line_no)
+            yield line_no, content
 
 
 def _read_metric(ts: _TokenStream, lines, n: int, last_line: int):
@@ -479,7 +476,8 @@ def _read_metric_rows(lines, n: int, last_line: int, block_line: int):
     from .hodge import HermitianMetric  # deferred to avoid an import cycle
 
     rows = []
-    for _, _, ts in lines:
+    for line_no, content in lines:
+        ts = _TokenStream(content, line_no)
         rows.append([_parse_scalar_atom(ts, allow_sign=True) for _ in range(n)])
         ts.expect_end()
         if len(rows) == n:
@@ -504,7 +502,8 @@ def parse_metric(text: str, n: int):
     first = next(lines, None)
     if first is None:
         raise ParseError("empty metric", last_line, 1)
-    line_no, _, ts = first
+    line_no, content = first
+    ts = _TokenStream(content, line_no)
     if ts.peek().text == "metric":
         ts.next()
         metric = _read_metric(ts, lines, n, last_line)
@@ -526,16 +525,19 @@ def parse_lie(text: str, name: Optional[str] = None) -> LieFile:
     metric = None
 
     lines = _content_lines(text)
-    for line_no, content, ts in lines:
+    for line_no, content in lines:
+        first = _TOKEN_RE.search(content)
+        if first.group() == "algebra":
+            # NAME is the rest of the line as written, never tokenized
+            algebra_name = content[first.end() :].strip()
+            if not algebra_name:
+                raise ParseError("missing algebra name", line_no, first.start() + 1)
+            continue
+        ts = _TokenStream(content, line_no)
         head = ts.next()
         if head.kind != "word":
             raise ParseError(f"unexpected {head.text!r}", head.line, head.col)
-        if head.text == "algebra":
-            rest = content.strip()[len("algebra") :].strip()
-            if not rest:
-                raise ParseError("missing algebra name", head.line, head.col)
-            algebra_name = rest
-        elif head.text == "dim":
+        if head.text == "dim":
             tok = ts.expect("num")
             if not tok.text.isdigit():  # a fraction or an imaginary number
                 raise ParseError("dim must be an integer", tok.line, tok.col)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -207,33 +208,45 @@ def test_closed_p0_sl2c():
 
 
 def test_closed_p0_space_makes_one_elimination(monkeypatch):
-    # the kernel comes out canonical, so nothing re-reduces it; where d is
-    # zero on every (p,0)-form the kernel is the whole space, with nothing
-    # to eliminate
+    # the kernel comes out canonical, so nothing re-reduces it; where each
+    # (p+1,0)-monomial is reached by d of at most one (p,0)-monomial (d zero
+    # on every (p,0)-form included), the kernel is read off the d matrix's
+    # columns, with nothing to eliminate
     from liecohom import linalg
 
     calls = []
     rref = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m.shape) or rref(m))
-    s = parse_structure(IWASAWA)
-    counts = []
-    for p, dim in ((0, 1), (1, 2), (2, 3), (3, 1)):
-        d_nonzero = any(not s.d(Form(3, {m: ONE})).is_zero() for m in basis(3, p, 0))
-        calls.clear()
-        assert closed_p0_space(s, p).dim == dim
-        assert len(calls) == int(d_nonzero)
-        counts.append(len(calls))
-    assert counts == [0, 1, 0, 0]
+    # twin: d f3 = d f4, so d(f3 - f4) = 0 is a closed form no column shows
+    twin = "algebra twin\ndim 4\nd f3 = f1^f2\nd f4 = f1^f2\n"
+    for text, dims, expected in (
+        (IWASAWA, [1, 2, 3, 1], [0, 0, 0, 0]),
+        (twin, [1, 3, 5, 4, 1], [0, 1, 0, 0, 0]),
+    ):
+        s = parse_structure(text)
+        n = s.n
+        counts = []
+        for p, dim in enumerate(dims):
+            reached = Counter(
+                m for src in basis(n, p, 0) for m in s.d(Form(n, {src: ONE})).terms
+            )
+            calls.clear()
+            assert closed_p0_space(s, p).dim == dim
+            assert len(calls) == int(any(k > 1 for k in reached.values()))
+            counts.append(len(calls))
+        assert counts == expected
 
 
 def test_closed_p0_space_is_built_once_per_structure_and_p(monkeypatch):
-    from liecohom import linalg
+    from liecohom import analysis
     from liecohom.linalg import Subspace
 
     s, fresh = parse_structure(IWASAWA), parse_structure(IWASAWA)
     calls = []
-    rref = linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m.shape) or rref(m))
+    kernel_basis = analysis.kernel_basis
+    monkeypatch.setattr(
+        analysis, "kernel_basis", lambda m: calls.append(m.shape) or kernel_basis(m)
+    )
     first = closed_p0_space(s, 1)
     assert len(calls) == 1
     assert closed_p0_space(s, 1) is first

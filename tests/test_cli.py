@@ -39,6 +39,16 @@ def test_parse_file(tmp_path, capsys):
     assert code == 0 and "unimodular=true" in out
 
 
+def test_algebra_name_with_punctuation(tmp_path, capsys):
+    # `parse` has no JSON form; the report's JSON carries the same name
+    path = tmp_path / "sl2c.lie"
+    path.write_text(SL2C.replace("algebra sl2c", "algebra sl(2,C)  # the name"))
+    code, out, _ = run(capsys, "parse", str(path))
+    assert code == 0 and out.startswith("algebra sl(2,C)\ndim 3\n")
+    code, out, _ = run(capsys, "cohomology", str(path), "--groups", "derham", "--json")
+    assert code == 0 and json.loads(out)["algebra"] == "sl(2,C)"
+
+
 def test_parse_error_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.lie"
     path.write_text("algebra broken\ndim 2\nd f1 = f9\n")

@@ -443,18 +443,23 @@ def _image_columns(s, kind, p, q):
 
 
 def test_each_quotient_makes_two_eliminations_and_builds_no_subspace(monkeypatch):
+    import liecohom.cohomology as cohomology
     import liecohom.linalg as linalg
 
     structures = [_ladder(4), parse_structure(CALABI_ECKMANN)]
     structures.append(parse_structure("algebra nonint\ndim 3\nd f1 = F2^F3\n"))
     for s in structures:
         list(_groups_of(s))  # the operator matrices, cached
-    rrefs, builds = [], []
-    rref, init = linalg.rref, linalg.Subspace.__init__
+    rrefs, builds, kernels = [], [], []
+    rref, init, kernel = linalg.rref, linalg.Subspace.__init__, cohomology.kernel_basis
 
     def counting_rref(matrix):
         rrefs.append(matrix.shape)
         return rref(matrix)
+
+    def recording_kernel(matrix):
+        kernels.append(matrix)
+        return kernel(matrix)
 
     def counting_init(self, *args):
         builds.append(args)
@@ -462,6 +467,7 @@ def test_each_quotient_makes_two_eliminations_and_builds_no_subspace(monkeypatch
 
     monkeypatch.setattr(linalg, "rref", counting_rref)
     monkeypatch.setattr(linalg.Subspace, "__init__", counting_init)
+    monkeypatch.setattr(cohomology, "kernel_basis", recording_kernel)
     seen = set()
     for s in structures:
         n = s.n
@@ -475,11 +481,13 @@ def test_each_quotient_makes_two_eliminations_and_builds_no_subspace(monkeypatch
             ]
         for group, args in calls:
             rrefs.clear()
+            kernels.clear()
             g = group(s, *args)
-            # the kernel, unless the stacked kernel matrix is zero (exactly
-            # when the kernel is the whole space), and the images'
-            # coordinates in its basis, unless every image is zero
-            expected = (g.numerator.dim < len(g.mons)) + any(g.images)
+            # the kernel, unless each row of the stacked kernel matrix holds
+            # at most one entry, and the images' coordinates in its basis,
+            # unless every image is zero
+            (stacked,) = kernels
+            expected = any(len(row) > 1 for row in stacked.rows) + any(g.images)
             assert len(rrefs) == expected, (s.name, group.__name__, args)
             seen.add(expected)
             assert builds == []

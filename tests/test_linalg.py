@@ -313,8 +313,8 @@ def test_kernel_of_a_zero_matrix_is_the_whole_space_without_elimination(monkeypa
         assert kb._index == whole._index == {j: j for j in range(ncols)}
         assert (kb.ambient, kb.dim) == (ncols, ncols)
     assert calls == []
-    # one nonzero row takes the elimination again
-    assert kernel_basis(Matrix.sparse([{}, {1: I}, {}], 3)).dim == 2
+    # a row with two entries takes the elimination again
+    assert kernel_basis(Matrix.sparse([{}, {1: I, 2: ONE}, {}], 3)).dim == 2
     assert calls == [(1, 3)]
 
 
@@ -875,6 +875,135 @@ def test_rref_and_kernel_match_sympy_on_dense_rows():
         _assert_rref_matches_sympy(sympy, m)
         _assert_kernel_matches_sympy(sympy, m)
         _assert_rref_canonical_under_row_permutations(sympy, m, rng)
+
+
+# -- one-entry rows: echelon form and null space read off the columns -----------
+
+_ONE_ENTRY_VALUES = (
+    ONE, -ONE, I, -I,
+    Scalar(Fraction(3, 2)), Scalar(Fraction(-2, 7)),
+    Scalar(Fraction(1, 3), Fraction(-5, 2)), Scalar(Fraction(-4, 5), Fraction(1, 6)),
+)
+
+
+def _one_entry_matrices():
+    """Seeded matrices whose rows each hold at most one entry, from
+    ``_ONE_ENTRY_VALUES`` (±1, ±i, rationals, Gaussian rationals): zero rows
+    and columns held by several rows, in the shapes (0, k), (k, 0), (k, k)
+    and random ones."""
+    rng = random.Random(20261022)
+    shapes = [(0, k) for k in range(4)] + [(k, 0) for k in range(1, 4)]
+    shapes += [(k, k) for k in range(1, 6)]
+    shapes += [(rng.randint(1, 8), rng.randint(1, 6)) for _ in range(30)]
+    for nrows, ncols in shapes:
+        rows = [
+            {rng.randrange(ncols): rng.choice(_ONE_ENTRY_VALUES)}
+            if ncols and rng.random() < 0.8 else {}
+            for _ in range(nrows)
+        ]
+        yield Matrix.sparse(rows, ncols)
+
+
+# one row with two entries: the elimination runs again
+_MIXED = Matrix.sparse([{2: I}, {}, {0: Scalar(Fraction(1, 2)), 3: -ONE}, {0: ONE}], 4)
+
+
+def test_rref_and_kernel_match_sympy_on_one_entry_rows():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(13)
+    seen = set()
+    for m in [*_one_entry_matrices(), _MIXED]:
+        _assert_rref_matches_sympy(sympy, m)
+        _assert_kernel_matches_sympy(sympy, m)
+        _assert_rref_canonical_under_row_permutations(sympy, m, rng)
+        _assert_echelon_rows(kernel_basis(m))
+        held = [j for row in m.rows for j in row]
+        seen.add(m.shape)
+        seen.update(
+            name
+            for name, flag in (
+                ("repeated column", len(held) > len(set(held))),
+                ("zero row", any(not row for row in m.rows)),
+                ("full rank", m.nrows == m.ncols == len(set(held)) > 0),
+            )
+            if flag
+        )
+    assert {"repeated column", "zero row", "full rank", (0, 3), (3, 0), (3, 3)} <= seen
+
+
+def test_subspace_solve_and_quotient_match_references_on_one_entry_rows():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(14)
+    for m in [*_one_entry_matrices(), _MIXED]:
+        ambient = m.ncols
+        # the span of one-entry rows: the unit rows at the columns they hold
+        space = Subspace(ambient, m.rows)
+        assert space.dim == _rank_reference(list(m.rows), ambient)
+        if m is not _MIXED:
+            assert space.rows == tuple({c: ONE} for c in sorted({j for r in m.rows for j in r}))
+        _assert_echelon_rows(space)
+        for v in (_row([_random_scalar(rng, 0.5) for _ in range(ambient)]), *m.rows):
+            assert space.contains(v) == (not _reduce_reference(space, v))
+        # solve: the solution with free variables 0 is the augmented column
+        # of sympy's RREF at the pivot rows, and None past an inconsistency
+        for b in (m.apply(_row([rng.choice(_ONE_ENTRY_VALUES) for _ in range(ambient)])),
+                  _row([_random_scalar(rng, 0.5) for _ in range(m.nrows)])):
+            aug = Matrix.sparse(
+                [{**row, ambient: b[i]} if i in b else row for i, row in enumerate(m.rows)],
+                ambient + 1,
+            )
+            theirs, pivots = _sympy_domain(sympy, aug).rref()
+            theirs = theirs.to_Matrix()
+            if pivots and pivots[-1] == ambient:
+                assert solve(m, b) is None
+            else:
+                expected = {
+                    c: x for i, c in enumerate(pivots)
+                    if (x := _from_sympy(sympy, theirs[i, ambient]))
+                }
+                assert solve(m, b) == expected
+                assert m.apply(expected) == b
+        # quotients whose images' coordinates hold one entry each: scaled
+        # and repeated numerator rows, and zero rows
+        numerator = Subspace(ambient, _dense_rows(rng, rng.randint(0, ambient), ambient, False))
+        images = [
+            {j: f * x for j, x in rng.choice(numerator.rows).items()}
+            for f in rng.sample(_ONE_ENTRY_VALUES, rng.randint(0, 3))
+        ] if numerator.dim else []
+        images += [{}] * rng.randint(0, 1)
+        reps = quotient_representatives(numerator, images)
+        assert reps == _representatives_reference(numerator, images)
+        assert reps == _quotient_reference(numerator, Subspace(ambient, images))
+
+
+def test_rref_of_one_entry_rows_makes_no_update(monkeypatch):
+    import liecohom.linalg as linalg
+
+    calls = []
+    subtract = linalg._subtract
+    monkeypatch.setattr(
+        linalg, "_subtract", lambda *args: calls.append(len(args[-1])) or subtract(*args)
+    )
+    for m in _one_entry_matrices():
+        reduced, pivots = rref(m)
+        assert reduced.rows[: len(pivots)] == tuple({c: ONE} for c in pivots)
+    assert calls == []
+    rref(_MIXED)
+    assert calls
+
+
+def test_kernel_of_one_entry_rows_makes_no_elimination(monkeypatch):
+    import liecohom.linalg as linalg
+
+    calls = []
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m.shape) or rref(m))
+    for m in _one_entry_matrices():
+        held = {j for row in m.rows for j in row}
+        assert kernel_basis(m).rows == tuple({f: ONE} for f in range(m.ncols) if f not in held)
+    assert calls == []
+    # the zero rows are dropped before the elimination
+    assert kernel_basis(_MIXED).dim == 1
+    assert calls == [(3, 4)]
 
 
 def _assert_canonical_entries(row, size):

@@ -198,6 +198,58 @@ def test_only_rref_calls_the_row_update():
     assert sites and all(s == ("linalg.py", ["rref"]) for s in sites)
 
 
+def _nodes_with_enclosing(node, enclosing=()):
+    """(node, enclosing definitions) for each node in the tree."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing = enclosing + (node,)
+    yield node, enclosing
+    for child in ast.iter_child_nodes(node):
+        yield from _nodes_with_enclosing(child, enclosing)
+
+
+def _one_entry_tests(node):
+    """Whether the node is ``all(len(x) < 2 for ...)`` or ``<= 1``: every
+    row holding at most one entry."""
+    if not (_calls(node, "all") and node.args and isinstance(node.args[0], ast.GeneratorExp)):
+        return False
+    test = node.args[0].elt
+    return (
+        isinstance(test, ast.Compare)
+        and _calls(test.left, "len")
+        and len(test.ops) == 1
+        and isinstance(test.comparators[0], ast.Constant)
+        and (type(test.ops[0]), test.comparators[0].value) in ((ast.Lt, 2), (ast.LtE, 1))
+    )
+
+
+def test_only_rref_and_kernel_basis_read_the_one_entry_rule():
+    # a matrix whose rows each hold at most one entry is answered inside rref
+    # and kernel_basis, by the one predicate linalg defines, so no other
+    # code adds its own sparse shortcut around them
+    trees = {
+        path.relative_to(ROOT).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("src", "perfbench", "demos")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    defined = [
+        (path, [n.name for n in enclosing])
+        for path, tree in trees.items()
+        for node, enclosing in _nodes_with_enclosing(tree)
+        if _one_entry_tests(node)
+    ]
+    assert defined == [("src/liecohom/linalg.py", ["_one_entry_rows"])]
+    sites = sorted({
+        (path, tuple(node.name for node in enclosing))
+        for path, tree in trees.items()
+        for name, enclosing in _name_reads(tree)
+        if name == "_one_entry_rows"
+    })
+    assert sites == [
+        ("src/liecohom/linalg.py", ("kernel_basis",)),
+        ("src/liecohom/linalg.py", ("rref",)),
+    ]
+
+
 def test_only_linalg_sums_sparse_rows_by_hand():
     # the sparse-row accumulation ``row.pop(key, ZERO) + ...`` lives in
     # linalg; anywhere else a row sum is a product or a Subspace of linalg's

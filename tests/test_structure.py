@@ -143,6 +143,28 @@ def test_render_round_trip():
         assert again.dgen == s.dgen
 
 
+@pytest.mark.parametrize("name", ["S^3 x S^3", "sl(2,C)", "a.b"])
+def test_algebra_name_is_the_rest_of_the_line(name):
+    # NAME is read as written, up to the comment, blanks trimmed: characters
+    # that start no token are part of it
+    s = parse_structure(f"  algebra \t{name}  # a comment, with a '.'\ndim 3\nd f3 = f1^f2\n")
+    assert s.name == name
+    again = parse_structure(render_structure(s))
+    assert (again.name, again.dgen) == (name, s.dgen)
+    assert render_structure(again) == render_structure(s)
+
+
+def test_algebra_name_stops_at_the_comment():
+    with pytest.raises(ParseError) as err:
+        parse_structure("algebra # sl(2,C)\ndim 1\n")
+    assert (err.value.line, err.value.col) == (1, 1) and "missing algebra name" in str(err.value)
+    # a character that starts no token still fails on any other line
+    with pytest.raises(ParseError) as err:
+        parse_structure("algebra sl(2,C)\ndim 3\nd f3 = f1.f2\n")
+    assert (err.value.line, err.value.col) == (3, 10)
+    assert "unexpected character '.'" in str(err.value)
+
+
 def test_render_form_round_trip_random():
     rng = random.Random(9)
     n = 3
